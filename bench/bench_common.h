@@ -37,7 +37,6 @@ struct BuildOptions {
   bool tamino_compressed = true;
   int years = 17;
   int base_employees = 120;
-  int scan_threads = 1;           ///< parallel frozen-segment scan workers
   uint64_t block_cache_bytes = 16ull << 20;  ///< 0 disables the block cache
 };
 
@@ -49,7 +48,6 @@ inline Systems BuildSystems(const BuildOptions& opts) {
   aopts.segment.enabled = opts.segment_clustering;
   aopts.segment.compress = opts.compress;
   aopts.segment.umin = opts.umin;
-  aopts.segment.scan_threads = opts.scan_threads;
   aopts.segment.block_cache_bytes = opts.block_cache_bytes;
   sys.archis = std::make_unique<core::ArchIS>(aopts,
                                               Date::FromYmd(1985, 1, 1));

@@ -115,42 +115,6 @@ void BM_JoinAblation(benchmark::State& state) {
   state.SetLabel(merge ? "id-sorted merge join" : "cross-product join");
 }
 
-// Ablation: parallel multi-segment scan. Compressed frozen segments (so a
-// worker's unit of work is block inflation + decode), block cache off to
-// isolate the parallelism lever, Q4's full-history scan as the workload.
-Systems& ParallelSystems(int threads) {
-  static std::map<int, std::unique_ptr<Systems>> instances;
-  std::unique_ptr<Systems>& slot = instances[threads];
-  if (slot == nullptr) {
-    BuildOptions opts;
-    opts.compress = true;
-    opts.scan_threads = threads;
-    opts.block_cache_bytes = 0;
-    opts.scale = 2;
-    opts.with_tamino = false;
-    slot = std::make_unique<Systems>(BuildSystems(opts));
-  }
-  return *slot;
-}
-
-void BM_ParallelScan(benchmark::State& state) {
-  Systems& sys = ParallelSystems(static_cast<int>(state.range(0)));
-  core::SqlXmlPlan plan = PlanQ4(sys);
-  core::PlanStats stats;
-  for (auto _ : state) {
-    stats = core::PlanStats();
-    auto r = sys.archis->Execute(plan, &stats);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["segments_scanned"] =
-      static_cast<double>(stats.segments_scanned);
-  state.counters["blocks_decompressed"] =
-      static_cast<double>(stats.blocks_decompressed);
-  state.SetLabel("Q4 full history, scan_threads=" +
-                 std::to_string(state.range(0)));
-}
-
 // Ablation: the decompressed-block LRU cache on a repeated snapshot query
 // (Q2). Iterations after the first run warm; with the cache off every
 // iteration re-inflates the covering segment's blocks.
@@ -191,7 +155,6 @@ BENCHMARK(BM_PlannerAblation)
     ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_JoinAblation)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ParallelScan)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CachedSnapshot)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace

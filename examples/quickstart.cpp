@@ -78,15 +78,18 @@ int main() {
               archis::xml::Serialize(*doc, pretty).c_str());
 
   // 5. Temporal XQuery. This one translates to SQL/XML on the H-tables.
-  auto result = db.Query(
+  const std::string query1 =
       "element title_history{ for $t in doc(\"employees.xml\")/employees/"
-      "employee[name=\"Bob\"]/title return $t }");
+      "employee[name=\"Bob\"]/title return $t }";
+  auto result = db.Query(query1);
   Check(result.status(), "Query");
   std::printf("QUERY 1 executed via %s.\n",
               result->path == QueryPath::kTranslated
                   ? "translation to SQL/XML"
                   : "native XQuery fallback");
-  std::printf("Generated SQL/XML:\n%s\n\n", result->sql.c_str());
+  auto plan = db.Translate(query1);
+  Check(plan.status(), "Translate");
+  std::printf("Generated SQL/XML:\n%s\n\n", plan->ToSql().c_str());
   std::printf("Result:\n%s\n",
               archis::xml::Serialize(result->xml, pretty).c_str());
 

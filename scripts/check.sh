@@ -5,32 +5,30 @@
 #   2. If clang++ is available: ARCHIS_ANALYZE=ON build, which turns on
 #      Clang thread-safety analysis with -Werror=thread-safety.
 #   3. archis-lint over src/ and tools/ (domain-invariant checker).
-#   4. archis-analyze over src/ and tools/: whole-program lock-order
-#      cycle search and status-propagation check (DESIGN.md §12).
-#   5. recovery_fuzz smoke sweep: randomized WAL crash points, checkpoint
+#   4. recovery_fuzz smoke sweep: randomized WAL crash points, checkpoint
 #      crash-phase sweeps, auto-checkpoint + crash combinations, and a
 #      concurrent-writer pass (4 threads, fuzzy checkpoints mid-flight,
 #      commit-time conflicts on a shared key) must all recover to the
 #      durably-committed state exactly.
-#   6. metrics smoke: archis-stats on a durable workload must produce the
+#   5. metrics smoke: archis-stats on a durable workload must produce the
 #      full profile span tree and a well-formed, non-zero exposition.
-#   7. flight-recorder trace: archis-stats runs the workload with the
+#   6. flight-recorder trace: archis-stats runs the workload with the
 #      always-on recorder, dumps the Chrome trace JSON, and trace_check
 #      validates it structurally (snake_case names, phases, timestamps).
-#   8. planner-forced equivalence: the translated-vs-native equivalence
+#   7. planner-forced equivalence: the translated-vs-native equivalence
 #      suite re-runs with the physical planner pinned both ways
 #      (ARCHIS_FORCE_PLAN=cost, then =fixed), so cost-based plans and the
 #      legacy shape must both match native answers exactly.
-#   9. archisd smoke: boots the network daemon on ephemeral ports with a
+#   8. archisd smoke: boots the network daemon on ephemeral ports with a
 #      seeded workload, round-trips ping/query/update through
 #      archis-client, scrapes GET /metrics and POSTs a query over the
 #      HTTP shim, then sends SIGTERM and requires a clean exit 0.
-#  10. ThreadSanitizer build + full ctest, with the debug-build lock-rank
+#   9. ThreadSanitizer build + full ctest, with the debug-build lock-rank
 #      assertions live: every test doubles as a validation of the lock
-#      hierarchy in src/common/lock_rank.h, and TSan catches the races
-#      the static side cannot see. The flight-recorder seqlock tests run
-#      here too, so a data race in the ring protocol fails this step.
-#  11. If clang-tidy is available: .clang-tidy checks over src/.
+#      hierarchy in src/common/lock_rank.h (DESIGN.md §7.4), and TSan
+#      catches data races. The flight-recorder seqlock tests run here
+#      too, so a data race in the ring protocol fails this step.
+#  10. If clang-tidy is available: .clang-tidy checks over src/.
 #
 # Exits nonzero on the first failing step and prints a per-step timing
 # summary on exit (success or failure). Run from the repo root:
@@ -79,12 +77,12 @@ timing_summary() {
 }
 trap timing_summary EXIT
 
-step "[1/11] default build + tests"
+step "[1/10] default build + tests"
 cmake -B build-check -S . >/dev/null
 cmake --build build-check -j"$JOBS"
 ctest --test-dir build-check --output-on-failure -j"$JOBS"
 
-step "[2/11] clang thread-safety analysis (ARCHIS_ANALYZE=ON)"
+step "[2/10] clang thread-safety analysis (ARCHIS_ANALYZE=ON)"
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-analyze -S . \
     -DCMAKE_CXX_COMPILER=clang++ -DARCHIS_ANALYZE=ON >/dev/null
@@ -93,30 +91,27 @@ else
   echo "    clang++ not found; skipping (annotations are no-ops under GCC)"
 fi
 
-step "[3/11] archis-lint (domain invariants)"
+step "[3/10] archis-lint (domain invariants)"
 ./build-check/tools/archis-lint src tools
 
-step "[4/11] archis-analyze (lock-order graph + status propagation)"
-./build-check/tools/archis-analyze src tools
-
-step "[5/11] recovery fuzz (WAL crash points + checkpoint phases + concurrent writers)"
+step "[4/10] recovery fuzz (WAL crash points + checkpoint phases + concurrent writers)"
 ./build-check/tools/recovery_fuzz --runs "${FUZZ_RUNS:-8}"
 
-step "[6/11] metrics smoke (profile spans + exposition)"
+step "[5/10] metrics smoke (profile spans + exposition)"
 BUILD_DIR=build-check scripts/metrics_smoke.sh
 
-step "[7/11] flight-recorder trace (workload -> Chrome trace -> trace_check)"
+step "[6/10] flight-recorder trace (workload -> Chrome trace -> trace_check)"
 TRACE_TMP="$(mktemp /tmp/archis_trace.XXXXXX.json)"
 ./build-check/tools/archis-stats --workload --default-query --trace - \
   > "$TRACE_TMP"
 ./build-check/tools/trace_check "$TRACE_TMP" --min-events 50
 rm -f "$TRACE_TMP"
 
-step "[8/11] planner-forced equivalence (cost-based, then fixed)"
+step "[7/10] planner-forced equivalence (cost-based, then fixed)"
 ARCHIS_FORCE_PLAN=cost ./build-check/tests/equivalence_test
 ARCHIS_FORCE_PLAN=fixed ./build-check/tests/equivalence_test
 
-step "[9/11] archisd smoke (boot, wire + HTTP round trips, clean SIGTERM)"
+step "[8/10] archisd smoke (boot, wire + HTTP round trips, clean SIGTERM)"
 ARCHISD_DIR="$(mktemp -d /tmp/archisd_smoke.XXXXXX)"
 # `exec` so $! is archisd itself, not a shell wrapper.
 ( exec ./build-check/tools/archisd --data "$ARCHISD_DIR/data" \
@@ -159,12 +154,12 @@ wait "$ARCHISD_PID" || ARCHISD_EXIT=$?
   exit 1; }
 rm -rf "$ARCHISD_DIR"
 
-step "[10/11] ThreadSanitizer + lock-rank assertions (full ctest)"
+step "[9/10] ThreadSanitizer + lock-rank assertions (full ctest)"
 cmake -B build-tsan -S . -DARCHIS_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS"
 
-step "[11/11] clang-tidy"
+step "[10/10] clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B build-tidy -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   # shellcheck disable=SC2046

@@ -1084,11 +1084,7 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
   bool had_ddl = false;
   {
     // checkpoint_mu_ -> commit_mu_ is the one true order (ranks 3 -> 5,
-    // enforced at runtime by LockRank). The analyzer's reverse edge is a
-    // name-resolution artifact: Table internals dispatch `tree.Insert` to
-    // ArchIS::Insert, whose commit path reaches MaybeAutoCheckpoint — but
-    // that call runs after commit_mu_ is released, never under it.
-    // archis-analyze: allow(lock-cycle) -- false reverse edge via untyped Insert dispatch
+    // enforced at runtime by LockRank).
     MutexLock lock(commit_mu_);
     // Capture barrier: everything enqueued so far becomes durable before
     // the capture, so the manifest never absorbs a commit the log could
@@ -1694,7 +1690,6 @@ Result<QueryResult> ArchIS::Query(const std::string& xquery,
                  : Result<SqlXmlPlan>(ast.status());
     if (plan.ok()) {
       result.path = QueryPath::kTranslated;
-      result.sql = plan->ToSql();
       Result<xml::XmlNodePtr> xml = [&]() -> Result<xml::XmlNodePtr> {
         trace::ScopedSpan span(trace, "execute");
         return Execute(*plan, &result.stats, trace, options.force_plan,

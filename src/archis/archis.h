@@ -114,7 +114,6 @@ struct QueryOptions {
 struct QueryResult {
   xml::XmlNodePtr xml;   ///< result wrapped in a <results> element
   QueryPath path;        ///< translated SQL/XML or native fallback
-  std::string sql;       ///< rendered SQL/XML (translated path only)
   PlanStats stats;       ///< executor statistics (translated path only)
   /// Span tree of this query (QueryOptions::collect_profile); its
   /// Render() is the EXPLAIN-style breakdown.

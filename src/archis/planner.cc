@@ -229,7 +229,6 @@ Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
   if (!physical.vars.empty()) {
     double est = physical.vars[0].est_rows;
     double max_d = 1;
-    // archis-analyze: allow(dropped-error-arm) -- best-effort estimate; unresolvable store keeps default distinct-count
     if (const Result<const SegmentedStore*> s0 =
             ResolveStore(archiver, plan.vars[0]);
         s0.ok()) {
@@ -238,7 +237,6 @@ Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
     }
     for (size_t v = 1; v < physical.vars.size(); ++v) {
       double d = 1;
-      // archis-analyze: allow(dropped-error-arm) -- best-effort estimate; unresolvable store keeps default distinct-count
       if (const Result<const SegmentedStore*> sv =
               ResolveStore(archiver, plan.vars[v]);
           sv.ok()) {

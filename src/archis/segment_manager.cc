@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 #include "common/flight_recorder.h"
 #include "common/log.h"
@@ -59,16 +58,13 @@ metrics::Counter* SegmentScansMetric() {
 }
 
 /// Identity of one version across segment copies: (id, tstart days).
+/// Frozen segments are stored in this order, and multi-source scans emit
+/// in it.
 using VersionKey = std::pair<int64_t, int64_t>;
 
-struct VersionKeyHash {
-  size_t operator()(const VersionKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.first) * 0x9E3779B97F4A7C15ull;
-    h ^= static_cast<uint64_t>(k.second) + 0x9E3779B97F4A7C15ull +
-         (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
+VersionKey VersionOf(const Tuple& row, size_t tstart_col) {
+  return {row.at(0).AsInt(), row.at(tstart_col).AsDate().days()};
+}
 
 void AccumulateBlobStats(const compress::BlobReadStats& b,
                          StoreScanStats* stats) {
@@ -355,10 +351,7 @@ Status SegmentedStore::Freeze(Date now) {
         return true;
       }));
   std::sort(rows.begin(), rows.end(), [&](const Tuple& a, const Tuple& b) {
-    if (a.at(0).AsInt() != b.at(0).AsInt()) {
-      return a.at(0).AsInt() < b.at(0).AsInt();
-    }
-    return a.at(tstart_col_).AsDate() < b.at(tstart_col_).AsDate();
+    return VersionOf(a, tstart_col_) < VersionOf(b, tstart_col_);
   });
 
   // 2. Allocate the segment and record its interval.
@@ -435,18 +428,6 @@ std::vector<int64_t> SegmentedStore::CoveringSegments(
   return out;
 }
 
-ThreadPool* SegmentedStore::ScanPool() const {
-  if (options_.scan_threads <= 1) return nullptr;
-  MutexLock lock(pool_mu_);
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.scan_threads));
-  }
-  // The pool pointer is stable once created, so callers may use it after
-  // the lock drops.
-  return pool_.get();
-}
-
 Status SegmentedStore::ScanFrozenSegment(
     int64_t segno, const std::optional<TimeInterval>& window,
     std::optional<int64_t> id_filter,
@@ -484,229 +465,105 @@ Status SegmentedStore::ScanFrozenSegment(
   return Status::OK();
 }
 
+Status SegmentedStore::ScanLive(std::optional<int64_t> id_filter,
+                                const std::function<bool(const Tuple&)>& fn,
+                                StoreScanStats* stats) const {
+  if (stats != nullptr) ++stats->segments_scanned;
+  SegmentScansMetric()->Inc();
+  auto visit = [&](const storage::RecordId&, const Tuple& row) {
+    return fn(row);
+  };
+  if (id_filter) {
+    const minirel::TableIndex* idx = live_->GetIndex("id");
+    minirel::IndexKey key{Value(*id_filter)};
+    return live_->IndexScan(*idx, key, key, visit);
+  }
+  return live_->Scan(visit);
+}
+
 Status SegmentedStore::ScanSegments(
     const std::vector<int64_t>& segnos, bool include_live,
     const std::optional<TimeInterval>& filter,
     std::optional<int64_t> id_filter,
     const std::function<bool(const Tuple&)>& fn,
     StoreScanStats* stats) const {
-  // Deduplicate across sources: the newest copy of (id, tstart) wins, so
-  // sources are visited newest first (live, then frozen segments in
-  // reverse) and older duplicates are skipped via the seen-set. Rows
-  // stream straight to `fn` — no buffering or copying. With a single
-  // source (the snapshot fast path — exactly one covering segment,
-  // Section 6.1) the seen-set stays empty-cold and costs nothing extra.
-  const bool single_source =
-      segnos.size() + (include_live ? 1 : 0) <= 1;
-  if (ThreadPool* pool = ScanPool();
-      pool != nullptr && segnos.size() > 1) {
-    return ScanSegmentsParallel(pool, segnos, include_live, filter,
-                                id_filter, fn, stats);
-  }
-  bool stopped = false;
-  std::unordered_set<VersionKey, VersionKeyHash> seen;
-  std::vector<Tuple> buffered;  // multi-source: deduped rows, sorted later
-  auto admit = [&](const Tuple& row) {
-    if (stats != nullptr) ++stats->tuples_scanned;
-    if (id_filter && row.at(0).AsInt() != *id_filter) return !stopped;
-    if (!single_source &&
-        !seen.insert({row.at(0).AsInt(),
-                      row.at(tstart_col_).AsDate().days()})
-             .second) {
-      return !stopped;  // an older copy of a version already emitted
-    }
-    if (filter) {
-      TimeInterval iv(row.at(tstart_col_).AsDate(),
-                      row.at(tend_col_).AsDate());
-      if (!iv.Overlaps(*filter)) return !stopped;
-    }
-    if (single_source) {
-      // Fast path: exactly one source (snapshots, unsegmented scans)
-      // streams straight through in storage order.
-      if (!fn(row)) stopped = true;
-    } else {
-      buffered.push_back(row);
-    }
-    return !stopped;
+  auto passes = [&](const Tuple& row) {
+    return !filter || MakeInterval(row.at(tstart_col_).AsDate(),
+                                   row.at(tend_col_).AsDate())
+                          .Overlaps(*filter);
   };
 
-  // Newest sources first: the live segment, then frozen segments in
-  // reverse segno order.
-  auto scan_live = [&]() -> Status {
-    if (stats != nullptr) ++stats->segments_scanned;
-    SegmentScansMetric()->Inc();
-    if (id_filter) {
-      const minirel::TableIndex* idx = live_->GetIndex("id");
-      minirel::IndexKey key{Value(*id_filter)};
-      return live_->IndexScan(
-          *idx, key, key, [&](const storage::RecordId&, const Tuple& row) {
-            return admit(row);
-          });
-    }
-    return live_->Scan([&](const storage::RecordId&, const Tuple& row) {
-      return admit(row);
-    });
-  };
-  if (include_live) ARCHIS_RETURN_NOT_OK(scan_live());
-
-  for (auto it = segnos.rbegin(); it != segnos.rend(); ++it) {
-    if (stopped) break;
-    ARCHIS_RETURN_NOT_OK(
-        ScanFrozenSegment(*it, filter, id_filter, admit, stats));
-  }
-
-  // Multi-source scans emit in chronological (id, tstart) order — the
-  // contract the publisher and XMLAgg outputs rely on.
-  std::sort(buffered.begin(), buffered.end(),
-            [&](const Tuple& a, const Tuple& b) {
-    if (a.at(0).AsInt() != b.at(0).AsInt()) {
-      return a.at(0).AsInt() < b.at(0).AsInt();
-    }
-    return a.at(tstart_col_).AsDate() < b.at(tstart_col_).AsDate();
-  });
-  for (const Tuple& row : buffered) {
-    if (!fn(row)) break;
-  }
-  return Status::OK();
-}
-
-Status SegmentedStore::ScanSegmentsParallel(
-    ThreadPool* pool, const std::vector<int64_t>& segnos, bool include_live,
-    const std::optional<TimeInterval>& filter,
-    std::optional<int64_t> id_filter,
-    const std::function<bool(const Tuple&)>& fn,
-    StoreScanStats* stats) const {
-  // Each frozen segment is one pool task producing an id-sorted run
-  // (frozen segments are materialised in (id, tstart) order at freeze
-  // time, and both the compressed store and the (segno, id) index scan
-  // preserve it). The live segment is scanned on the calling thread while
-  // the workers run, then sorted. The runs are k-way merged by
-  // (id, tstart) with ties won by the newest source, which reproduces the
-  // sequential seen-set semantics: per version the newest copy is the one
-  // row-filtered and emitted, older copies are dropped.
-  struct SegRun {
-    int64_t segno = 0;
-    std::vector<Tuple> rows;
-    StoreScanStats stats;
-    Status status;
-  };
-  std::vector<SegRun> runs(segnos.size());
-  for (size_t i = 0; i < segnos.size(); ++i) {
-    runs[i].segno = segnos[segnos.size() - 1 - i];  // newest first
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(runs.size());
-  for (SegRun& run : runs) {
-    futures.push_back(pool->Submit([this, &run, &filter, id_filter] {
-      run.status = ScanFrozenSegment(
-          run.segno, filter, id_filter,
-          [&](const Tuple& row) {
-            ++run.stats.tuples_scanned;
-            if (id_filter && row.at(0).AsInt() != *id_filter) return true;
-            run.rows.push_back(row);
-            return true;
-          },
-          &run.stats);
-    }));
-  }
-
-  std::vector<Tuple> live_rows;
-  // The worker futures must be drained before any early return, so the
-  // live-scan status is only checked after the join below.
-  Status live_status = Status::OK();
-  if (include_live) {
-    if (stats != nullptr) ++stats->segments_scanned;
-    SegmentScansMetric()->Inc();
-    auto collect = [&](const storage::RecordId&, const Tuple& row) {
+  // One source (the snapshot fast path — exactly one covering segment,
+  // Section 6.1 — or a live-only scan) holds one copy per version, so rows
+  // stream straight to `fn` in storage order.
+  if (segnos.size() + (include_live ? 1 : 0) <= 1) {
+    auto emit = [&](const Tuple& row) {
       if (stats != nullptr) ++stats->tuples_scanned;
       if (id_filter && row.at(0).AsInt() != *id_filter) return true;
-      live_rows.push_back(row);
+      return !passes(row) || fn(row);
+    };
+    if (include_live) return ScanLive(id_filter, emit, stats);
+    if (segnos.empty()) return Status::OK();
+    return ScanFrozenSegment(segnos.front(), filter, id_filter, emit, stats);
+  }
+
+  // Several sources: collect one run per source, newest first (the live
+  // segment, then frozen segments by descending segno). Frozen runs arrive
+  // in (id, tstart) order because Freeze() stores them sorted; the live
+  // run is sorted here. The time filter cannot apply yet: an older copy of
+  // a version may still be open where the newest copy is already closed.
+  std::vector<std::vector<Tuple>> runs;
+  runs.reserve(segnos.size() + 1);
+  auto collect = [&](std::vector<Tuple>* run) {
+    return [&, run](const Tuple& row) {
+      if (stats != nullptr) ++stats->tuples_scanned;
+      if (!id_filter || row.at(0).AsInt() == *id_filter) run->push_back(row);
       return true;
     };
-    if (id_filter) {
-      const minirel::TableIndex* idx = live_->GetIndex("id");
-      minirel::IndexKey key{Value(*id_filter)};
-      live_status = live_->IndexScan(*idx, key, key, collect);
-    } else {
-      live_status = live_->Scan(collect);
-    }
-    std::sort(live_rows.begin(), live_rows.end(),
-              [&](const Tuple& a, const Tuple& b) {
-      if (a.at(0).AsInt() != b.at(0).AsInt()) {
-        return a.at(0).AsInt() < b.at(0).AsInt();
-      }
-      return a.at(tstart_col_).AsDate() < b.at(tstart_col_).AsDate();
+  };
+  if (include_live) {
+    std::vector<Tuple>& live = runs.emplace_back();
+    ARCHIS_RETURN_NOT_OK(ScanLive(id_filter, collect(&live), stats));
+    std::sort(live.begin(), live.end(), [&](const Tuple& a, const Tuple& b) {
+      return VersionOf(a, tstart_col_) < VersionOf(b, tstart_col_);
     });
   }
-
-  for (std::future<void>& f : futures) f.get();
-  // Accumulate every run's stats BEFORE any status check: a failing run
-  // must not drop the work the other runs (and the live scan) already did,
-  // or failed scans become invisible in metrics.
-  for (const SegRun& run : runs) {
-    if (stats != nullptr) {
-      stats->segments_scanned += run.stats.segments_scanned;
-      stats->tuples_scanned += run.stats.tuples_scanned;
-      stats->blocks_decompressed += run.stats.blocks_decompressed;
-      stats->blocks_pruned_by_time += run.stats.blocks_pruned_by_time;
-      stats->block_cache_hits += run.stats.block_cache_hits;
-      stats->block_cache_misses += run.stats.block_cache_misses;
-    }
-  }
-  ARCHIS_RETURN_NOT_OK(live_status);
-  for (const SegRun& run : runs) {
-    ARCHIS_RETURN_NOT_OK(run.status);
+  for (auto it = segnos.rbegin(); it != segnos.rend(); ++it) {
+    std::vector<Tuple>& run = runs.emplace_back();
+    ARCHIS_RETURN_NOT_OK(
+        ScanFrozenSegment(*it, filter, id_filter, collect(&run), stats));
   }
 
-  // Merge: rank 0 is the live run (newest), rank r the r-th newest frozen
-  // segment. Smaller rank wins ties on (id, tstart).
-  std::vector<const std::vector<Tuple>*> sources;
-  sources.reserve(runs.size() + 1);
-  sources.push_back(&live_rows);
-  for (const SegRun& run : runs) sources.push_back(&run.rows);
-
-  struct Cursor {
-    size_t rank;
+  // K-way merge by (id, tstart). On a tie the run with the smaller index —
+  // the newer source — surfaces first; its copy is the one filtered and
+  // emitted, and the older copies of that version are skipped.
+  struct Head {
+    size_t run;
     size_t pos;
+    VersionKey key;
   };
-  auto row_at = [&](const Cursor& c) -> const Tuple& {
-    return (*sources[c.rank])[c.pos];
+  auto after = [](const Head& a, const Head& b) {
+    return a.key != b.key ? a.key > b.key : a.run > b.run;
   };
-  auto after = [&](const Cursor& a, const Cursor& b) {
-    const Tuple& ra = row_at(a);
-    const Tuple& rb = row_at(b);
-    if (ra.at(0).AsInt() != rb.at(0).AsInt()) {
-      return ra.at(0).AsInt() > rb.at(0).AsInt();
+  std::priority_queue<Head, std::vector<Head>, decltype(after)> heads(after);
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (!runs[r].empty()) {
+      heads.push({r, 0, VersionOf(runs[r].front(), tstart_col_)});
     }
-    Date ta = ra.at(tstart_col_).AsDate();
-    Date tb = rb.at(tstart_col_).AsDate();
-    if (ta != tb) return ta > tb;
-    return a.rank > b.rank;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(after)> heads(
-      after);
-  for (size_t r = 0; r < sources.size(); ++r) {
-    if (!sources[r]->empty()) heads.push({r, 0});
   }
-  bool have_last = false;
-  VersionKey last_key{0, 0};
+  std::optional<VersionKey> last;
   while (!heads.empty()) {
-    Cursor c = heads.top();
+    Head h = heads.top();
     heads.pop();
-    const Tuple& row = row_at(c);
-    VersionKey key{row.at(0).AsInt(), row.at(tstart_col_).AsDate().days()};
-    if (!have_last || key != last_key) {
-      have_last = true;
-      last_key = key;
-      bool pass = true;
-      if (filter) {
-        TimeInterval iv(row.at(tstart_col_).AsDate(),
-                        row.at(tend_col_).AsDate());
-        pass = iv.Overlaps(*filter);
-      }
-      if (pass && !fn(row)) return Status::OK();
+    const Tuple& row = runs[h.run][h.pos];
+    if (h.key != last) {
+      last = h.key;
+      if (passes(row) && !fn(row)) return Status::OK();
     }
-    if (++c.pos < sources[c.rank]->size()) heads.push(c);
+    if (++h.pos < runs[h.run].size()) {
+      h.key = VersionOf(runs[h.run][h.pos], tstart_col_);
+      heads.push(h);
+    }
   }
   return Status::OK();
 }

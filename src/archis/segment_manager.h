@@ -16,12 +16,11 @@
 //
 // Read path: queries prune at three granularities — segment (the interval
 // table), block (temporal zone maps inside compressed segments), and row.
-// Multi-segment scans can run the frozen segments on a thread pool
-// (SegmentOptions::scan_threads > 1); each worker yields an id-sorted run
-// and the runs are k-way merged by (id, tstart) with newest-copy-wins
-// dedup, so the emission order and content are identical to the
-// sequential configuration. Concurrent read-only scans of one store are
-// thread-safe; scans concurrent with updates are not.
+// A scan over one source streams it in storage order. A scan over several
+// sources k-way merges them by (id, tstart): frozen segments already hold
+// id-sorted runs, the live run is sorted, and the newest copy of a version
+// wins. Concurrent read-only scans of one store are thread-safe; scans
+// concurrent with updates are not.
 #ifndef ARCHIS_ARCHIS_SEGMENT_MANAGER_H_
 #define ARCHIS_ARCHIS_SEGMENT_MANAGER_H_
 
@@ -35,10 +34,6 @@
 #include "archis/compressed_segment.h"
 #include "archis/stats.h"
 #include "common/interval.h"
-#include "common/lock_rank.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "minirel/database.h"
 
 namespace archis::core {
@@ -68,10 +63,6 @@ struct SegmentOptions {
   bool compress = false;
   /// BlockZIP block size (paper uses 4000-byte BLOBs).
   size_t block_size = 4000;
-  /// Worker threads for multi-segment scans. 1 keeps the read path
-  /// strictly sequential; > 1 scans frozen segments in parallel and
-  /// k-way-merges the runs (same output, bit for bit).
-  int scan_threads = 1;
   /// Capacity of the decompressed-block LRU cache per store, in bytes
   /// (0 disables). Only compressed segments use it.
   uint64_t block_cache_bytes = 16ull << 20;
@@ -126,7 +117,7 @@ class SegmentedStore {
   /// version also started on `now` it is rewritten in place instead
   /// (day-granularity last-writer-wins) — closing it would mint a second
   /// version with the same (id, tstart), which is the key the multi-source
-  /// scan dedup treats as "same version, newest copy wins".
+  /// scan merge treats as "same version, newest copy wins".
   Status ReplaceVersion(int64_t id, const std::vector<minirel::Value>& values,
                         Date now);
 
@@ -241,19 +232,21 @@ class SegmentedStore {
   /// Locates the open (tend = forever) live row for `id`; NotFound if none.
   Status FindOpenVersion(int64_t id, std::optional<storage::RecordId>* rid,
                          std::optional<minirel::Tuple>* row);
+  /// Scans the frozen segments `segnos` (oldest first) plus, optionally,
+  /// the live segment. Rows outside `filter` or not matching `id_filter`
+  /// are dropped; with more than one source the newest copy of each
+  /// version (id, tstart) is the one filtered and emitted, in (id, tstart)
+  /// order.
   Status ScanSegments(const std::vector<int64_t>& segnos, bool include_live,
                       const std::optional<TimeInterval>& filter,
                       std::optional<int64_t> id_filter,
                       const std::function<bool(const minirel::Tuple&)>& fn,
                       StoreScanStats* stats) const;
-  /// Parallel multi-source scan: frozen segments on the pool, live on the
-  /// calling thread, runs k-way merged. Same contract as ScanSegments.
-  Status ScanSegmentsParallel(
-      ThreadPool* pool, const std::vector<int64_t>& segnos, bool include_live,
-      const std::optional<TimeInterval>& filter,
-      std::optional<int64_t> id_filter,
-      const std::function<bool(const minirel::Tuple&)>& fn,
-      StoreScanStats* stats) const;
+  /// Scans the live segment (via the id index under `id_filter`), yielding
+  /// raw rows in storage order.
+  Status ScanLive(std::optional<int64_t> id_filter,
+                  const std::function<bool(const minirel::Tuple&)>& fn,
+                  StoreScanStats* stats) const;
   /// Scans one frozen segment, yielding raw rows (no dedup/time filter;
   /// `window` only drives block-level zone-map pruning).
   Status ScanFrozenSegment(
@@ -263,9 +256,6 @@ class SegmentedStore {
       StoreScanStats* stats) const;
   /// Frozen segments whose interval overlaps `iv`, oldest first.
   std::vector<int64_t> CoveringSegments(const TimeInterval& iv) const;
-  /// The scan pool, lazily created when scan_threads > 1 (else nullptr).
-  /// Safe to call from concurrent scans; creation is mutex-protected.
-  ThreadPool* ScanPool() const ARCHIS_EXCLUDES(pool_mu_);
 
   std::string name_;
   minirel::Schema row_schema_;   // (id, values..., tstart, tend)
@@ -276,12 +266,10 @@ class SegmentedStore {
   minirel::Table* arch_ = nullptr;
   std::vector<SegmentInfo> segments_;
   std::vector<std::unique_ptr<CompressedSegment>> compressed_;  // by index
-  mutable Mutex pool_mu_{LockRank::kSegmentScanPool};
-  mutable std::unique_ptr<ThreadPool> pool_ ARCHIS_GUARDED_BY(pool_mu_);
   Date live_start_;
   StoreStatistics stats_;
   /// Versions written since the last checkpoint capture, by identity
-  /// (id, tstart days) — the same key the multi-segment dedup uses, so a
+  /// (id, tstart days) — the same key the multi-segment merge uses, so a
   /// delta row replayed onto a restored store lands on the right version.
   std::set<std::pair<int64_t, int64_t>> dirty_;
   int64_t next_segno_ = 1;

@@ -9,17 +9,16 @@
 // higher one, which the debug assertion below turns into an immediate
 // abort with both ranks named.
 //
-// The ordinals encode the whole-program acquisition order discovered by
-// `archis-analyze` (tools/analyze/, DESIGN.md §12 has the generated
-// table): facade plan cache on the outside, WAL and scan machinery in the
-// middle, and the "called from anywhere" leaves — metrics registry and
-// log sink — at the top. Gaps of 10 leave room for new locks without
+// The ordinals encode the whole-program acquisition order (DESIGN.md
+// §7.4): server and facade locks on the outside, the WAL and storage in
+// the middle, and the "called from anywhere" leaves — metrics registry
+// and log sink — at the top. Gaps of 10 leave room for new locks without
 // renumbering.
 //
 // Enforcement is active whenever NDEBUG is off (the default build here
 // compiles with -O2 -g and live asserts), so every ctest run, TSan run,
-// and fuzzer sweep doubles as a validation of the statically derived
-// hierarchy. Release builds with NDEBUG pay nothing.
+// and fuzzer sweep doubles as a validation of the hierarchy. Release
+// builds with NDEBUG pay nothing.
 #ifndef ARCHIS_COMMON_LOCK_RANK_H_
 #define ARCHIS_COMMON_LOCK_RANK_H_
 
@@ -55,10 +54,6 @@ enum class LockRank : int {
   kFacadePlanCache = 10,
   /// Wal::mu_ — group-commit leader/follower handoff.
   kWal = 20,
-  /// SegmentedStore::pool_mu_ — lazy scan-pool creation.
-  kSegmentScanPool = 30,
-  /// ThreadPool::mu_ — task queue and shutdown flag.
-  kThreadPool = 40,
   /// DocumentStore::mu_ — stored-document map.
   kDocumentStore = 50,
   /// PageManager::mu_ — page directory.
@@ -83,8 +78,6 @@ inline const char* LockRankName(LockRank r) {
     case LockRank::kFacadeCommit:    return "kFacadeCommit";
     case LockRank::kFacadePlanCache: return "kFacadePlanCache";
     case LockRank::kWal:             return "kWal";
-    case LockRank::kSegmentScanPool: return "kSegmentScanPool";
-    case LockRank::kThreadPool:      return "kThreadPool";
     case LockRank::kDocumentStore:   return "kDocumentStore";
     case LockRank::kPageManager:     return "kPageManager";
     case LockRank::kBlobCacheShard:  return "kBlobCacheShard";
@@ -101,7 +94,7 @@ namespace lock_rank {
 namespace internal {
 
 /// Per-thread stack of held ranked locks. Fixed capacity: the hierarchy
-/// is 9 levels deep, so 32 simultaneous ranked locks on one thread means
+/// is 11 levels deep, so 32 simultaneous ranked locks on one thread means
 /// something is already very wrong.
 struct ThreadLockStack {
   static constexpr int kCapacity = 32;
@@ -131,7 +124,7 @@ inline void CheckAcquire(LockRank r) {
   std::fprintf(stderr,
                "lock-rank violation: acquiring %s (rank %d) while holding "
                "%s (rank %d); acquisition order must be strictly "
-               "increasing (see src/common/lock_rank.h / DESIGN.md §12)\n",
+               "increasing (see src/common/lock_rank.h / DESIGN.md §7.4)\n",
                LockRankName(r), static_cast<int>(r), LockRankName(top),
                static_cast<int>(top));
   std::abort();

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <utility>
@@ -92,7 +93,9 @@ Status WriteFull(int fd, const void* buf, size_t n) {
   const char* p = static_cast<const char*>(buf);
   size_t sent = 0;
   while (sent < n) {
-    ssize_t r = ::write(fd, p + sent, n - sent);
+    // MSG_NOSIGNAL: a peer that hung up surfaces as EPIPE here instead of
+    // a process-killing SIGPIPE, whatever the embedder's signal setup.
+    ssize_t r = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
     if (r >= 0) {
       sent += static_cast<size_t>(r);
       continue;

@@ -90,7 +90,8 @@ struct Frame {
 /// mid-buffer returns kIOError ("truncated").
 [[nodiscard]] Status ReadFull(int fd, void* buf, size_t n);
 
-/// Writes exactly `n` bytes, retrying on EINTR and short writes.
+/// Writes exactly `n` bytes to socket `fd`, retrying on EINTR and short
+/// writes. A peer hang-up is an IOError, never a SIGPIPE.
 [[nodiscard]] Status WriteFull(int fd, const void* buf, size_t n);
 
 /// Reads one frame. Rejects payload lengths above kMaxFrameBytes with

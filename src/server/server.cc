@@ -106,6 +106,12 @@ metrics::Gauge* QueueDepthGauge() {
   return g;
 }
 
+metrics::Gauge* InFlightGauge() {
+  static metrics::Gauge* g = metrics::Registry::Global().GetGauge(
+      "archis_server_in_flight", "Requests admitted and not yet answered");
+  return g;
+}
+
 metrics::Histogram* RequestSeconds() {
   static metrics::Histogram* h = metrics::Registry::Global().GetHistogram(
       "archis_server_request_seconds",
@@ -472,10 +478,6 @@ struct ArchisServer::Impl {
       }
       ::close(fd);
       ConnectionsGauge()->Add(-1);
-      // The analyzer reads this lambda as part of SpawnSession, but it runs
-      // on the session thread after the spawning scope (and its MutexLock)
-      // are long gone.
-      // archis-analyze: allow(lock-cycle) -- lambda body runs on the session thread, not under the spawn-time lock
       MutexLock inner(mu);
       session_fds.erase(id);
       finished.push_back(id);
@@ -512,7 +514,10 @@ struct ArchisServer::Impl {
     }
     // The worker pool always resolves admitted requests, including during
     // shutdown (Stop closes the queue, then workers drain it).
-    return future.get();
+    InFlightGauge()->Add(1);
+    Response resp = future.get();
+    InFlightGauge()->Add(-1);
+    return resp;
   }
 
   std::optional<Clock::time_point> DeadlineFor(uint32_t request_ms) {
@@ -785,11 +790,12 @@ struct ArchisServer::Impl {
     queue.Close();
     for (std::thread& w : workers) w.join();
     workers.clear();
-    // 3. Unblock sessions parked in poll/read and join them. Their
-    //    pending responses were resolved in step 2.
+    // 3. Unblock sessions parked in poll/read and join them. Only the read
+    //    side is shut: a session whose response was resolved in step 2
+    //    may not have written it yet, and must still be able to.
     {
       MutexLock l(mu);
-      for (const auto& [id, fd] : session_fds) ::shutdown(fd, SHUT_RDWR);
+      for (const auto& [id, fd] : session_fds) ::shutdown(fd, SHUT_RD);
     }
     std::map<uint64_t, std::thread> remaining;
     {

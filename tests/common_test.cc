@@ -1,13 +1,23 @@
-// Unit tests for common/: Status/Result, Date, TimeInterval, str_util.
+// Unit tests for common/: Status/Result, Date, TimeInterval, str_util,
+// and the runtime lock-rank assertion.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "common/date.h"
 #include "common/interval.h"
+#include "common/mutex.h"
 #include "common/parse.h"
 #include "common/status.h"
 #include "common/str_util.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define ARCHIS_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ARCHIS_TSAN 1
+#endif
+#endif
 
 namespace archis {
 namespace {
@@ -295,6 +305,48 @@ TEST(ParseTest, RejectsNonFiniteAndOverflowDouble) {
   // a tiny value or a rejection, but never a crash.
   auto tiny = ParseDouble("1e-400");
   if (tiny.ok()) EXPECT_GE(*tiny, 0.0);
+}
+
+// ---- runtime lock-rank enforcement ----------------------------------------
+
+#if !defined(NDEBUG) && !defined(ARCHIS_TSAN)
+TEST(LockRankRuntimeDeathTest, OutOfOrderAcquisitionAborts) {
+  // kWal (20) may not be acquired while holding kPageManager (60).
+  EXPECT_DEATH(
+      {
+        Mutex pages(LockRank::kPageManager);
+        Mutex wal(LockRank::kWal);
+        MutexLock hold(pages);
+        MutexLock violate(wal);
+      },
+      "lock-rank violation");
+}
+#endif
+
+TEST(LockRankRuntime, MonotonicAcquisitionIsAllowed) {
+  Mutex wal(LockRank::kWal);
+  Mutex pages(LockRank::kPageManager);
+  MutexLock a(wal);
+  MutexLock b(pages);  // 20 -> 60: increasing, fine
+  EXPECT_GE(lock_rank::HeldDepth(), 0);
+}
+
+TEST(LockRankRuntime, UnrankedMutexIsExemptEitherWay) {
+  Mutex ranked(LockRank::kLogSink);
+  Mutex scratch;  // kUnranked
+  MutexLock a(ranked);
+  MutexLock b(scratch);  // acquiring unranked under the top rank: fine
+}
+
+TEST(LockRankRuntime, ManualReleaseRestoresDepth) {
+#ifndef NDEBUG
+  const int before = lock_rank::HeldDepth();
+  Mutex wal(LockRank::kWal);
+  wal.Lock();
+  EXPECT_EQ(lock_rank::HeldDepth(), before + 1);
+  wal.Unlock();
+  EXPECT_EQ(lock_rank::HeldDepth(), before);
+#endif
 }
 
 }  // namespace

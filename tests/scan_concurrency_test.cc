@@ -1,8 +1,9 @@
-// Tests for the parallel read path: parallel multi-segment scans must be
-// bit-identical to the sequential configuration (content AND order),
-// concurrent read-only clients must all see the same result, the
-// decompressed-block LRU cache must hit/evict as configured, and the
-// temporal zone maps must prune blocks without changing scan output.
+// Tests for the read path: a multi-segment scan (the k-way merge of the
+// frozen runs and the live run) must equal an unsegmented twin sorted by
+// (id, tstart), content AND order; concurrent read-only clients must all
+// see the same result; the decompressed-block LRU cache must hit/evict as
+// configured; and the temporal zone maps must prune blocks without
+// changing scan output.
 //
 // This suite is expected to pass under -DARCHIS_SANITIZE=thread.
 #include <gtest/gtest.h>
@@ -90,70 +91,145 @@ std::string IdRows(const SegmentedStore& s, int64_t id) {
   return Rows(s, [&](auto fn) { return s.ScanId(id, fn); });
 }
 
-class ParallelScanTest : public ::testing::TestWithParam<bool> {};
+// Stable (id, tstart) order of a scan's rows, as Rows() renders them.
+std::string SortedRows(const std::string& rows) {
+  std::vector<std::pair<std::pair<int64_t, int64_t>, std::string>> lines;
+  std::istringstream in(rows);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    int64_t id = 0, salary = 0, tstart = 0;
+    char bar = 0;
+    fields >> id >> bar >> salary >> bar >> tstart;
+    lines.push_back({{id, tstart}, line});
+  }
+  std::stable_sort(lines.begin(), lines.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::string out;
+  for (const auto& l : lines) out += l.second + '\n';
+  return out;
+}
 
-// The tentpole contract: with > 1 covering segment, the threaded scan's
-// emission order and content equal the sequential scan's, for every scan
-// flavour, compressed and uncompressed.
-TEST_P(ParallelScanTest, MatchesSequentialBitForBit) {
+// Drops the tend field of every row. Slicing scans (interval, snapshot)
+// report the newest copy among the segments they read, whose tend may be
+// stale next to the unsegmented twin's (EXPERIMENTS.md deviation 5);
+// membership, values, tstart and order still match.
+std::string WithoutTend(const std::string& rows) {
+  std::string out;
+  std::istringstream in(rows);
+  for (std::string line; std::getline(in, line);) {
+    out += line.substr(0, line.rfind('|')) + '\n';
+  }
+  return out;
+}
+
+class MultiSegmentScanTest : public ::testing::TestWithParam<bool> {};
+
+// The one multi-source scan contract: every scan flavour over a store with
+// several frozen segments emits what an unsegmented twin fed the same
+// updates holds, in (id, tstart) order, compressed and uncompressed.
+TEST_P(MultiSegmentScanTest, MatchesUnsegmentedTwin) {
   const bool compressed = GetParam();
   minirel::Database db;
-  SegmentOptions seq;
-  seq.umin = 0.6;
-  seq.compress = compressed;
-  seq.scan_threads = 1;
-  SegmentOptions par = seq;
-  par.scan_threads = 4;
-  auto a = MakeStore(&db, seq, "seq");
-  auto b = MakeStore(&db, par, "par");
+  SegmentOptions segmented;
+  segmented.umin = 0.6;
+  segmented.compress = compressed;
+  SegmentOptions flat;
+  flat.enabled = false;
+  auto a = MakeStore(&db, segmented, "segmented");
+  auto twin = MakeStore(&db, flat, "flat");
   RunWorkload(a.get());
-  RunWorkload(b.get());
+  RunWorkload(twin.get());
   ASSERT_GE(a->segments().size(), 2u);
-  ASSERT_EQ(a->segments().size(), b->segments().size());
+  ASSERT_TRUE(twin->segments().empty());
 
-  StoreScanStats pstats;
-  std::string par_hist = Rows(*b, [&](auto fn) {
-    return b->ScanHistory(fn, &pstats);
+  StoreScanStats stats;
+  std::string hist = Rows(*a, [&](auto fn) {
+    return a->ScanHistory(fn, &stats);
   });
-  EXPECT_EQ(HistoryRows(*a), par_hist);
-  EXPECT_GT(pstats.segments_scanned, 1u);
+  EXPECT_EQ(hist, SortedRows(HistoryRows(*twin)));
+
+  // Stats parity: every stored copy of every source is counted once.
+  EXPECT_EQ(stats.segments_scanned, a->segments().size() + 1);
+  EXPECT_EQ(stats.tuples_scanned, a->TotalTuples());
+  EXPECT_GT(a->TotalTuples(), twin->TotalTuples());  // frozen duplicates
+  if (compressed) {
+    uint64_t blocks = 0;
+    for (const SegmentInfo& seg : a->segments()) blocks += seg.blocks;
+    EXPECT_EQ(stats.blocks_decompressed + stats.block_cache_hits, blocks);
+  }
 
   for (const TimeInterval& iv :
        {TimeInterval(D(1990, 6, 1), D(1992, 6, 1)),
         TimeInterval(D(1991, 1, 1), D(1991, 3, 1)),
         TimeInterval(D(1990, 1, 1), Date::Forever())}) {
-    EXPECT_EQ(IntervalRows(*a, iv), IntervalRows(*b, iv)) << iv.ToString();
+    EXPECT_EQ(WithoutTend(IntervalRows(*a, iv)),
+              WithoutTend(SortedRows(IntervalRows(*twin, iv))))
+        << iv.ToString();
   }
-  for (Date t : {D(1990, 7, 1), D(1991, 7, 1), D(1993, 1, 1)}) {
-    EXPECT_EQ(SnapshotRows(*a, t), SnapshotRows(*b, t)) << t.ToString();
+  // Snapshots inside frozen segments read the one covering segment, which
+  // is stored id-sorted.
+  for (const SegmentInfo& seg : a->segments()) {
+    Date t = seg.interval.tstart.AddDays(
+        (seg.interval.tend.days() - seg.interval.tstart.days()) / 2);
+    EXPECT_EQ(WithoutTend(SnapshotRows(*a, t)),
+              WithoutTend(SortedRows(SnapshotRows(*twin, t))))
+        << t.ToString();
   }
   for (int64_t id : {int64_t{1}, int64_t{15}, int64_t{30}}) {
-    EXPECT_EQ(IdRows(*a, id), IdRows(*b, id)) << "id " << id;
+    EXPECT_EQ(IdRows(*a, id), SortedRows(IdRows(*twin, id))) << "id " << id;
   }
 
-  // Stats parity: both modes count the same tuples and segments.
-  StoreScanStats sstats;
-  ASSERT_TRUE(a->ScanHistory([](const Tuple&) { return true; }, &sstats)
-                  .ok());
-  EXPECT_EQ(sstats.tuples_scanned, pstats.tuples_scanned);
-  EXPECT_EQ(sstats.segments_scanned, pstats.segments_scanned);
+  // `fn` returning false stops the merge: the rows seen are a prefix.
+  int left = 25;
+  std::string prefix = Rows(*a, [&](auto fn) {
+    return a->ScanHistory([&](const Tuple& row) {
+      fn(row);
+      return --left > 0;
+    });
+  });
+  EXPECT_EQ(left, 0);
+  EXPECT_EQ(hist.substr(0, prefix.size()), prefix);
 }
 
-INSTANTIATE_TEST_SUITE_P(CompressedAndNot, ParallelScanTest,
+INSTANTIATE_TEST_SUITE_P(CompressedAndNot, MultiSegmentScanTest,
                          ::testing::Bool());
 
+// The time filter applies to the newest copy of a version only. Here the
+// frozen copy of id 1 is still open while the live copy closed the day
+// before the window, so id 1 must not appear although the older copy
+// overlaps the window.
+TEST(SegmentMergeTest, NewestCopyDecidesTheTimeFilter) {
+  minirel::Database db;
+  auto store = MakeStore(&db, SegmentOptions(), "s");
+  const Date day0 = D(1990, 1, 1);
+  const Date day10 = day0.AddDays(10);
+  ASSERT_TRUE(store->InsertVersion(1, {Value(int64_t{100})}, day0).ok());
+  ASSERT_TRUE(store->InsertVersion(2, {Value(int64_t{200})}, day0).ok());
+  ASSERT_TRUE(store->Freeze(day10).ok());
+  ASSERT_TRUE(store->CloseVersion(1, day10).ok());
+  ASSERT_EQ(store->segments().size(), 1u);
+
+  StoreScanStats stats;
+  std::string got = Rows(*store, [&](auto fn) {
+    return store->ScanInterval(TimeInterval(day10, day10), fn, &stats);
+  });
+  EXPECT_EQ(got, "2|200|" + std::to_string(day0.days()) + '|' +
+                     std::to_string(Date::Forever().days()) + '\n');
+  EXPECT_EQ(stats.segments_scanned, 2u);  // both sources were merged
+}
+
 // N client threads hammer one store with mixed scans; every result must
-// equal the sequential twin's. Exercises the shared pool, the shared block
-// cache, and the page-manager stat counters under TSan.
+// equal a single-threaded twin's. Exercises the shared block cache and the
+// page-manager stat counters under TSan.
 TEST(ScanConcurrencyTest, ConcurrentClientsSeeIdenticalResults) {
   minirel::Database db;
-  SegmentOptions seq;
-  seq.umin = 0.6;
-  seq.compress = true;
-  SegmentOptions par = seq;
-  par.scan_threads = 4;
-  auto ref = MakeStore(&db, seq, "ref");
-  auto store = MakeStore(&db, par, "hot");
+  SegmentOptions opts;
+  opts.umin = 0.6;
+  opts.compress = true;
+  auto ref = MakeStore(&db, opts, "ref");
+  auto store = MakeStore(&db, opts, "hot");
   RunWorkload(ref.get());
   RunWorkload(store.get());
   ASSERT_GE(store->segments().size(), 2u);
@@ -357,17 +433,17 @@ TEST(BlockCacheTest, StoreSnapshotHitsCacheWhenWarm) {
 }
 
 // End-to-end: the published H-document (the system's user-visible output)
-// is byte-identical between scan_threads=1 and scan_threads=4 instances fed
-// the same update stream.
-TEST(ScanConcurrencyTest, PublishedHistoryIsByteIdenticalAcrossThreads) {
+// of a segmented, compressed instance is byte-identical to that of an
+// unsegmented instance fed the same update stream.
+TEST(ScanConcurrencyTest, PublishedHistoryIsByteIdenticalToUnsegmented) {
   Schema emp({{"id", DataType::kInt64},
               {"salary", DataType::kInt64},
               {"title", DataType::kString}});
-  auto build = [&](int threads) {
+  auto build = [&](bool segmented) {
     ArchISOptions opts;
+    opts.segment.enabled = segmented;
     opts.segment.umin = 0.6;
     opts.segment.compress = true;
-    opts.segment.scan_threads = threads;
     auto db = std::make_unique<ArchIS>(opts, D(1995, 1, 1));
     RelationSpec spec;
     spec.name = "employees";
@@ -393,13 +469,18 @@ TEST(ScanConcurrencyTest, PublishedHistoryIsByteIdenticalAcrossThreads) {
     }
     return db;
   };
-  auto seq = build(1);
-  auto par = build(4);
-  auto seq_doc = seq->PublishHistory("employees");
-  auto par_doc = par->PublishHistory("employees");
-  ASSERT_TRUE(seq_doc.ok());
-  ASSERT_TRUE(par_doc.ok());
-  EXPECT_EQ(xml::Serialize(*seq_doc), xml::Serialize(*par_doc));
+  auto segmented = build(true);
+  auto flat = build(false);
+  auto salary = segmented->archiver().htables("employees");
+  ASSERT_TRUE(salary.ok());
+  auto store = (*salary)->attribute_store("salary");
+  ASSERT_TRUE(store.ok());
+  ASSERT_GE((*store)->segments().size(), 2u);
+  auto seg_doc = segmented->PublishHistory("employees");
+  auto flat_doc = flat->PublishHistory("employees");
+  ASSERT_TRUE(seg_doc.ok());
+  ASSERT_TRUE(flat_doc.ok());
+  EXPECT_EQ(xml::Serialize(*seg_doc), xml::Serialize(*flat_doc));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // archisd front-end tests: wire protocol robustness, admission control
 // (shed with kOverloaded, never a silent drop), per-request deadlines,
-// graceful shutdown, and the HTTP shim.
+// graceful shutdown, peer hang-ups, and the HTTP shim.
 //
 // Tests talk to an in-process ArchisServer on an ephemeral loopback
 // port — through server::ArchisClient for happy paths, and through raw
@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "archis/archis.h"
+#include "common/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -58,6 +60,23 @@ ClientOptions ClientFor(const ArchisServer& server) {
   ClientOptions opts;
   opts.port = server.port();
   return opts;
+}
+
+/// Polls `done` every millisecond for up to 10 s; true once it holds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A server gauge from the process-wide registry (created on first use).
+const metrics::Gauge& ServerGauge(const std::string& name) {
+  return *metrics::Registry::Global().GetGauge(name, "");
 }
 
 /// Raw loopback connection for protocol-abuse tests.
@@ -316,6 +335,8 @@ TEST(ServerTest, StopDrainsInFlightRequests) {
   opts.workers = 1;
   opts.test_delay_ms = 100;
   auto server = MustStart(db.get(), opts);
+  const metrics::Gauge& in_flight = ServerGauge("archis_server_in_flight");
+  const int64_t idle = in_flight.value();
 
   // Launch a request that will still be queued when Stop begins.
   std::atomic<bool> got_answer{false};
@@ -326,8 +347,8 @@ TEST(ServerTest, StopDrainsInFlightRequests) {
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     got_answer.store(true);
   });
-  // Give the request time to be admitted, then stop.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Stop only once the server reports the request admitted.
+  ASSERT_TRUE(WaitFor([&] { return in_flight.value() > idle; }));
   EXPECT_TRUE(server->Stop().ok());
   requester.join();
   EXPECT_TRUE(got_answer.load());
@@ -337,6 +358,43 @@ TEST(ServerTest, StopDrainsInFlightRequests) {
   copts.reconnect = false;
   ArchisClient late(copts);
   EXPECT_FALSE(late.Ping().ok());
+}
+
+// -- Peer hang-up -------------------------------------------------------------
+
+// A client that hangs up before its reply is written costs the server that
+// connection only: the write fails with EPIPE, and the process survives
+// even with SIGPIPE at its default (terminating) disposition.
+TEST(ServerTest, PeerHangupBeforeReplyDoesNotKillProcess) {
+  auto db = MakeDb();
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.test_delay_ms = 20;
+  auto server = MustStart(db.get(), opts);
+  struct sigaction dfl {};
+  struct sigaction saved {};
+  dfl.sa_handler = SIG_DFL;
+  ASSERT_EQ(::sigaction(SIGPIPE, &dfl, &saved), 0);
+
+  const metrics::Gauge& conns = ServerGauge("archis_server_connections");
+  const int64_t idle = conns.value();
+  // Three pipelined queries, then a hang-up before any reply exists. The
+  // first reply draws a reset from the closed socket; the next write
+  // meets a dead peer.
+  const int fd = RawConnect(server->port());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(WriteFrame(fd, static_cast<uint8_t>(FrameType::kQuery),
+                           EncodeQueryPayload(0, kNamesQuery))
+                    .ok());
+  }
+  ::close(fd);
+  ASSERT_TRUE(WaitFor([&] { return conns.value() > idle; }));
+  ASSERT_TRUE(WaitFor([&] { return conns.value() == idle; }));
+
+  // Still alive, still serving.
+  ArchisClient client(ClientFor(*server));
+  EXPECT_TRUE(client.Ping().ok());
+  ASSERT_EQ(::sigaction(SIGPIPE, &saved, nullptr), 0);
 }
 
 // -- HTTP shim ---------------------------------------------------------------

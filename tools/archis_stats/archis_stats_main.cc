@@ -242,7 +242,11 @@ int main(int argc, char** argv) {
                       ? "translated"
                       : "native",
                   warm->xml->children().size());
-      if (!warm->sql.empty()) std::printf("sql: %s\n", warm->sql.c_str());
+      if (warm->path == archis::core::QueryPath::kTranslated) {
+        if (auto plan = db.Translate(query); plan.ok()) {
+          std::printf("sql: %s\n", plan->ToSql().c_str());
+        }
+      }
       if (profile && warm->profile.has_value()) {
         std::printf("== profile ==\n%s", warm->profile->Render().c_str());
       }

@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
   sa.sa_handler = HandleSignal;
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);  // dead peers surface as write errors
 
   auto server = archis::server::ArchisServer::Start(&db, server_opts);
   if (!server.ok()) {

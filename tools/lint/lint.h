@@ -38,8 +38,8 @@
 //                      constructed with a LockRank from common/lock_rank.h
 //                      (e.g. `Mutex mu_{LockRank::kWal};`). Ranked locks
 //                      are what the debug-build monotonic-acquisition
-//                      assertion and archis-analyze's lock-order graph
-//                      key off; an unranked mutex is invisible to both.
+//                      assertion keys off; an unranked mutex is invisible
+//                      to it.
 //
 // Findings on a line (or the line below) can be suppressed with a comment:
 //   // archis-lint: allow(<rule>) -- <why this is safe>
