@@ -31,7 +31,7 @@ Systems& Unclustered() {
 void BM_Clustered(benchmark::State& state) {
   Systems& sys = Clustered();
   const BenchQuery& q = kTable3Queries[state.range(0)];
-  core::SqlXmlPlan plan = q.plan(sys);
+  core::SqlXmlPlan plan = TranslatedPlan(sys, q);
   for (auto _ : state) {
     auto r = sys.archis->Execute(plan);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
@@ -43,7 +43,7 @@ void BM_Clustered(benchmark::State& state) {
 void BM_Unclustered(benchmark::State& state) {
   Systems& sys = Unclustered();
   const BenchQuery& q = kTable3Queries[state.range(0)];
-  core::SqlXmlPlan plan = q.plan(sys);
+  core::SqlXmlPlan plan = TranslatedPlan(sys, q);
   for (auto _ : state) {
     auto r = sys.archis->Execute(plan);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
@@ -59,8 +59,8 @@ void BM_SnapshotOnHistory(benchmark::State& state) {
   // current date against the salary H-table, vs directly on the current
   // table below.
   Systems& sys = Clustered();
-  core::SqlXmlPlan plan = PlanQ2(sys);
-  plan.vars[0].snapshot = sys.archis->Now();
+  core::SqlXmlPlan plan =
+      TranslatedPlan(sys, XqAvgSalaryAt(sys.archis->Now()));
   for (auto _ : state) {
     auto r = sys.archis->Execute(plan);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());

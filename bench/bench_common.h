@@ -1,7 +1,8 @@
 // Shared fixtures for the benchmark suite: the three systems of the paper's
 // Section 7 (TaminoLite native XML DB, ArchIS with segment clustering,
 // ArchIS variants), the generated temporal employee dataset, and the six
-// Table 3 queries in both XQuery (native) and prepared SQL/XML plan form.
+// Table 3 queries as XQuery text; their SQL/XML plans are translated from
+// that text (TranslatedPlan).
 #ifndef ARCHIS_BENCH_BENCH_COMMON_H_
 #define ARCHIS_BENCH_BENCH_COMMON_H_
 
@@ -101,15 +102,19 @@ inline std::string XqQ1(const Systems& s) {
   return buf;
 }
 
-inline std::string XqQ2(const Systems& s) {
+/// Q2's text: the average salary at snapshot date `at`.
+inline std::string XqAvgSalaryAt(Date at) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "avg(doc(\"employees.xml\")/employees/employee/"
                 "salary[tstart(.) <= xs:date(\"%s\") and "
                 "tend(.) >= xs:date(\"%s\")])",
-                s.snapshot_date.ToString().c_str(),
-                s.snapshot_date.ToString().c_str());
+                at.ToString().c_str(), at.ToString().c_str());
   return buf;
+}
+
+inline std::string XqQ2(const Systems& s) {
+  return XqAvgSalaryAt(s.snapshot_date);
 }
 
 inline std::string XqQ3(const Systems& s) {
@@ -151,118 +156,39 @@ inline std::string XqQ6(const Systems& s) {
   return buf;
 }
 
-// ---------------------------------------------------------------------------
-// The six queries as prepared SQL/XML plans (translated path).
-// ---------------------------------------------------------------------------
-
-inline core::SqlXmlPlan PlanQ1(const Systems& s) {
-  core::SqlXmlPlan plan;
-  core::PlanVar v;
-  v.relation = "employees";
-  v.attribute = "salary";
-  v.id_eq = s.probe_id;
-  v.snapshot = s.snapshot_date;
-  plan.vars.push_back(v);
-  core::OutputSpec out;
-  out.kind = core::OutputSpec::Kind::kElement;
-  out.name = "salary";
-  out.attr_var = 0;
-  out.column = core::HColRef{0, core::HCol::kValue};
-  plan.output = out;
-  return plan;
-}
-
-inline core::SqlXmlPlan PlanQ2(const Systems& s) {
-  core::SqlXmlPlan plan;
-  core::PlanVar v;
-  v.relation = "employees";
-  v.attribute = "salary";
-  v.snapshot = s.snapshot_date;
-  plan.vars.push_back(v);
-  plan.aggregate = core::PlanAggregate::kAvgValue;
-  plan.output.name = "avg_salary";
-  return plan;
-}
-
-inline core::SqlXmlPlan PlanQ3(const Systems& s) {
-  core::SqlXmlPlan plan;
-  core::PlanVar v;
-  v.relation = "employees";
-  v.attribute = "salary";
-  v.id_eq = s.probe_id;
-  plan.vars.push_back(v);
-  core::OutputSpec item;
-  item.kind = core::OutputSpec::Kind::kElement;
-  item.name = "salary";
-  item.attr_var = 0;
-  item.column = core::HColRef{0, core::HCol::kValue};
-  core::OutputSpec agg;
-  agg.kind = core::OutputSpec::Kind::kAgg;
-  agg.children.push_back(item);
-  core::OutputSpec root;
-  root.kind = core::OutputSpec::Kind::kElement;
-  root.name = "salary_history";
-  root.children.push_back(agg);
-  plan.output = root;
-  return plan;
-}
-
-inline core::SqlXmlPlan PlanQ4(const Systems&) {
-  core::SqlXmlPlan plan;
-  core::PlanVar v;
-  v.relation = "employees";
-  v.attribute = "salary";
-  plan.vars.push_back(v);
-  plan.aggregate = core::PlanAggregate::kCount;
-  plan.output.name = "salary_versions";
-  return plan;
-}
-
-inline core::SqlXmlPlan PlanQ5(const Systems& s) {
-  core::SqlXmlPlan plan;
-  core::PlanVar v;
-  v.relation = "employees";
-  v.attribute = "salary";
-  v.overlap = s.slice;
-  v.value_conds.push_back(
-      {minirel::CompareOp::kGt, minirel::Value(int64_t{60000})});
-  plan.vars.push_back(v);
-  plan.aggregate = core::PlanAggregate::kCountDistinctIds;
-  plan.output.name = "employees_over_60k";
-  return plan;
-}
-
-inline core::SqlXmlPlan PlanQ6(const Systems& s) {
-  core::SqlXmlPlan plan;
-  core::PlanVar v;
-  v.relation = "employees";
-  v.attribute = "salary";
-  v.overlap = TimeInterval(s.join_after, Date::Forever());
-  v.tstart_conds.push_back(
-      {minirel::CompareOp::kGe, minirel::Value(s.join_after)});
-  plan.vars.push_back(v);
-  plan.aggregate = core::PlanAggregate::kMaxIncrease;
-  plan.agg_window_days = 730;
-  plan.output.name = "max_increase";
-  return plan;
-}
-
 /// Query descriptors for table-driven benchmarks.
 struct BenchQuery {
   const char* name;
   const char* description;
   std::string (*xq)(const Systems&);
-  core::SqlXmlPlan (*plan)(const Systems&);
 };
 
 inline const BenchQuery kTable3Queries[6] = {
-    {"Q1", "snapshot, single object", XqQ1, PlanQ1},
-    {"Q2", "snapshot, avg salary", XqQ2, PlanQ2},
-    {"Q3", "history, single object", XqQ3, PlanQ3},
-    {"Q4", "history, count salary versions", XqQ4, PlanQ4},
-    {"Q5", "temporal slicing, salary > 60K", XqQ5, PlanQ5},
-    {"Q6", "temporal join, max 2y raise", XqQ6, PlanQ6},
+    {"Q1", "snapshot, single object", XqQ1},
+    {"Q2", "snapshot, avg salary", XqQ2},
+    {"Q3", "history, single object", XqQ3},
+    {"Q4", "history, count salary versions", XqQ4},
+    {"Q5", "temporal slicing, salary > 60K", XqQ5},
+    {"Q6", "temporal join, max 2y raise", XqQ6},
 };
+
+/// The SQL/XML plan Algorithm 1 translates `xquery` into (what
+/// ArchIS::Query runs for the text). Aborts when the text does not
+/// translate: every benchmark plan comes from text, none is hand-built.
+inline core::SqlXmlPlan TranslatedPlan(const Systems& s,
+                                       const std::string& xquery) {
+  Result<core::SqlXmlPlan> plan = s.archis->Translate(xquery);
+  if (!plan.ok()) {
+    fprintf(stderr, "query does not translate: %s\n  %s\n",
+            plan.status().ToString().c_str(), xquery.c_str());
+    abort();
+  }
+  return std::move(*plan);
+}
+
+inline core::SqlXmlPlan TranslatedPlan(const Systems& s, const BenchQuery& q) {
+  return TranslatedPlan(s, q.xq(s));
+}
 
 }  // namespace archis::bench
 

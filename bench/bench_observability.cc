@@ -40,7 +40,7 @@ Systems& CachedSystems() {
 // single relaxed load), Arg(1) is production configuration.
 void BM_MetricsOverhead(benchmark::State& state) {
   Systems& sys = CachedSystems();
-  core::SqlXmlPlan plan = PlanQ2(sys);
+  core::SqlXmlPlan plan = TranslatedPlan(sys, kTable3Queries[1]);
   core::PlanStats stats;
   metrics::SetEnabled(state.range(0) != 0);
   for (auto _ : state) {

@@ -45,7 +45,7 @@ void BM_TaminoCompressed(benchmark::State& state) {
 void BM_ArchISCompressed(benchmark::State& state) {
   Systems& sys = Compressed();
   const BenchQuery& q = kTable3Queries[state.range(0)];
-  core::SqlXmlPlan plan = q.plan(sys);
+  core::SqlXmlPlan plan = TranslatedPlan(sys, q);
   core::PlanStats stats;
   for (auto _ : state) {
     stats = core::PlanStats();
@@ -61,7 +61,7 @@ void BM_ArchISCompressed(benchmark::State& state) {
 void BM_ArchISUncompressed(benchmark::State& state) {
   Systems& sys = Uncompressed();
   const BenchQuery& q = kTable3Queries[state.range(0)];
-  core::SqlXmlPlan plan = q.plan(sys);
+  core::SqlXmlPlan plan = TranslatedPlan(sys, q);
   for (auto _ : state) {
     auto r = sys.archis->Execute(plan);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());

@@ -30,7 +30,7 @@ void BM_Scale(benchmark::State& state) {
   const int scale = static_cast<int>(state.range(0));
   Systems& sys = AtScale(scale);
   const BenchQuery& q = kTable3Queries[state.range(1)];
-  core::SqlXmlPlan plan = q.plan(sys);
+  core::SqlXmlPlan plan = TranslatedPlan(sys, q);
   core::PlanStats stats;
   for (auto _ : state) {
     stats = core::PlanStats();

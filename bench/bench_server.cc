@@ -7,7 +7,9 @@
 //   request's wall-clock latency is recorded client-side; the run
 //   reports p50/p95/p99 in milliseconds plus aggregate throughput, so
 //   BENCH_server.json captures how tail latency moves as the connection
-//   count crosses the worker-pool size.
+//   count crosses the worker-pool size. The native_queries counter is the
+//   run's archis_queries_native_total delta: the queries answered by
+//   native evaluation (every Table-3 text translates, so it should be 0).
 //
 // The server runs with its production defaults (4 workers, 64-deep
 // admission queue, no default deadline); clients never set per-request
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/metrics.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -114,9 +117,18 @@ double PercentileMs(const std::vector<int64_t>& sorted_ns, double p) {
   return static_cast<double>(sorted_ns[idx]) / 1e6;
 }
 
+/// Queries the facade answered by native evaluation (the translator's
+/// fallback); every Table-3 text translates, so a run should add none.
+metrics::Counter* NativeQueries() {
+  return metrics::Registry::Global().GetCounter(
+      "archis_queries_native_total",
+      "Queries answered by native evaluation over published H-documents");
+}
+
 void BM_ServerMixedWorkload(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   ServerFixture& fx = ServerFixture::Get();
+  const uint64_t native_before = NativeQueries()->value();
 
   std::mutex merge_mu;
   std::vector<int64_t> latencies_ns;
@@ -182,6 +194,8 @@ void BM_ServerMixedWorkload(benchmark::State& state) {
       total_seconds > 0.0
           ? static_cast<double>(total_requests) / total_seconds
           : 0.0;
+  state.counters["native_queries"] =
+      static_cast<double>(NativeQueries()->value() - native_before);
   state.SetLabel("80% Table-3 queries / 20% update batches over TCP");
 }
 

@@ -22,7 +22,9 @@
 #   8. archisd smoke: boots the network daemon on ephemeral ports with a
 #      seeded workload, round-trips ping/query/update through
 #      archis-client, scrapes GET /metrics and POSTs a query over the
-#      HTTP shim, then sends SIGTERM and requires a clean exit 0.
+#      HTTP shim, sends Q2-, Q4-, Q5- and Q6-shaped aggregate texts and
+#      requires /metrics to report archis_queries_native_total 0, then
+#      sends SIGTERM and requires a clean exit 0.
 #   9. ThreadSanitizer build + full ctest, with the debug-build lock-rank
 #      assertions live: every test doubles as a validation of the lock
 #      hierarchy in src/common/lock_rank.h (DESIGN.md §7.4), and TSan
@@ -146,6 +148,28 @@ else
   grep -q 'archis_server_requests_total' <&3
   exec 3<&- 3>&-
 fi
+# The Table-3 aggregate shapes (Q2, Q4, Q5, Q6) must all translate: after
+# them, /metrics still reports no native fallback.
+for q in \
+  'avg(doc("employees.xml")/employees/employee/salary[tstart(.) <= xs:date("1985-06-01") and tend(.) >= xs:date("1985-06-01")])' \
+  'count(doc("employees.xml")/employees/employee/salary)' \
+  'count(for $e in doc("employees.xml")/employees/employee where exists($e/salary[. > 60000 and tstart(.) <= xs:date("1986-01-01") and tend(.) >= xs:date("1985-06-01")]) return $e)' \
+  'max(for $e in doc("employees.xml")/employees/employee for $s1 in $e/salary for $s2 in $e/salary where tstart($s1) >= xs:date("1985-01-01") and tstart($s2) > tstart($s1) and tstart($s2) <= tstart($s1) + 730 return number($s2) - number($s1))'
+do
+  ./build-check/tools/archis-client --port "$ARCHISD_PORT" query "$q" \
+    | grep -q '<results'
+done
+if command -v curl >/dev/null 2>&1; then
+  ARCHISD_METRICS="$(curl -sf "http://127.0.0.1:$ARCHISD_HTTP/metrics")"
+else
+  exec 3<>"/dev/tcp/127.0.0.1/$ARCHISD_HTTP"
+  printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+  ARCHISD_METRICS="$(cat <&3)"
+  exec 3<&- 3>&-
+fi
+grep -qx 'archis_queries_native_total 0' <<<"$ARCHISD_METRICS" || {
+  echo "archisd answered a query by native fallback:"
+  grep 'archis_queries_' <<<"$ARCHISD_METRICS"; exit 1; }
 kill -TERM "$ARCHISD_PID"
 ARCHISD_EXIT=0
 wait "$ARCHISD_PID" || ARCHISD_EXIT=$?

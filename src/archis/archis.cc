@@ -319,6 +319,10 @@ ArchIS::ArchIS(ArchISOptions options, Date start_date)
       archiver_(&history_db_) {
   fr::InstallCrashHandler();
   fr::RegisterCrashInfoSource(crash_source_.get());
+  // Export both query-path counters from the start, so a scrape can tell
+  // "no native fallback yet" (0) from "not instrumented".
+  QueriesTranslatedMetric();
+  QueriesNativeMetric();
 }
 
 ArchIS::~ArchIS() { fr::UnregisterCrashInfoSource(crash_source_.get()); }

@@ -259,7 +259,7 @@ Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
   // Aggregate pushdown: a single-variable scalar/temporal aggregate with
   // no cross conditions needs neither the join nor the row buffers.
   if (plan.vars.size() == 1 && plan.aggregate != PlanAggregate::kNone &&
-      plan.cross_conds.empty()) {
+      plan.cross_conds.empty() && !plan.vars[0].predicate_only) {
     physical.stream_aggregate = true;
     AggPushdownMetric()->Inc();
   }
@@ -328,6 +328,7 @@ void AppendPlanCacheKey(const SqlXmlPlan& plan, std::string* out) {
     if (v.id_eq.has_value()) put_i64(*v.id_eq);
     key.push_back(v.current_only ? 1 : 0);
     put_u64(v.join_group);
+    key.push_back(v.predicate_only ? 1 : 0);
   }
   put_u64(plan.cross_conds.size());
   for (const CrossCond& c : plan.cross_conds) {
@@ -337,11 +338,18 @@ void AppendPlanCacheKey(const SqlXmlPlan& plan, std::string* out) {
     key.push_back(static_cast<char>(c.op));
     put_u64(c.rhs.var);
     key.push_back(static_cast<char>(c.rhs.col));
+    put_i64(c.rhs_offset_days);
   }
   key.push_back(plan.join_on_id ? 1 : 0);
   key.push_back(plan.distinct_output ? 1 : 0);
   key.push_back(static_cast<char>(plan.aggregate));
-  put_i64(plan.agg_window_days);
+  put_u64(plan.agg_expr.arg.var);
+  key.push_back(static_cast<char>(plan.agg_expr.arg.col));
+  key.push_back(plan.agg_expr.minus.has_value() ? 1 : 0);
+  if (plan.agg_expr.minus.has_value()) {
+    put_u64(plan.agg_expr.minus->var);
+    key.push_back(static_cast<char>(plan.agg_expr.minus->col));
+  }
 }
 
 }  // namespace archis::core

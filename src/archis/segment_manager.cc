@@ -281,6 +281,7 @@ Status SegmentedStore::CloseVersion(int64_t id, Date now) {
   row.at(tend_col_) = Value(end);
   storage::RecordId rid = *found_rid;
   ARCHIS_RETURN_NOT_OK(live_->Update(&rid, row));
+  NoteClose(id, row.at(tstart_col_).AsDate(), end);
   if (live_current_ > 0) --live_current_;
   if (stats_.versions_open > 0) --stats_.versions_open;
   stats_.tend_hist.Add(end.days());
@@ -317,12 +318,36 @@ Status SegmentedStore::ReplaceVersion(int64_t id,
   row.at(tend_col_) = Value(closed_at);
   storage::RecordId rid = *found_rid;
   ARCHIS_RETURN_NOT_OK(live_->Update(&rid, row));
+  NoteClose(id, row.at(tstart_col_).AsDate(), closed_at);
   if (live_current_ > 0) --live_current_;
   if (stats_.versions_open > 0) --stats_.versions_open;
   stats_.tend_hist.Add(closed_at.days());
   dirty_.emplace(id, row.at(tstart_col_).AsDate().days());
   ARCHIS_RETURN_NOT_OK(FreezeIfNeeded(now));
   return InsertVersion(id, values, now);
+}
+
+void SegmentedStore::NoteClose(int64_t id, Date tstart, Date tend) {
+  // Only a version that was open at the last freeze (it started no later
+  // than the live segment) can have a frozen copy.
+  if (segments_.empty() || live_start_ < tstart) return;
+  MutexLock l(closes_mu_);
+  closed_after_freeze_[{id, tstart.days()}] = tend;
+}
+
+const Tuple& SegmentedStore::CurrentCopy(const Tuple& row,
+                                         Tuple* scratch) const {
+  if (!row.at(tend_col_).AsDate().IsForever()) return row;
+  Date tend;
+  {
+    MutexLock l(closes_mu_);
+    auto it = closed_after_freeze_.find(VersionOf(row, tstart_col_));
+    if (it == closed_after_freeze_.end()) return row;
+    tend = it->second;
+  }
+  *scratch = row;
+  scratch->at(tend_col_) = Value(tend);
+  return *scratch;
 }
 
 double SegmentedStore::Usefulness() const {
@@ -504,7 +529,11 @@ Status SegmentedStore::ScanSegments(
     };
     if (include_live) return ScanLive(id_filter, emit, stats);
     if (segnos.empty()) return Status::OK();
-    return ScanFrozenSegment(segnos.front(), filter, id_filter, emit, stats);
+    Tuple scratch;
+    return ScanFrozenSegment(
+        segnos.front(), filter, id_filter,
+        [&](const Tuple& row) { return emit(CurrentCopy(row, &scratch)); },
+        stats);
   }
 
   // Several sources: collect one run per source, newest first (the live
@@ -536,7 +565,8 @@ Status SegmentedStore::ScanSegments(
 
   // K-way merge by (id, tstart). On a tie the run with the smaller index —
   // the newer source — surfaces first; its copy is the one filtered and
-  // emitted, and the older copies of that version are skipped.
+  // emitted (corrected if it is a frozen copy of a since-closed version),
+  // and the older copies of that version are skipped.
   struct Head {
     size_t run;
     size_t pos;
@@ -552,12 +582,16 @@ Status SegmentedStore::ScanSegments(
     }
   }
   std::optional<VersionKey> last;
+  Tuple scratch;
   while (!heads.empty()) {
     Head h = heads.top();
     heads.pop();
-    const Tuple& row = runs[h.run][h.pos];
+    const Tuple& stored = runs[h.run][h.pos];
     if (h.key != last) {
       last = h.key;
+      const Tuple& row = include_live && h.run == 0
+                             ? stored
+                             : CurrentCopy(stored, &scratch);
       if (passes(row) && !fn(row)) return Status::OK();
     }
     if (++h.pos < runs[h.run].size()) {

@@ -19,11 +19,15 @@
 // A scan over one source streams it in storage order. A scan over several
 // sources k-way merges them by (id, tstart): frozen segments already hold
 // id-sorted runs, the live run is sorted, and the newest copy of a version
-// wins. Concurrent read-only scans of one store are thread-safe; scans
+// wins. A version closed after a freeze copied it open keeps tend =
+// forever in that frozen copy; scans correct such copies from an in-memory
+// map of late closes, so every source reports the version's real tend.
+// Concurrent read-only scans of one store are thread-safe; scans
 // concurrent with updates are not.
 #ifndef ARCHIS_ARCHIS_SEGMENT_MANAGER_H_
 #define ARCHIS_ARCHIS_SEGMENT_MANAGER_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -34,6 +38,7 @@
 #include "archis/compressed_segment.h"
 #include "archis/stats.h"
 #include "common/interval.h"
+#include "common/mutex.h"
 #include "minirel/database.h"
 
 namespace archis::core {
@@ -242,6 +247,14 @@ class SegmentedStore {
                       std::optional<int64_t> id_filter,
                       const std::function<bool(const minirel::Tuple&)>& fn,
                       StoreScanStats* stats) const;
+  /// Records the closing of a live version: when a freeze already copied
+  /// it while it was open, the frozen copy still says tend = forever.
+  void NoteClose(int64_t id, Date tstart, Date tend);
+  /// A frozen segment's row as of now: a copy frozen while open gets the
+  /// tend its version was closed at since. Returns `row` itself unless
+  /// it was corrected into `*scratch`.
+  const minirel::Tuple& CurrentCopy(const minirel::Tuple& row,
+                                    minirel::Tuple* scratch) const;
   /// Scans the live segment (via the id index under `id_filter`), yielding
   /// raw rows in storage order.
   Status ScanLive(std::optional<int64_t> id_filter,
@@ -272,6 +285,16 @@ class SegmentedStore {
   /// (id, tstart days) — the same key the multi-segment merge uses, so a
   /// delta row replayed onto a restored store lands on the right version.
   std::set<std::pair<int64_t, int64_t>> dirty_;
+  /// Authoritative tend of versions closed after a freeze copied them open,
+  /// by identity (id, tstart days). Frozen copies are immutable, so a scan
+  /// that reaches such a version only through older segments (a snapshot
+  /// or slice pruned away from the live segment) corrects its tend here
+  /// rather than reporting it still open. In memory only: recovery
+  /// restores into the live segment and rebuilds it by replaying closes.
+  /// Commits insert while archisd's queries scan, hence the leaf lock.
+  mutable Mutex closes_mu_{LockRank::kSegmentCloses};
+  std::map<std::pair<int64_t, int64_t>, Date> closed_after_freeze_
+      ARCHIS_GUARDED_BY(closes_mu_);
   int64_t next_segno_ = 1;
   uint64_t live_total_ = 0;
   uint64_t live_current_ = 0;

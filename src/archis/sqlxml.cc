@@ -8,7 +8,9 @@
 
 #include "archis/planner.h"
 #include "common/metrics.h"
+#include "common/str_util.h"
 #include "temporal/aggregate.h"
+#include "temporal/now.h"
 
 namespace archis::core {
 
@@ -44,6 +46,55 @@ Value ColValue(const HRow& row, HCol col) {
   return Value(row.id);
 }
 
+/// A column as a condition reads it: tend() of a live version is the
+/// current date (Section 4.3), as in native evaluation.
+Value CondValue(const HRow& row, HCol col, Date current_date) {
+  if (col == HCol::kTend) {
+    return Value(temporal::EffectiveEnd(row.interval, current_date));
+  }
+  return ColValue(row, col);
+}
+
+/// `text` as a number if strtod consumes all of it, as native number()
+/// and the aggregates read published values.
+std::optional<double> WholeNumber(const std::string& text) {
+  char* end = nullptr;
+  double n = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return std::nullopt;
+  return n;
+}
+
+/// The number native evaluation reads from a value's published text.
+std::optional<double> TextNumber(const Value& v) {
+  if (v.type() == minirel::DataType::kInt64) {
+    return static_cast<double>(v.AsInt());
+  }
+  return WholeNumber(v.ToString());
+}
+
+/// A pushed-down value condition with native general-comparison
+/// semantics: a number literal compares numerically with a value whose
+/// text is a number, and everything else compares as strings.
+bool ValueCondHolds(const Value& v, const ValueCond& cond) {
+  const Value& c = cond.constant;
+  if (c.type() == minirel::DataType::kDouble ||
+      c.type() == minirel::DataType::kInt64) {
+    const double rhs = *c.AsNumeric();
+    const std::string text = v.ToString();
+    std::optional<double> lhs =
+        text.empty() ? std::nullopt : WholeNumber(text);
+    if (lhs.has_value()) {
+      return minirel::Compare(Value(*lhs), cond.op, Value(rhs));
+    }
+    return minirel::Compare(Value(text), cond.op, Value(FormatNumber(rhs)));
+  }
+  if (c.type() == minirel::DataType::kString &&
+      v.type() != minirel::DataType::kString) {
+    return minirel::Compare(Value(v.ToString()), cond.op, c);
+  }
+  return minirel::Compare(v, cond.op, c);
+}
+
 /// Fetches the rows of one plan variable, sorted by id, with every
 /// pushed-down condition applied (segment pruning happens inside the store).
 /// `vp` is the planner's access-path decision for this variable: kIdIndex
@@ -51,7 +102,8 @@ Value ColValue(const HRow& row, HCol col) {
 /// temporally pruned merge-scan and post-filters any id restriction.
 Result<std::vector<HRow>> FetchVar(const Archiver& archiver,
                                    const PlanVar& var, const VarPlan& vp,
-                                   bool cost_based, PlanStats* stats,
+                                   Date current_date, bool cost_based,
+                                   PlanStats* stats,
                                    trace::Trace* trace,
                                    const ExecDeadline& deadline) {
   trace::ScopedSpan span(
@@ -112,7 +164,7 @@ Result<std::vector<HRow>> FetchVar(const Archiver& archiver,
     if (var.current_only && !row.interval.is_current()) return true;
     for (const ValueCond& cond : var.value_conds) {
       if (!row.value.has_value()) return true;
-      if (!minirel::Compare(*row.value, cond.op, cond.constant)) return true;
+      if (!ValueCondHolds(*row.value, cond)) return true;
     }
     for (const ValueCond& cond : var.tstart_conds) {
       if (!minirel::Compare(Value(row.interval.tstart), cond.op,
@@ -121,8 +173,8 @@ Result<std::vector<HRow>> FetchVar(const Archiver& archiver,
       }
     }
     for (const ValueCond& cond : var.tend_conds) {
-      if (!minirel::Compare(Value(row.interval.tend), cond.op,
-                            cond.constant)) {
+      if (!minirel::Compare(CondValue(row, HCol::kTend, current_date),
+                            cond.op, cond.constant)) {
         return true;
       }
     }
@@ -178,14 +230,19 @@ Result<std::vector<HRow>> FetchVar(const Archiver& archiver,
 using JoinedRow = std::vector<const HRow*>;
 
 bool CrossCondsHold(const std::vector<CrossCond>& conds,
-                    const JoinedRow& row) {
+                    const JoinedRow& row, Date current_date) {
   for (const CrossCond& cond : conds) {
     const HRow& l = *row[cond.lhs.var];
     const HRow& r = *row[cond.rhs.var];
     switch (cond.kind) {
       case CrossCond::Kind::kCompare: {
-        if (!minirel::Compare(ColValue(l, cond.lhs.col), cond.op,
-                              ColValue(r, cond.rhs.col))) {
+        Value rhs = CondValue(r, cond.rhs.col, current_date);
+        if (cond.rhs_offset_days != 0 &&
+            rhs.type() == minirel::DataType::kDate) {
+          rhs = Value(rhs.AsDate().AddDays(cond.rhs_offset_days));
+        }
+        if (!minirel::Compare(CondValue(l, cond.lhs.col, current_date),
+                              cond.op, rhs)) {
           return false;
         }
         break;
@@ -212,10 +269,11 @@ bool CrossCondsHold(const std::vector<CrossCond>& conds,
 
 /// Id-sorted k-way merge join across one join group's variables (linear in
 /// the inputs, as Section 5.3 notes for id-sorted H-tables). Emits one
-/// partial row (pointer per group member) per combination.
+/// partial row (pointer per group member) per combination; `emit`
+/// returning false stops the join.
 void MergeJoin(const std::vector<const std::vector<HRow>*>& inputs,
                PlanStats* stats,
-               const std::function<void(const JoinedRow&)>& emit) {
+               const std::function<bool(const JoinedRow&)>& emit) {
   const size_t k = inputs.size();
   std::vector<size_t> pos(k, 0);
   while (true) {
@@ -250,7 +308,7 @@ void MergeJoin(const std::vector<const std::vector<HRow>*>& inputs,
     while (true) {
       for (size_t v = 0; v < k; ++v) row[v] = &(*inputs[v])[idx[v]];
       if (stats != nullptr) ++stats->rows_joined;
-      emit(row);
+      if (!emit(row)) return;
       // Odometer increment.
       size_t v = 0;
       for (; v < k; ++v) {
@@ -351,25 +409,41 @@ void EmitSpecForGroup(const OutputSpec& spec,
 
 namespace {
 
-/// One aggregate input fact: (join id, the aggregated variable's row).
-using AggFact = std::pair<int64_t, const HRow*>;
+/// One aggregate input fact: the row of each plan variable (indexed by
+/// plan variable) of one iteration tuple.
+using AggFact = const HRow* const*;
 
-/// Evaluates the plan's aggregate over `facts` and renders the result
-/// element(s). Shared by the join pipeline (facts = first variable of each
-/// joined row) and the streaming pushdown path (facts = the single
-/// variable's scan output, no join or row buffers in between).
-xml::XmlNodePtr RenderAggregate(const SqlXmlPlan& plan,
-                                const std::vector<AggFact>& facts,
-                                PlanStats* stats) {
+Result<double> FactValue(const AggExpr& expr, AggFact fact) {
+  std::optional<double> v =
+      TextNumber(ColValue(*fact[expr.arg.var], expr.arg.col));
+  std::optional<double> minus;
+  if (expr.minus.has_value()) {
+    minus = TextNumber(ColValue(*fact[expr.minus->var], expr.minus->col));
+  }
+  if (!v.has_value() || (expr.minus.has_value() && !minus.has_value())) {
+    return Status::TypeError("aggregate argument is not numeric");
+  }
+  return minus.has_value() ? *v - *minus : *v;
+}
+
+/// Evaluates the plan's aggregate over `facts` (in native order) and
+/// renders the result. Shared by the join pipeline and the streaming
+/// pushdown path (facts = the single variable's scan output, no join or
+/// row buffers in between).
+Result<xml::XmlNodePtr> RenderAggregate(const SqlXmlPlan& plan,
+                                        const std::vector<AggFact>& facts,
+                                        PlanStats* stats) {
   auto root = xml::XmlNode::Element("results");
+  const AggExpr& expr = plan.agg_expr;
 
   // Temporal aggregate: the sweep over matching facts (Section 5.4 maps
   // these to SQL:2003 OLAP functions; we run the same single scan).
   if (plan.aggregate == PlanAggregate::kTAvg) {
     std::vector<temporal::TimedNumber> tfacts;
-    for (const AggFact& fact : facts) {
-      auto v = ColValue(*fact.second, HCol::kValue).AsNumeric();
-      if (v.ok()) tfacts.push_back({*v, fact.second->interval});
+    for (AggFact fact : facts) {
+      const HRow& row = *fact[expr.arg.var];
+      auto v = ColValue(row, expr.arg.col).AsNumeric();
+      if (v.ok()) tfacts.push_back({*v, row.interval});
     }
     uint64_t steps = 0;
     for (const temporal::AggregateStep& step : temporal::TemporalAggregate(
@@ -386,59 +460,52 @@ xml::XmlNodePtr RenderAggregate(const SqlXmlPlan& plan,
     return root;
   }
 
-  // Scalar aggregates (Section 5.4: OLAP-function mapping).
-  double result = 0;
+  // Scalar aggregates (Section 5.4: OLAP-function mapping), with the
+  // native functions' semantics: sum of nothing is 0, avg/max/min of
+  // nothing is the empty sequence (no value).
+  std::optional<std::string> value;
   switch (plan.aggregate) {
-    case PlanAggregate::kAvgValue: {
-      double sum = 0;
-      for (const AggFact& fact : facts) {
-        auto v = ColValue(*fact.second, HCol::kValue).AsNumeric();
-        if (v.ok()) sum += *v;
-      }
-      result = facts.empty() ? 0 : sum / static_cast<double>(facts.size());
-      break;
-    }
     case PlanAggregate::kCount:
-      result = static_cast<double>(facts.size());
+      value = FormatNumber(static_cast<double>(facts.size()));
       break;
-    case PlanAggregate::kCountDistinctIds: {
-      std::set<int64_t> ids;
-      for (const AggFact& fact : facts) ids.insert(fact.first);
-      result = static_cast<double>(ids.size());
+    case PlanAggregate::kSumValue:
+    case PlanAggregate::kAvgValue: {
+      if (facts.empty() && plan.aggregate == PlanAggregate::kAvgValue) break;
+      double total = 0;
+      for (AggFact fact : facts) {
+        ARCHIS_ASSIGN_OR_RETURN(double v, FactValue(expr, fact));
+        total += v;
+      }
+      if (plan.aggregate == PlanAggregate::kAvgValue) {
+        total /= static_cast<double>(facts.size());
+      }
+      value = FormatNumber(total);
       break;
     }
-    case PlanAggregate::kMaxValue: {
-      bool first = true;
-      for (const AggFact& fact : facts) {
-        auto v = ColValue(*fact.second, HCol::kValue).AsNumeric();
-        if (!v.ok()) continue;
-        if (first || *v > result) result = *v;
-        first = false;
-      }
-      break;
-    }
-    case PlanAggregate::kMaxIncrease: {
-      // Temporal self-join per id: the best value delta between two
-      // versions whose starts are within the window.
-      std::map<int64_t, std::vector<std::pair<Date, double>>> by_id;
-      for (const AggFact& fact : facts) {
-        auto v = ColValue(*fact.second, HCol::kValue).AsNumeric();
-        if (v.ok()) {
-          by_id[fact.first].emplace_back(fact.second->interval.tstart, *v);
+    case PlanAggregate::kMaxValue:
+    case PlanAggregate::kMinValue: {
+      if (facts.empty()) break;
+      const bool is_max = plan.aggregate == PlanAggregate::kMaxValue;
+      std::optional<double> best;
+      bool numeric = true;
+      for (AggFact fact : facts) {
+        Result<double> v = FactValue(expr, fact);
+        if (!v.ok()) {
+          // A computed argument must be numeric; a bare column that is
+          // not compares as strings, as native max/min do.
+          if (expr.minus.has_value()) return v.status();
+          numeric = false;
+          break;
         }
+        if (!best || (is_max ? *v > *best : *v < *best)) best = *v;
       }
-      for (auto& [id, versions] : by_id) {
-        std::sort(versions.begin(), versions.end());
-        for (size_t i = 0; i < versions.size(); ++i) {
-          for (size_t j = i + 1; j < versions.size(); ++j) {
-            if (versions[j].first - versions[i].first >
-                plan.agg_window_days) {
-              break;
-            }
-            result = std::max(result,
-                              versions[j].second - versions[i].second);
-          }
-        }
+      if (numeric) {
+        value = FormatNumber(*best);
+        break;
+      }
+      for (AggFact fact : facts) {
+        std::string s = ColValue(*fact[expr.arg.var], expr.arg.col).ToString();
+        if (!value || (is_max ? s > *value : s < *value)) value = std::move(s);
       }
       break;
     }
@@ -446,14 +513,48 @@ xml::XmlNodePtr RenderAggregate(const SqlXmlPlan& plan,
     case PlanAggregate::kTAvg:
       break;
   }
-  auto elem = xml::XmlNode::Element(
-      plan.output.name.empty() ? "result" : plan.output.name);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4f", result);
-  elem->AppendText(buf);
-  root->AppendChild(std::move(elem));
-  if (stats != nullptr) stats->result_rows = 1;
+  if (value.has_value()) root->AppendText(*value);
+  if (stats != nullptr) stats->result_rows = value.has_value() ? 1 : 0;
   return root;
+}
+
+/// One fact per iteration tuple of `joined`, in native FLWOR order: rows
+/// are keyed by the non-predicate variables (a key-table variable by id,
+/// an attribute variable by version), sorted by that key — the inputs are
+/// (id, tstart)-sorted, so row addresses follow document order — and
+/// deduplicated.
+Result<std::vector<AggFact>> IterationFacts(
+    const SqlXmlPlan& plan,
+    const std::vector<std::pair<int64_t, JoinedRow>>& joined) {
+  std::vector<std::pair<size_t, bool>> iter;  // (variable, keyed by id)
+  for (size_t v = 0; v < plan.vars.size(); ++v) {
+    if (!plan.vars[v].predicate_only) {
+      iter.emplace_back(v, plan.vars[v].attribute.empty());
+    }
+  }
+  if (iter.empty()) {
+    return Status::InvalidArgument("aggregate plan has no iteration variable");
+  }
+  // <0, 0 or >0 as a's iteration key orders before, with or after b's.
+  auto compare = [&](AggFact a, AggFact b) {
+    for (const auto& [v, by_id] : iter) {
+      if (a[v]->id != b[v]->id) return a[v]->id < b[v]->id ? -1 : 1;
+      if (!by_id && a[v] != b[v]) return std::less<>()(a[v], b[v]) ? -1 : 1;
+    }
+    return 0;
+  };
+  std::vector<AggFact> facts;
+  facts.reserve(joined.size());
+  for (const auto& [id, row] : joined) facts.push_back(row.data());
+  std::stable_sort(facts.begin(), facts.end(), [&](AggFact a, AggFact b) {
+    return compare(a, b) < 0;
+  });
+  facts.erase(std::unique(facts.begin(), facts.end(),
+                          [&](AggFact a, AggFact b) {
+                            return compare(a, b) == 0;
+                          }),
+              facts.end());
+  return facts;
 }
 
 Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
@@ -462,7 +563,6 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
                                         trace::Trace* trace,
                                         const PhysicalPlan& physical,
                                         const ExecDeadline& deadline) {
-  (void)current_date;
   if (plan.vars.empty()) {
     return Status::InvalidArgument("plan has no variables");
   }
@@ -492,7 +592,7 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
   for (size_t ord : physical.fetch_order) {
     ARCHIS_ASSIGN_OR_RETURN(
         std::vector<HRow> rows,
-        FetchVar(archiver, plan.vars[ord], physical.vars[ord],
+        FetchVar(archiver, plan.vars[ord], physical.vars[ord], current_date,
                  physical.cost_based, stats, trace, deadline));
     const bool empty = rows.empty();
     inputs[ord] = std::move(rows);
@@ -508,10 +608,14 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
   // conditions consumes the scan output directly — no join, no JoinedRow
   // buffers, no distinct pass (single-variable rows are already unique).
   if (physical.stream_aggregate && plan.vars.size() == 1 &&
-      plan.cross_conds.empty() && plan.aggregate != PlanAggregate::kNone) {
+      plan.cross_conds.empty() && plan.aggregate != PlanAggregate::kNone &&
+      !plan.vars[0].predicate_only) {
+    std::vector<const HRow*> rows;
+    rows.reserve(inputs[0].size());
+    for (const HRow& r : inputs[0]) rows.push_back(&r);
     std::vector<AggFact> facts;
-    facts.reserve(inputs[0].size());
-    for (const HRow& r : inputs[0]) facts.emplace_back(r.id, &r);
+    facts.reserve(rows.size());
+    for (const HRow*& r : rows) facts.push_back(&r);
     return RenderAggregate(plan, facts, stats);
   }
 
@@ -526,37 +630,53 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
     size_t gid = plan.join_on_id ? plan.vars[v].join_group : v;
     group_members[gid].push_back(v);
   }
-  // Per group: list of partial rows (pointer per member).
+  // Full rows that pass the cross conditions. The cross product can dwarf
+  // the scans (it is the join's only super-linear phase), so it re-checks
+  // the deadline periodically too.
+  std::vector<std::pair<int64_t, JoinedRow>> joined;
+  uint64_t iterations = 0;
+  bool deadline_hit = false;
+  auto admit = [&](const JoinedRow& full) {
+    if (deadline.has_value() && (++iterations & 4095) == 0 &&
+        DeadlinePassed(deadline)) {
+      deadline_hit = true;
+      return false;
+    }
+    if (CrossCondsHold(plan.cross_conds, full, current_date)) {
+      joined.emplace_back(full[0]->id, full);
+    }
+    return true;
+  };
+  // Per group: list of partial rows (pointer per member). The partial rows
+  // of a lone group are the full rows, so they are admitted as the merge
+  // join produces them instead of being buffered first.
+  const bool one_group = group_members.size() == 1;
   std::vector<std::vector<size_t>> members_list;
   std::vector<std::vector<JoinedRow>> partials;
   for (const auto& [gid, members] : group_members) {
     members_list.push_back(members);
     std::vector<JoinedRow> rows;
+    auto emit = [&](const JoinedRow& row) {
+      if (one_group) return admit(row);
+      rows.push_back(row);
+      return true;
+    };
     if (members.size() == 1) {
-      rows.reserve(inputs[members[0]].size());
-      for (const HRow& r : inputs[members[0]]) rows.push_back({&r});
+      for (const HRow& r : inputs[members[0]]) {
+        if (!emit({&r})) break;
+      }
     } else {
       std::vector<const std::vector<HRow>*> views;
       for (size_t m : members) views.push_back(&inputs[m]);
-      MergeJoin(views, stats, [&](const JoinedRow& row) {
-        rows.push_back(row);
-      });
+      MergeJoin(views, stats, emit);
     }
     partials.push_back(std::move(rows));
   }
-  // Cross product across groups into full rows, then filter.
-  std::vector<std::pair<int64_t, JoinedRow>> joined;
+  // Cross product across several groups into full rows.
   std::vector<size_t> cursor(partials.size(), 0);
-  if (std::none_of(partials.begin(), partials.end(),
-                   [](const auto& p) { return p.empty(); })) {
-    // The cross product can dwarf the scans (it is the join's only
-    // super-linear phase), so it re-checks the deadline periodically too.
-    uint64_t iterations = 0;
+  if (!one_group && std::none_of(partials.begin(), partials.end(),
+                                 [](const auto& p) { return p.empty(); })) {
     while (true) {
-      if (deadline.has_value() && (++iterations & 4095) == 0 &&
-          DeadlinePassed(deadline)) {
-        return DeadlineError();
-      }
       JoinedRow full(plan.vars.size(), nullptr);
       for (size_t g = 0; g < partials.size(); ++g) {
         const JoinedRow& part = partials[g][cursor[g]];
@@ -564,9 +684,7 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
           full[members_list[g][m]] = part[m];
         }
       }
-      if (CrossCondsHold(plan.cross_conds, full)) {
-        joined.emplace_back(full[0]->id, full);
-      }
+      if (!admit(full)) break;
       size_t g = 0;
       for (; g < partials.size(); ++g) {
         if (++cursor[g] < partials[g].size()) break;
@@ -575,10 +693,13 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
       if (g == partials.size()) break;
     }
   }
+  if (deadline_hit) return DeadlineError();
 
   // SELECT DISTINCT on the output-referenced variables: collapse joined
-  // rows that only differ in variables the output never reads.
-  if (plan.distinct_output && !joined.empty()) {
+  // rows that only differ in variables the output never reads. (An
+  // aggregate deduplicates on its iteration variables instead.)
+  const bool aggregate = plan.aggregate != PlanAggregate::kNone;
+  if (!aggregate && plan.distinct_output && !joined.empty()) {
     std::set<size_t> referenced;
     std::function<void(const OutputSpec&)> collect =
         [&](const OutputSpec& spec) {
@@ -589,7 +710,6 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
       for (const OutputSpec& child : spec.children) collect(child);
     };
     collect(plan.output);
-    if (plan.aggregate != PlanAggregate::kNone) referenced.insert(0);
     if (referenced.empty()) referenced.insert(0);
     std::set<std::vector<const HRow*>> seen;
     std::vector<std::pair<int64_t, JoinedRow>> unique;
@@ -609,11 +729,11 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
   }
 
   // Aggregates over the joined rows (the non-pushdown shape: multi
-  // variable, cross conditions, or planner off).
-  if (plan.aggregate != PlanAggregate::kNone) {
-    std::vector<AggFact> facts;
-    facts.reserve(joined.size());
-    for (const auto& [id, row] : joined) facts.emplace_back(id, row[0]);
+  // variable, cross conditions, or planner off): one fact per iteration
+  // tuple.
+  if (aggregate) {
+    ARCHIS_ASSIGN_OR_RETURN(std::vector<AggFact> facts,
+                            IterationFacts(plan, joined));
     return RenderAggregate(plan, facts, stats);
   }
 
@@ -799,26 +919,38 @@ void RenderSpec(const SqlXmlPlan& plan, const OutputSpec& spec,
 
 std::string SqlXmlPlan::ToSql() const {
   std::string sql = "SELECT ";
+  std::string arg = ColName(*this, agg_expr.arg);
+  if (agg_expr.minus.has_value()) {
+    arg += " - " + ColName(*this, *agg_expr.minus);
+  }
   switch (aggregate) {
     case PlanAggregate::kNone:
       RenderSpec(*this, output, &sql);
       break;
-    case PlanAggregate::kAvgValue: sql += "AVG(" +
-        ColName(*this, {0, HCol::kValue}) + ")"; break;
-    case PlanAggregate::kCount: sql += "COUNT(*)"; break;
-    case PlanAggregate::kCountDistinctIds:
-      sql += "COUNT(DISTINCT " + ColName(*this, {0, HCol::kId}) + ")";
+    case PlanAggregate::kAvgValue: sql += "AVG(" + arg + ")"; break;
+    case PlanAggregate::kCount: {
+      // Semi-join inputs do not multiply the facts: count the distinct
+      // iteration tuples.
+      std::string facts;
+      for (size_t v = 0; v < vars.size(); ++v) {
+        if (vars[v].predicate_only) continue;
+        if (!facts.empty()) facts += ", ";
+        facts += ColName(*this, {v, HCol::kId});
+        if (!vars[v].attribute.empty()) {
+          facts += ", " + ColName(*this, {v, HCol::kTstart});
+        }
+      }
+      const bool semi_join = std::any_of(
+          vars.begin(), vars.end(),
+          [](const PlanVar& var) { return var.predicate_only; });
+      sql += semi_join ? "COUNT(DISTINCT " + facts + ")" : "COUNT(*)";
       break;
-    case PlanAggregate::kMaxValue:
-      sql += "MAX(" + ColName(*this, {0, HCol::kValue}) + ")";
-      break;
-    case PlanAggregate::kMaxIncrease:
-      sql += "MAX(s2." + vars[0].attribute + " - s1." + vars[0].attribute +
-             ") /* windowed self-join */";
-      break;
+    }
+    case PlanAggregate::kMaxValue: sql += "MAX(" + arg + ")"; break;
+    case PlanAggregate::kMinValue: sql += "MIN(" + arg + ")"; break;
+    case PlanAggregate::kSumValue: sql += "SUM(" + arg + ")"; break;
     case PlanAggregate::kTAvg:
-      sql += "TAVG(" + ColName(*this, {0, HCol::kValue}) +
-             ") /* OLAP sweep */";
+      sql += "TAVG(" + arg + ") /* OLAP sweep */";
       break;
   }
   sql += "\nFROM ";
@@ -868,8 +1000,12 @@ std::string SqlXmlPlan::ToSql() const {
   for (const CrossCond& cond : cross_conds) {
     switch (cond.kind) {
       case CrossCond::Kind::kCompare:
-        where.push_back(ColName(*this, cond.lhs) + std::string(" ") +
-                        OpText(cond.op) + " " + ColName(*this, cond.rhs));
+        where.push_back(
+            ColName(*this, cond.lhs) + std::string(" ") + OpText(cond.op) +
+            " " + ColName(*this, cond.rhs) +
+            (cond.rhs_offset_days == 0
+                 ? std::string()
+                 : " + " + std::to_string(cond.rhs_offset_days)));
         break;
       case CrossCond::Kind::kOverlaps:
         where.push_back("toverlaps(" + VarAlias(*this, cond.lhs.var) + ", " +

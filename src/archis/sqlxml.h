@@ -55,6 +55,10 @@ struct PlanVar {
   size_t join_group = 0;  ///< vars in the same group id-equijoin (Algorithm
                           ///< 1 only joins variables rooted in the same
                           ///< document variable)
+  /// Made for a predicate, an exists() test or a where condition rather
+  /// than by a for/let binding: a semi-join input. It filters the joined
+  /// rows but never multiplies the facts an aggregate consumes.
+  bool predicate_only = false;
 };
 
 /// Cross-variable condition evaluated after the id join.
@@ -72,6 +76,9 @@ struct CrossCond {
   HColRef lhs;
   minirel::CompareOp op = minirel::CompareOp::kEq;
   HColRef rhs;
+  /// kCompare on date columns: days added to the rhs before comparing
+  /// (tstart($s2) <= tstart($s1) + 730).
+  int64_t rhs_offset_days = 0;
 };
 
 /// XML output construction (the SQL/XML select list).
@@ -93,17 +100,29 @@ struct OutputSpec {
 };
 
 /// Scalar aggregates the paper maps to SQL OLAP functions (Section 5.4).
+///
+/// A scalar aggregate consumes one fact per iteration tuple: the distinct
+/// combinations of the plan variables that are not `predicate_only`, where
+/// a key-table variable counts by id (an entity binding iterates objects)
+/// and an attribute variable by version. Facts are taken in native FLWOR
+/// order, and the result renders as native XQuery does: `<results>` with
+/// the bare FormatNumber value, `<results/>` for avg/max/min of nothing.
 enum class PlanAggregate {
   kNone,
-  kAvgValue,          ///< AVG(value) over matching rows
-  kCount,             ///< COUNT(*)
-  kCountDistinctIds,  ///< COUNT(DISTINCT id)
-  kMaxValue,          ///< MAX(value)
-  kMaxIncrease,       ///< max value delta between versions of the same id
-                      ///< within `agg_window_days` (the temporal self-join
-                      ///< of bench query Q6)
-  kTAvg,              ///< temporal average: the step history of AVG(value)
-                      ///< computed with the single-scan sweep (QUERY 5)
+  kAvgValue,  ///< avg(E)
+  kCount,     ///< count(E)
+  kMaxValue,  ///< max(E)
+  kMinValue,  ///< min(E)
+  kSumValue,  ///< sum(E)
+  kTAvg,      ///< temporal average: the step history of AVG(value)
+              ///< computed with the single-scan sweep (QUERY 5)
+};
+
+/// The per-fact argument of an aggregate: one column of a plan variable,
+/// or the difference of two (number($s2) - number($s1)).
+struct AggExpr {
+  HColRef arg{0, HCol::kValue};
+  std::optional<HColRef> minus;
 };
 
 /// A complete translated query.
@@ -118,7 +137,7 @@ struct SqlXmlPlan {
   bool distinct_output = false;
   OutputSpec output;
   PlanAggregate aggregate = PlanAggregate::kNone;
-  int64_t agg_window_days = 0;
+  AggExpr agg_expr;
 
   /// Renders the plan as SQL/XML text (what ArchIS would send to the
   /// RDBMS), e.g. for logging or the paper's worked examples.
@@ -184,7 +203,7 @@ struct PlanStats {
 };
 
 /// Executes `plan` against the archiver's H-tables, returning the
-/// constructed XML (for aggregate plans, a single element with the value).
+/// constructed XML (for scalar aggregates, `<results>` holding the value).
 ///
 /// `stats` receives the executor counters; on a non-OK return it still
 /// holds the partial work done up to the failure, so failed queries stay

@@ -26,18 +26,75 @@ struct BoundVar {
   size_t group = 0;
 };
 
-/// An operand of a comparison: a plan column or a constant.
+/// An operand of a comparison: a plan column (plus a day offset for
+/// `tstart($v) + n`) or a constant.
 struct Operand {
   bool is_const = false;
   HColRef col;
   minirel::Value constant;
+  int64_t offset_days = 0;
 };
+
+/// Tightens the inclusive bounds [*lo, *hi] by the conditions against date
+/// constants in `conds`.
+void NarrowDateBounds(const std::vector<ValueCond>& conds,
+                      std::optional<Date>* lo, std::optional<Date>* hi) {
+  for (const ValueCond& c : conds) {
+    if (c.constant.type() != minirel::DataType::kDate) continue;
+    const Date d = c.constant.AsDate();
+    std::optional<Date> l, h;
+    switch (c.op) {
+      case minirel::CompareOp::kGe: l = d; break;
+      case minirel::CompareOp::kGt: l = d.AddDays(1); break;
+      case minirel::CompareOp::kLe: h = d; break;
+      case minirel::CompareOp::kLt: h = d.AddDays(-1); break;
+      case minirel::CompareOp::kEq: l = h = d; break;
+      case minirel::CompareOp::kNe: break;
+    }
+    if (l && (!*lo || *l > **lo)) *lo = l;
+    if (h && (!*hi || *h < **hi)) *hi = h;
+  }
+}
+
+/// The scalar aggregate a top-level function call names, if any.
+std::optional<PlanAggregate> ScalarAggregate(const ExprPtr& e) {
+  static const std::map<std::string, PlanAggregate> kAggs = {
+      {"avg", PlanAggregate::kAvgValue}, {"count", PlanAggregate::kCount},
+      {"max", PlanAggregate::kMaxValue}, {"min", PlanAggregate::kMinValue},
+      {"sum", PlanAggregate::kSumValue},
+  };
+  if (e->kind != ExprKind::kFunctionCall || e->children.size() != 1) {
+    return std::nullopt;
+  }
+  auto it = kAggs.find(e->str);
+  if (it == kAggs.end()) return std::nullopt;
+  return it->second;
+}
 
 class Translator {
  public:
   Translator(const TranslatorContext& ctx) : ctx_(ctx) {}
 
   Result<SqlXmlPlan> Translate(const ExprPtr& query) {
+    if (std::optional<PlanAggregate> agg = ScalarAggregate(query)) {
+      ARCHIS_RETURN_NOT_OK(TranslateAggregate(*agg, query->children[0]));
+    } else {
+      ARCHIS_RETURN_NOT_OK(TranslateFlworQuery(query));
+    }
+    if (plan_.vars.empty()) {
+      return Unsupported("no H-table variable identified");
+    }
+    // Variables created during output generation inherit their group's
+    // single-object restriction.
+    for (PlanVar& v : plan_.vars) {
+      auto it = pending_id_eq_.find(v.join_group);
+      if (it != pending_id_eq_.end()) v.id_eq = it->second;
+    }
+    return std::move(plan_);
+  }
+
+ private:
+  Status TranslateFlworQuery(const ExprPtr& query) {
     ExprPtr flwor = query;
     // Pattern: element NAME { FLWOR } wraps the per-row output in an
     // XMLAgg inside one outer element (the paper's QUERY 1 shape).
@@ -49,12 +106,14 @@ class Translator {
       flwor = query->children[0];
     }
     if (flwor->kind != ExprKind::kFlwor) {
-      return Unsupported("top level must be a FLWOR or element{FLWOR}");
+      return Unsupported("top level must be a FLWOR, element{FLWOR} or "
+                         "an aggregate");
     }
     ARCHIS_RETURN_NOT_OK(TranslateClauses(flwor));
     if (flwor->where != nullptr) {
       ARCHIS_RETURN_NOT_OK(TranslateCondition(flwor->where));
     }
+    PropagateTstartBounds();
     ARCHIS_ASSIGN_OR_RETURN(OutputSpec out, BuildOutput(flwor->ret));
     if (!wrapper.empty()) {
       OutputSpec agg;
@@ -68,44 +127,169 @@ class Translator {
     } else {
       plan_.output = std::move(out);
     }
-    if (plan_.vars.empty()) {
-      return Unsupported("no H-table variable identified");
-    }
-    // Variables created during output generation inherit their group's
-    // single-object restriction.
-    for (PlanVar& v : plan_.vars) {
-      auto it = pending_id_eq_.find(v.join_group);
-      if (it != pending_id_eq_.end()) v.id_eq = it->second;
-    }
     // XQuery results are node sequences: joined rows that differ only in
     // predicate variables must not fan out the output.
     plan_.distinct_output = true;
-    return std::move(plan_);
+    return Status::OK();
+  }
+
+  // -- Top-level aggregates (Section 5.4) ------------------------------------
+
+  /// avg|count|max|min|sum(E): E is a doc() path (one fact per node it
+  /// selects) or a FLWOR (one fact per tuple of its for bindings).
+  Status TranslateAggregate(PlanAggregate agg, const ExprPtr& arg) {
+    plan_.aggregate = agg;
+    if (arg->kind == ExprKind::kPath) {
+      // The path binds a hidden for variable.
+      ARCHIS_RETURN_NOT_OK(BindClause("", arg));
+      ARCHIS_ASSIGN_OR_RETURN(plan_.agg_expr, AggOperand(bound_.at(""), agg));
+      return Status::OK();
+    }
+    if (arg->kind != ExprKind::kFlwor) {
+      return Unsupported("aggregate argument must be a path or a FLWOR");
+    }
+    for (const xquery::ForLetClause& clause : arg->clauses) {
+      // A let binds a sequence: it neither iterates nor requires a match.
+      if (clause.is_let) return Unsupported("let inside an aggregated FLWOR");
+    }
+    ARCHIS_RETURN_NOT_OK(TranslateClauses(arg));
+    if (arg->where != nullptr) {
+      ARCHIS_RETURN_NOT_OK(TranslateCondition(arg->where));
+    }
+    PropagateTstartBounds();
+    const ExprPtr& ret = arg->ret;
+    if (ret->kind == ExprKind::kFunctionCall && ret->str == "op:subtract" &&
+        ret->children.size() == 2 && agg != PlanAggregate::kCount) {
+      ARCHIS_ASSIGN_OR_RETURN(AggExpr lhs, AggArgument(ret->children[0], agg));
+      ARCHIS_ASSIGN_OR_RETURN(AggExpr rhs, AggArgument(ret->children[1], agg));
+      plan_.agg_expr.arg = lhs.arg;
+      plan_.agg_expr.minus = rhs.arg;
+      return Status::OK();
+    }
+    ARCHIS_ASSIGN_OR_RETURN(plan_.agg_expr, AggArgument(ret, agg));
+    return Status::OK();
+  }
+
+  /// The fact a bound variable contributes: count takes any node, the
+  /// numeric aggregates need an attribute version's value (an entity
+  /// element has no number).
+  Result<AggExpr> AggOperand(const BoundVar& var, PlanAggregate agg) {
+    if (var.is_entity && agg != PlanAggregate::kCount) {
+      return Unsupported("numeric aggregate over entity elements");
+    }
+    AggExpr expr;
+    expr.arg = {var.plan_idx, var.is_entity ? HCol::kId : HCol::kValue};
+    return expr;
+  }
+
+  /// A returned `$v`, or `number($v)` for the numeric aggregates (count
+  /// never evaluates its items, so it cannot mirror number()'s errors).
+  Result<AggExpr> AggArgument(const ExprPtr& e, PlanAggregate agg) {
+    const ExprPtr* ref = &e;
+    if (agg != PlanAggregate::kCount && e->kind == ExprKind::kFunctionCall &&
+        e->str == "number" && e->children.size() == 1) {
+      ref = &e->children[0];
+    }
+    if ((*ref)->kind != ExprKind::kVarRef) {
+      return Unsupported("aggregated return expression");
+    }
+    ARCHIS_ASSIGN_OR_RETURN(const BoundVar* var, Bound((*ref)->str));
+    return AggOperand(*var, agg);
+  }
+
+  Result<const BoundVar*> Bound(const std::string& name) const {
+    auto it = bound_.find(name);
+    if (it == bound_.end()) {
+      return Status::NotFound("translator: unbound $" + name);
+    }
+    return &it->second;
+  }
+
+  /// Transitive temporal pushdown: a tstart lower bound on one variable
+  /// carries across `tstart(L) op tstart(R) + k` cross conditions, e.g.
+  /// tstart($s1) >= c and tstart($s2) > tstart($s1) give tstart($s2) > c,
+  /// so $s2's scan prunes to the segments after c as well.
+  void PropagateTstartBounds() {
+    std::vector<std::optional<Date>> lower(plan_.vars.size());
+    for (size_t v = 0; v < plan_.vars.size(); ++v) {
+      std::optional<Date> upper;
+      NarrowDateBounds(plan_.vars[v].tstart_conds, &lower[v], &upper);
+    }
+    const std::vector<std::optional<Date>> direct = lower;
+    auto raise = [&](size_t v, std::optional<Date> from, int64_t days) {
+      if (!from) return false;
+      Date lb = from->AddDays(days);
+      if (lower[v] && lb <= *lower[v]) return false;
+      lower[v] = lb;
+      return true;
+    };
+    // Each pass can only tighten a bound; a contradictory cycle would
+    // tighten forever, so the passes are capped.
+    for (size_t pass = 0; pass <= plan_.cross_conds.size(); ++pass) {
+      bool changed = false;
+      for (const CrossCond& c : plan_.cross_conds) {
+        if (c.kind != CrossCond::Kind::kCompare ||
+            c.lhs.col != HCol::kTstart || c.rhs.col != HCol::kTstart) {
+          continue;
+        }
+        // L op R + k: L > R + k puts L above R's bound, L < R + k puts R
+        // above L's.
+        using Op = minirel::CompareOp;
+        const size_t l = c.lhs.var, r = c.rhs.var;
+        const int64_t k = c.rhs_offset_days;
+        switch (c.op) {
+          case Op::kGt: changed |= raise(l, lower[r], k + 1); break;
+          case Op::kGe: changed |= raise(l, lower[r], k); break;
+          case Op::kLt: changed |= raise(r, lower[l], 1 - k); break;
+          case Op::kLe: changed |= raise(r, lower[l], -k); break;
+          case Op::kEq:
+            changed |= raise(l, lower[r], k);
+            changed |= raise(r, lower[l], -k);
+            break;
+          case Op::kNe: break;
+        }
+      }
+      if (!changed) break;
+    }
+    for (size_t v = 0; v < plan_.vars.size(); ++v) {
+      if (lower[v] && lower[v] != direct[v]) {
+        plan_.vars[v].tstart_conds.push_back(
+            {minirel::CompareOp::kGe, minirel::Value(*lower[v])});
+        DeriveTemporalPushdown(v);
+      }
+    }
   }
 
  private:
   // -- Variable-range identification (Algorithm 1, lines 1-3) ---------------
 
+  /// A fresh plan variable. Each for/let binding gets its own (so $s1 and
+  /// $s2 over $e/salary stay two tuple variables); `predicate_only` marks
+  /// the semi-join inputs of predicates, exists() and where conditions.
   size_t NewVar(const std::string& xq_name, const std::string& relation,
-                const std::string& attribute, size_t group) {
+                const std::string& attribute, size_t group,
+                bool predicate_only) {
     PlanVar var;
     var.xq_name = xq_name;
     var.relation = relation;
     var.attribute = attribute;
     var.join_group = group;
+    var.predicate_only = predicate_only;
     plan_.vars.push_back(std::move(var));
     return plan_.vars.size() - 1;
   }
 
-  /// Reuses or creates the attribute variable for `relation.attr` within a
-  /// join group (Algorithm 1 line 5 then generates Vi.id = Vj.id, which the
-  /// executor derives from shared join groups).
+  /// Reuses or creates the attribute variable that predicates and the
+  /// return clause use for `relation.attr` within a join group (Algorithm
+  /// 1 line 5 then generates Vi.id = Vj.id, which the executor derives
+  /// from shared join groups).
   size_t AttrVar(const std::string& relation, const std::string& attr,
-                 size_t group) {
+                 size_t group, bool predicate_only) {
     std::string key = std::to_string(group) + "/" + relation + "/" + attr;
     auto it = attr_vars_.find(key);
     if (it != attr_vars_.end()) return it->second;
-    size_t idx = NewVar(relation + "." + attr, relation, attr, group);
+    size_t idx =
+        NewVar(relation + "." + attr, relation, attr, group, predicate_only);
     attr_vars_[key] = idx;
     return idx;
   }
@@ -163,7 +347,8 @@ class Translator {
     size_t group = next_group_++;
     if (step_idx == steps.size()) {
       // Binds the entity: a key-table variable.
-      size_t idx = NewVar("$" + var_name, doc.relation, "", group);
+      size_t idx = NewVar("$" + var_name, doc.relation, "", group,
+                          /*predicate_only=*/false);
       bound_[var_name] = {true, idx, doc.relation, group};
       ARCHIS_RETURN_NOT_OK(
           ApplyPredicates(idx, doc.relation, group, entity_step.predicates));
@@ -181,8 +366,8 @@ class Translator {
     if (step_idx != steps.size()) {
       return Unsupported("paths deeper than entity/attribute");
     }
-    size_t idx = AttrVar(doc.relation, attr_step.name, group);
-    plan_.vars[idx].xq_name = "$" + var_name;
+    size_t idx = NewVar("$" + var_name, doc.relation, attr_step.name, group,
+                        /*predicate_only=*/false);
     bound_[var_name] = {false, idx, doc.relation, group};
     ARCHIS_RETURN_NOT_OK(
         ApplyPredicates(idx, doc.relation, group, attr_step.predicates));
@@ -192,16 +377,14 @@ class Translator {
   /// $e/attr[...] -> attribute variable in $e's join group.
   Status BindRelativePath(const std::string& var_name,
                           const std::string& base_var, const ExprPtr& path) {
-    auto it = bound_.find(base_var);
-    if (it == bound_.end()) {
-      return Status::NotFound("translator: unbound variable $" + base_var);
-    }
-    const BoundVar& base = it->second;
-    if (path->steps.size() != 1) {
-      return Unsupported("relative binding must be a single step");
+    ARCHIS_ASSIGN_OR_RETURN(const BoundVar* bound, Bound(base_var));
+    const BoundVar base = *bound;  // `var_name` may rebind `base_var`
+    if (path->steps.size() != 1 || !base.is_entity) {
+      return Unsupported("relative binding must be one step from an entity");
     }
     const PathStep& step = path->steps[0];
-    size_t idx = AttrVar(base.relation, step.name, base.group);
+    size_t idx = NewVar("$" + var_name, base.relation, step.name, base.group,
+                        /*predicate_only=*/false);
     bound_[var_name] = {false, idx, base.relation, base.group};
     return ApplyPredicates(idx, base.relation, base.group, step.predicates);
   }
@@ -245,7 +428,8 @@ class Translator {
   size_t EnsureKeyVar(const std::string& relation, size_t group,
                       std::optional<size_t>* key_var) {
     if (key_var != nullptr && key_var->has_value()) return **key_var;
-    size_t idx = NewVar(relation + ".key", relation, "", group);
+    size_t idx = NewVar(relation + ".key", relation, "", group,
+                        /*predicate_only=*/true);
     if (key_var != nullptr) *key_var = idx;
     return idx;
   }
@@ -353,12 +537,9 @@ class Translator {
         if (!context_var) return Unsupported("'.' outside predicate");
         return Operand{false, {*context_var, HCol::kValue}, {}};
       case ExprKind::kVarRef: {
-        auto it = bound_.find(e->str);
-        if (it == bound_.end()) {
-          return Status::NotFound("translator: unbound $" + e->str);
-        }
-        HCol col = it->second.is_entity ? HCol::kId : HCol::kValue;
-        return Operand{false, {it->second.plan_idx, col}, {}};
+        ARCHIS_ASSIGN_OR_RETURN(const BoundVar* var, Bound(e->str));
+        HCol col = var->is_entity ? HCol::kId : HCol::kValue;
+        return Operand{false, {var->plan_idx, col}, {}};
       }
       case ExprKind::kPath: {
         // $e/attr or bare `attr` (context-relative inside a predicate).
@@ -368,12 +549,9 @@ class Translator {
         std::string rel = relation;
         size_t grp = group;
         if (source->kind == ExprKind::kVarRef) {
-          auto it = bound_.find(source->str);
-          if (it == bound_.end()) {
-            return Status::NotFound("translator: unbound $" + source->str);
-          }
-          rel = it->second.relation;
-          grp = it->second.group;
+          ARCHIS_ASSIGN_OR_RETURN(const BoundVar* var, Bound(source->str));
+          rel = var->relation;
+          grp = var->group;
         } else if (source->kind != ExprKind::kContextItem) {
           return Unsupported("operand path source");
         }
@@ -386,10 +564,11 @@ class Translator {
               return Operand{false, {v, HCol::kId}, {}};
             }
           }
-          size_t idx = NewVar(rel + ".key", rel, "", grp);
+          size_t idx = NewVar(rel + ".key", rel, "", grp,
+                              /*predicate_only=*/true);
           return Operand{false, {idx, HCol::kId}, {}};
         }
-        size_t idx = AttrVar(rel, attr, grp);
+        size_t idx = AttrVar(rel, attr, grp, /*predicate_only=*/true);
         return Operand{false, {idx, HCol::kValue}, {}};
       }
       case ExprKind::kFunctionCall: {
@@ -414,6 +593,22 @@ class Translator {
         }
         if (e->str == "string" && e->children.size() == 1) {
           return ResolveOperand(e->children[0], context_var, relation, group);
+        }
+        if ((e->str == "op:add" || e->str == "op:subtract") &&
+            e->children.size() == 2 &&
+            e->children[1]->kind == ExprKind::kNumberLit) {
+          // tstart($v) + n: a date column shifted by n days (native
+          // date + number truncates n to whole days).
+          ARCHIS_ASSIGN_OR_RETURN(
+              Operand inner,
+              ResolveOperand(e->children[0], context_var, relation, group));
+          if (inner.is_const || (inner.col.col != HCol::kTstart &&
+                                 inner.col.col != HCol::kTend)) {
+            return Unsupported("arithmetic on a non-date operand");
+          }
+          const auto days = static_cast<int64_t>(e->children[1]->num);
+          inner.offset_days += e->str == "op:add" ? days : -days;
+          return inner;
         }
         return Unsupported("function operand " + e->str);
       }
@@ -495,35 +690,29 @@ class Translator {
     return Status::Internal("bad column ref");
   }
 
-  /// tstart <= a && tend >= b with b <= a derives an interval-overlap
-  /// pushdown [b, a], enabling segment pruning (snapshot when a == b).
+  /// Derives the variable's segment-pruning window from its constant
+  /// temporal conditions: a version overlaps [lower, upper] when
+  /// tend >= lower or tstart >= lower, and tstart <= upper or
+  /// tend <= upper. A one-day window is a snapshot (Section 6.1).
   void DeriveTemporalPushdown(size_t var_idx) {
     PlanVar& var = plan_.vars[var_idx];
-    std::optional<Date> ts_upper, te_lower;
-    for (const ValueCond& c : var.tstart_conds) {
-      if ((c.op == minirel::CompareOp::kLe ||
-           c.op == minirel::CompareOp::kLt) &&
-          c.constant.type() == minirel::DataType::kDate) {
-        Date d = c.constant.AsDate();
-        if (c.op == minirel::CompareOp::kLt) d = d.AddDays(-1);
-        if (!ts_upper || d < *ts_upper) ts_upper = d;
-      }
+    std::optional<Date> lower, upper;
+    NarrowDateBounds(var.tstart_conds, &lower, &upper);
+    NarrowDateBounds(var.tend_conds, &lower, &upper);
+    if (!lower || var.snapshot) return;
+    const Date hi = upper.value_or(Date::Forever());
+    if (*lower > hi) return;
+    TimeInterval window = MakeInterval(*lower, hi);
+    if (var.overlap) {
+      std::optional<TimeInterval> both = var.overlap->Intersect(window);
+      if (!both) return;
+      window = *both;
     }
-    for (const ValueCond& c : var.tend_conds) {
-      if ((c.op == minirel::CompareOp::kGe ||
-           c.op == minirel::CompareOp::kGt) &&
-          c.constant.type() == minirel::DataType::kDate) {
-        Date d = c.constant.AsDate();
-        if (c.op == minirel::CompareOp::kGt) d = d.AddDays(1);
-        if (!te_lower || d > *te_lower) te_lower = d;
-      }
-    }
-    if (ts_upper && te_lower && *te_lower <= *ts_upper) {
-      if (*te_lower == *ts_upper) {
-        var.snapshot = *te_lower;
-      } else {
-        var.overlap = MakeInterval(*te_lower, *ts_upper);
-      }
+    if (window.tstart == window.tend) {
+      var.snapshot = window.tstart;
+      var.overlap.reset();
+    } else {
+      var.overlap = window;
     }
   }
 
@@ -565,6 +754,10 @@ class Translator {
         ResolveOperand(cmp->children[1], context_var, relation, group));
     ARCHIS_ASSIGN_OR_RETURN(minirel::CompareOp op,
                             minirel::ParseCompareOp(cmp->str));
+    if ((lhs.offset_days != 0 && rhs.is_const) ||
+        (rhs.offset_days != 0 && lhs.is_const)) {
+      return Unsupported("shifted date compared with a constant");
+    }
     if (!lhs.is_const && rhs.is_const) {
       return AddVarConstCond(lhs.col, op, rhs.constant);
     }
@@ -586,6 +779,7 @@ class Translator {
       cond.lhs = lhs.col;
       cond.op = op;
       cond.rhs = rhs.col;
+      cond.rhs_offset_days = rhs.offset_days - lhs.offset_days;
       plan_.cross_conds.push_back(cond);
       return Status::OK();
     }
@@ -616,19 +810,42 @@ class Translator {
             call->children = arg->children;
             return TranslateIntervalFn(call, /*context_var=*/0);
           }
-          // not(empty($v)) where $v is a bound variable: the id join is
-          // already existential — nothing to add.
-          if (arg->kind == ExprKind::kVarRef && bound_.count(arg->str) != 0) {
-            return Status::OK();
-          }
+          return TranslateExists(arg);
         }
         return Unsupported("negation form");
       }
       case ExprKind::kFunctionCall:
+        if (cond->str == "exists" && cond->children.size() == 1) {
+          return TranslateExists(cond->children[0]);
+        }
         return TranslateIntervalFn(cond, /*context_var=*/0);
       default:
         return Unsupported("where-clause form");
     }
+  }
+
+  /// exists(X) / not(empty(X)) in a where clause.
+  Status TranslateExists(const ExprPtr& arg) {
+    // A bound variable: the id join is already existential — nothing to add.
+    if (arg->kind == ExprKind::kVarRef && bound_.count(arg->str) != 0) {
+      return Status::OK();
+    }
+    // $e/attr[preds]: a semi-join against a fresh predicate-only attribute
+    // variable in $e's join group.
+    if (arg->kind == ExprKind::kPath && arg->steps.size() == 1 &&
+        arg->children[0]->kind == ExprKind::kVarRef) {
+      ARCHIS_ASSIGN_OR_RETURN(const BoundVar* base,
+                              Bound(arg->children[0]->str));
+      const PathStep& step = arg->steps[0];
+      if (base->is_entity && step.name != "id" && step.name != "*" &&
+          step.axis == PathStep::Axis::kChild) {
+        size_t idx = NewVar("exists." + step.name, base->relation, step.name,
+                            base->group, /*predicate_only=*/true);
+        return ApplyPredicates(idx, base->relation, base->group,
+                               step.predicates);
+      }
+    }
+    return Unsupported("exists() operand form");
   }
 
   // -- Output generation (lines 13-19) ---------------------------------------
@@ -636,31 +853,26 @@ class Translator {
   Result<OutputSpec> BuildOutput(const ExprPtr& ret) {
     switch (ret->kind) {
       case ExprKind::kVarRef: {
-        auto it = bound_.find(ret->str);
-        if (it == bound_.end()) {
-          return Status::NotFound("translator: unbound $" + ret->str);
-        }
-        return VarElement(it->second);
+        ARCHIS_ASSIGN_OR_RETURN(const BoundVar* var, Bound(ret->str));
+        return VarElement(*var);
       }
       case ExprKind::kPath: {
         const ExprPtr& source = ret->children[0];
         if (source->kind != ExprKind::kVarRef || ret->steps.size() != 1) {
           return Unsupported("return path form");
         }
-        auto it = bound_.find(source->str);
-        if (it == bound_.end()) {
-          return Status::NotFound("translator: unbound $" + source->str);
-        }
+        ARCHIS_ASSIGN_OR_RETURN(const BoundVar* var, Bound(source->str));
         const std::string& attr = ret->steps[0].name;
         if (attr == "id") {
           OutputSpec spec;
           spec.kind = OutputSpec::Kind::kElement;
           spec.name = "id";
-          spec.attr_var = it->second.plan_idx;
-          spec.column = HColRef{it->second.plan_idx, HCol::kId};
+          spec.attr_var = var->plan_idx;
+          spec.column = HColRef{var->plan_idx, HCol::kId};
           return spec;
         }
-        size_t idx = AttrVar(it->second.relation, attr, it->second.group);
+        size_t idx = AttrVar(var->relation, attr, var->group,
+                             /*predicate_only=*/false);
         OutputSpec spec;
         spec.kind = OutputSpec::Kind::kElement;
         spec.name = attr;
@@ -721,11 +933,9 @@ class Translator {
         }
         if (ret->str == "tavg" && ret->children.size() == 1 &&
             ret->children[0]->kind == ExprKind::kVarRef) {
-          auto it = bound_.find(ret->children[0]->str);
-          if (it == bound_.end()) {
-            return Status::NotFound("translator: unbound tavg argument");
-          }
-          if (it->second.plan_idx != 0) {
+          ARCHIS_ASSIGN_OR_RETURN(const BoundVar* var,
+                                  Bound(ret->children[0]->str));
+          if (var->plan_idx != 0) {
             return Unsupported("tavg over a non-leading variable");
           }
           plan_.aggregate = PlanAggregate::kTAvg;

@@ -1,6 +1,7 @@
 #include "common/flight_recorder.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -35,7 +37,11 @@ struct Ring {
   uint32_t capacity = 0;  // slots; events older than the last `capacity`
                           // are overwritten
   std::atomic<uint64_t> next{0};  // monotonic count of events ever written
-  std::unique_ptr<Slot[]> slots;
+  // `capacity` slots in an anonymous mapping, each constructed by its
+  // first write. Untouched pages stay unbacked, so a thread that records
+  // a handful of events before exiting pins a page or two of its leaked
+  // ring, not all of it.
+  Slot* slots = nullptr;
 };
 
 constexpr uint32_t kMaxRings = 256;
@@ -78,10 +84,14 @@ uint32_t RingCapacityFromEnv() {
 Ring* ClaimRing() {
   const uint32_t idx = g_ring_count.fetch_add(1, std::memory_order_relaxed);
   if (idx >= kMaxRings) return nullptr;  // pool exhausted: drop events
+  const uint32_t capacity = RingCapacityFromEnv();
+  void* mem = mmap(nullptr, sizeof(Slot) * capacity, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) return nullptr;  // this thread records nothing
   Ring* ring = new Ring();
   ring->tid = static_cast<uint16_t>(idx);
-  ring->capacity = RingCapacityFromEnv();
-  ring->slots = std::make_unique<Slot[]>(ring->capacity);
+  ring->capacity = capacity;
+  ring->slots = static_cast<Slot*>(mem);
   g_rings[idx].store(ring, std::memory_order_release);
   return ring;
 }
@@ -167,6 +177,9 @@ void Record(EventType type, uint64_t a, uint64_t b, uint32_t flags,
     std::memcpy(d, detail.data(), std::min<size_t>(detail.size(), 16));
   }
   const uint64_t idx = ring->next.load(std::memory_order_relaxed);
+  // Readers only visit slots below `next`, so constructing a slot on the
+  // ring's first pass happens before any read of it.
+  if (idx < ring->capacity) new (&ring->slots[idx]) Slot();
   Slot& slot = ring->slots[idx % ring->capacity];
   // Seqlock publish: odd marks the slot in-flight; the release fence
   // keeps the mark ahead of the data stores, and the final release store
@@ -236,7 +249,9 @@ void ResetForTest() {
   for (uint32_t i = 0; i < rings; ++i) {
     Ring* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
-    for (uint32_t j = 0; j < ring->capacity; ++j) {
+    const uint64_t written = std::min<uint64_t>(
+        ring->next.load(std::memory_order_acquire), ring->capacity);
+    for (uint64_t j = 0; j < written; ++j) {
       Slot& slot = ring->slots[j];
       for (auto& word : slot.w) word.store(0, std::memory_order_relaxed);
       slot.seq.store(0, std::memory_order_relaxed);

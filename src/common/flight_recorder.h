@@ -21,7 +21,9 @@
 //
 // Rings are claimed from a fixed global pool on a thread's first append
 // and are never freed: a thread's last events survive its exit so a
-// crash dump sees the whole recent history. Draining (DumpTrace, the
+// crash dump sees the whole recent history. A ring's slots live in an
+// anonymous mapping and are backed by memory only once written, so the
+// rings of short-lived threads cost a page or two each. Draining (DumpTrace, the
 // crash handler) walks every claimed ring concurrently with writers.
 //
 // The crash path: InstallCrashHandler() hooks the fatal signals

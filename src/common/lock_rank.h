@@ -63,6 +63,10 @@ enum class LockRank : int {
   /// metrics::Registry::mu_ — metric get-or-create (reached from under
   /// most other locks via first-call function-local-static caching).
   kMetricsRegistry = 80,
+  /// SegmentedStore::closes_mu_ — a store's map of versions closed after
+  /// a freeze copied them open: inserted by commits, read by scans. Held
+  /// only for one map lookup or insert; nothing is acquired under it.
+  kSegmentCloses = 85,
   /// logging SinkHolder::mu — the innermost lock; Emit() may be called
   /// while holding anything else, so nothing may be acquired under it.
   kLogSink = 90,
@@ -82,6 +86,7 @@ inline const char* LockRankName(LockRank r) {
     case LockRank::kPageManager:     return "kPageManager";
     case LockRank::kBlobCacheShard:  return "kBlobCacheShard";
     case LockRank::kMetricsRegistry: return "kMetricsRegistry";
+    case LockRank::kSegmentCloses:   return "kSegmentCloses";
     case LockRank::kLogSink:         return "kLogSink";
   }
   return "kUnknown";

@@ -1,6 +1,7 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <cstdint>
 
 namespace archis {
 
@@ -86,6 +87,13 @@ std::string XmlUnescape(std::string_view text) {
     else out += text[i];
   }
   return out;
+}
+
+std::string FormatNumber(double n) {
+  if (n == static_cast<double>(static_cast<int64_t>(n))) {
+    return std::to_string(static_cast<int64_t>(n));
+  }
+  return std::to_string(n);
 }
 
 }  // namespace archis

@@ -33,6 +33,12 @@ std::string XmlEscape(std::string_view text);
 /// Reverses XmlEscape for the five standard entities.
 std::string XmlUnescape(std::string_view text);
 
+/// Renders a number as XQuery results carry it: integral values as
+/// integers ("42", "-7"), others with six decimals ("52345.500000"). The
+/// native evaluator and the SQL/XML executor both render through this, so
+/// an aggregate answers with the same bytes on either path.
+std::string FormatNumber(double n);
+
 }  // namespace archis
 
 #endif  // ARCHIS_COMMON_STR_UTIL_H_

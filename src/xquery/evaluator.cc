@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/str_util.h"
 #include "xquery/functions.h"
 #include "xquery/parser.h"
 
@@ -14,13 +15,7 @@ namespace archis::xquery {
 std::string Item::StringValue() const {
   if (is_node()) return node()->StringValue();
   if (is_string()) return str();
-  if (is_number()) {
-    double n = number();
-    if (n == static_cast<double>(static_cast<int64_t>(n))) {
-      return std::to_string(static_cast<int64_t>(n));
-    }
-    return std::to_string(n);
-  }
+  if (is_number()) return FormatNumber(number());
   if (is_boolean()) return boolean() ? "true" : "false";
   return date().ToString();
 }

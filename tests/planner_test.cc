@@ -333,6 +333,60 @@ TEST(PlannerTest, PlanCacheReusesUntilMutationInvalidates) {
   EXPECT_EQ(hits->value(), h0 + 1);
 }
 
+TEST(PlannerTest, PlanCacheKeyCoversSemiJoinOffsetAndAggregateFields) {
+  metrics::Counter* misses = metrics::Registry::Global().GetCounter(
+      "archis_planner_cache_misses_total",
+      "Executions that ran the cost-based planner (cold or stale "
+      "cache entry)");
+  auto db = BuildWideShape(/*ids=*/30, /*compress=*/false);
+  // The Q6 shape: max(s2 - s1) over two salary versions of one id with
+  // s1 < s2 <= s1 + 730.
+  SqlXmlPlan base;
+  base.vars = {SalaryPlan().vars[0], SalaryPlan().vars[0]};
+  CrossCond after;
+  after.lhs = {1, HCol::kTstart};
+  after.op = CompareOp::kGt;
+  after.rhs = {0, HCol::kTstart};
+  CrossCond within = after;
+  within.op = CompareOp::kLe;
+  within.rhs_offset_days = 730;
+  base.cross_conds = {after, within};
+  base.aggregate = PlanAggregate::kMaxValue;
+  base.agg_expr.arg = {1, HCol::kValue};
+  base.agg_expr.minus = HColRef{0, HCol::kValue};
+
+  // Each variant differs from `base` in exactly one of the new fields.
+  std::vector<SqlXmlPlan> variants(4, base);
+  variants[0].vars[0].predicate_only = true;
+  variants[1].cross_conds[1].rhs_offset_days = 365;
+  variants[2].agg_expr.arg = {1, HCol::kId};
+  variants[3].agg_expr.minus.reset();
+
+  std::string base_key;
+  AppendPlanCacheKey(base, &base_key);
+  ASSERT_TRUE(db->Execute(base, nullptr, nullptr, PlanForce::kCostBased).ok());
+  for (size_t i = 0; i < variants.size(); ++i) {
+    std::string key;
+    AppendPlanCacheKey(variants[i], &key);
+    EXPECT_NE(key, base_key) << "variant " << i;
+    // A distinct key is a distinct cache entry: the variant plans afresh.
+    const uint64_t m0 = misses->value();
+    ASSERT_TRUE(
+        db->Execute(variants[i], nullptr, nullptr, PlanForce::kCostBased).ok());
+    EXPECT_EQ(misses->value(), m0 + 1) << "variant " << i;
+  }
+  // The predicate-only flag changes the physical plan itself: a lone
+  // semi-join input has no facts to stream into the aggregate.
+  SqlXmlPlan count = SalaryPlan();
+  count.aggregate = PlanAggregate::kCount;
+  auto streamed = PlanQuery(db->archiver(), count);
+  count.vars[0].predicate_only = true;
+  auto buffered = PlanQuery(db->archiver(), count);
+  ASSERT_TRUE(streamed.ok() && buffered.ok());
+  EXPECT_TRUE(streamed->stream_aggregate);
+  EXPECT_FALSE(buffered->stream_aggregate);
+}
+
 TEST(PlannerTest, FetchOrderPutsMostSelectiveVariableFirst) {
   auto db = BuildWideShape(/*ids=*/100, /*compress=*/false);
   SqlXmlPlan plan;
@@ -360,8 +414,6 @@ TEST(PlannerTest, SingleVariableAggregatePushesDownBelowTheJoin) {
   auto db = BuildWideShape(/*ids=*/50, /*compress=*/false);
   SqlXmlPlan plan = SalaryPlan();
   plan.aggregate = PlanAggregate::kCount;
-  plan.output.kind = OutputSpec::Kind::kElement;
-  plan.output.name = "count";
   auto physical = PlanQuery(db->archiver(), plan);
   ASSERT_TRUE(physical.ok()) << physical.status().ToString();
   EXPECT_TRUE(physical->stream_aggregate);
@@ -371,6 +423,11 @@ TEST(PlannerTest, SingleVariableAggregatePushesDownBelowTheJoin) {
   ASSERT_TRUE(pushed.ok());
   ASSERT_TRUE(fixed.ok());
   EXPECT_EQ(xml::Serialize(*pushed), xml::Serialize(*fixed));
+  // Rendered as native count() is: the bare number inside <results>.
+  EXPECT_EQ((*pushed)->ChildElements().size(), 0u);
+  EXPECT_EQ(xml::Serialize(*pushed),
+            "<results>" + (*pushed)->StringValue() + "</results>");
+  EXPECT_NE((*pushed)->StringValue(), "0");
 }
 
 // ---------------------------------------------------------------------------

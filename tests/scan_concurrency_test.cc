@@ -111,19 +111,6 @@ std::string SortedRows(const std::string& rows) {
   return out;
 }
 
-// Drops the tend field of every row. Slicing scans (interval, snapshot)
-// report the newest copy among the segments they read, whose tend may be
-// stale next to the unsegmented twin's (EXPERIMENTS.md deviation 5);
-// membership, values, tstart and order still match.
-std::string WithoutTend(const std::string& rows) {
-  std::string out;
-  std::istringstream in(rows);
-  for (std::string line; std::getline(in, line);) {
-    out += line.substr(0, line.rfind('|')) + '\n';
-  }
-  return out;
-}
-
 class MultiSegmentScanTest : public ::testing::TestWithParam<bool> {};
 
 // The one multi-source scan contract: every scan flavour over a store with
@@ -164,17 +151,15 @@ TEST_P(MultiSegmentScanTest, MatchesUnsegmentedTwin) {
        {TimeInterval(D(1990, 6, 1), D(1992, 6, 1)),
         TimeInterval(D(1991, 1, 1), D(1991, 3, 1)),
         TimeInterval(D(1990, 1, 1), Date::Forever())}) {
-    EXPECT_EQ(WithoutTend(IntervalRows(*a, iv)),
-              WithoutTend(SortedRows(IntervalRows(*twin, iv))))
+    EXPECT_EQ(IntervalRows(*a, iv), SortedRows(IntervalRows(*twin, iv)))
         << iv.ToString();
   }
   // Snapshots inside frozen segments read the one covering segment, which
-  // is stored id-sorted.
+  // is stored id-sorted; versions closed since it froze report their tend.
   for (const SegmentInfo& seg : a->segments()) {
     Date t = seg.interval.tstart.AddDays(
         (seg.interval.tend.days() - seg.interval.tstart.days()) / 2);
-    EXPECT_EQ(WithoutTend(SnapshotRows(*a, t)),
-              WithoutTend(SortedRows(SnapshotRows(*twin, t))))
+    EXPECT_EQ(SnapshotRows(*a, t), SortedRows(SnapshotRows(*twin, t)))
         << t.ToString();
   }
   for (int64_t id : {int64_t{1}, int64_t{15}, int64_t{30}}) {
@@ -195,6 +180,45 @@ TEST_P(MultiSegmentScanTest, MatchesUnsegmentedTwin) {
 
 INSTANTIATE_TEST_SUITE_P(CompressedAndNot, MultiSegmentScanTest,
                          ::testing::Bool());
+
+// A version frozen while open and closed since keeps tend = forever in its
+// frozen copies; scans pruned away from the copies that know the close —
+// one covering segment, or a merge of older segments only — still report
+// the tend it was closed at.
+TEST(SegmentMergeTest, PrunedScansReportTheLaterClose) {
+  minirel::Database db;
+  auto store = MakeStore(&db, SegmentOptions(), "s");
+  const Date day0 = D(1990, 1, 1);
+  auto day = [&](int n) { return day0.AddDays(n); };
+  auto row = [&](int64_t id, int64_t v, Date tend) {
+    return std::to_string(id) + '|' + std::to_string(v) + '|' +
+           std::to_string(day0.days()) + '|' + std::to_string(tend.days()) +
+           '\n';
+  };
+  ASSERT_TRUE(store->InsertVersion(1, {Value(int64_t{100})}, day0).ok());
+  ASSERT_TRUE(store->InsertVersion(2, {Value(int64_t{200})}, day0).ok());
+  ASSERT_TRUE(store->Freeze(day(10)).ok());       // both open in segment 1
+  ASSERT_TRUE(store->Freeze(day(20)).ok());       // both open in segment 2
+  ASSERT_TRUE(store->CloseVersion(1, day(25)).ok());
+  ASSERT_TRUE(store->Freeze(day(30)).ok());       // closed in segment 3
+  ASSERT_EQ(store->segments().size(), 3u);
+  const std::string want =
+      row(1, 100, day(24)) + row(2, 200, Date::Forever());
+  StoreScanStats one, two;
+  // One covering segment (the single-source path).
+  EXPECT_EQ(Rows(*store, [&](auto fn) {
+              return store->ScanSnapshot(day(5), fn, &one);
+            }),
+            want);
+  EXPECT_EQ(one.segments_scanned, 1u);
+  // Segments 1 and 2 merged; neither knows the close.
+  EXPECT_EQ(Rows(*store, [&](auto fn) {
+              return store->ScanInterval(TimeInterval(day(5), day(15)), fn,
+                                         &two);
+            }),
+            want);
+  EXPECT_EQ(two.segments_scanned, 2u);
+}
 
 // The time filter applies to the newest copy of a version only. Here the
 // frozen copy of id 1 is still open while the live copy closed the day

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "archis/archis.h"
+#include "xml/serializer.h"
 
 namespace archis::core {
 namespace {
@@ -195,8 +196,8 @@ TEST_F(SqlXmlTest, TemporalCrossCondition) {
   plan.aggregate = PlanAggregate::kCount;
   auto xml = Run(plan);
   // id1: both salaries overlap title A (2); id2: salary overlaps B and C
-  // (2) -> 4.
-  EXPECT_EQ(xml->ChildElements()[0]->StringValue(), "4.0000");
+  // (2) -> 4, rendered as native count() is: <results>4</results>.
+  EXPECT_EQ(xml::Serialize(xml), "<results>4</results>");
 }
 
 TEST_F(SqlXmlTest, AggAvgCountMaxDistinct) {
@@ -206,29 +207,79 @@ TEST_F(SqlXmlTest, AggAvgCountMaxDistinct) {
   v.attribute = "salary";
   plan.vars.push_back(v);
 
+  // Values render as native XQuery numbers: integers bare, others with
+  // six decimals.
   plan.aggregate = PlanAggregate::kCount;
-  EXPECT_EQ(Run(plan)->ChildElements()[0]->StringValue(), "3.0000");
+  EXPECT_EQ(Run(plan)->StringValue(), "3");
   plan.aggregate = PlanAggregate::kMaxValue;
-  EXPECT_EQ(Run(plan)->ChildElements()[0]->StringValue(), "500.0000");
+  EXPECT_EQ(Run(plan)->StringValue(), "500");
+  plan.aggregate = PlanAggregate::kMinValue;
+  EXPECT_EQ(Run(plan)->StringValue(), "100");
+  plan.aggregate = PlanAggregate::kSumValue;
+  EXPECT_EQ(Run(plan)->StringValue(), "800");
   plan.aggregate = PlanAggregate::kAvgValue;
-  EXPECT_EQ(Run(plan)->ChildElements()[0]->StringValue(), "266.6667");
-  plan.aggregate = PlanAggregate::kCountDistinctIds;
-  EXPECT_EQ(Run(plan)->ChildElements()[0]->StringValue(), "2.0000");
+  EXPECT_EQ(Run(plan)->StringValue(), "266.666667");
+
+  // Distinct ids: the key table iterates objects, and the salary variable
+  // is a predicate-only semi-join, so it does not multiply the facts.
+  PlanVar key;
+  key.relation = "emp";
+  plan.vars = {key, v};
+  plan.vars[1].predicate_only = true;
+  plan.agg_expr.arg = {0, HCol::kId};
+  plan.aggregate = PlanAggregate::kCount;
+  EXPECT_EQ(Run(plan)->StringValue(), "2");
+  // Without the flag every (id, salary version) pair is a fact.
+  plan.vars[1].predicate_only = false;
+  EXPECT_EQ(Run(plan)->StringValue(), "3");
 }
 
-TEST_F(SqlXmlTest, MaxIncreaseWindowed) {
+TEST_F(SqlXmlTest, EmptyAggregatesRenderAsNative) {
   SqlXmlPlan plan;
   PlanVar v;
   v.relation = "emp";
   v.attribute = "salary";
+  v.value_conds.push_back({CompareOp::kGt, Value(int64_t{1000})});
   plan.vars.push_back(v);
-  plan.aggregate = PlanAggregate::kMaxIncrease;
-  plan.agg_window_days = 400;
+  plan.aggregate = PlanAggregate::kCount;
+  EXPECT_EQ(xml::Serialize(Run(plan)), "<results>0</results>");
+  plan.aggregate = PlanAggregate::kSumValue;
+  EXPECT_EQ(xml::Serialize(Run(plan)), "<results>0</results>");
+  for (PlanAggregate agg : {PlanAggregate::kAvgValue, PlanAggregate::kMaxValue,
+                            PlanAggregate::kMinValue}) {
+    plan.aggregate = agg;
+    EXPECT_EQ(xml::Serialize(Run(plan)), "<results/>");
+  }
+}
+
+TEST_F(SqlXmlTest, MaxIncreaseWindowed) {
+  // The temporal self-join of Table 3's Q6 over the generic join:
+  // max(s2 - s1) for versions s1, s2 of one id with s1 < s2 <= s1 + w.
+  SqlXmlPlan plan;
+  PlanVar v;
+  v.relation = "emp";
+  v.attribute = "salary";
+  plan.vars = {v, v};
+  CrossCond after;
+  after.lhs = {1, HCol::kTstart};
+  after.op = CompareOp::kGt;
+  after.rhs = {0, HCol::kTstart};
+  CrossCond within = after;
+  within.op = CompareOp::kLe;
+  within.rhs_offset_days = 400;
+  plan.cross_conds = {after, within};
+  plan.aggregate = PlanAggregate::kMaxValue;
+  plan.agg_expr.arg = {1, HCol::kValue};
+  plan.agg_expr.minus = HColRef{0, HCol::kValue};
   // id1 went 100 -> 200 within 366 days: increase 100.
-  EXPECT_EQ(Run(plan)->ChildElements()[0]->StringValue(), "100.0000");
-  // With a tiny window no pair qualifies.
-  plan.agg_window_days = 10;
-  EXPECT_EQ(Run(plan)->ChildElements()[0]->StringValue(), "0.0000");
+  EXPECT_EQ(xml::Serialize(Run(plan)), "<results>100</results>");
+  // Reversed operands make every delta negative; max keeps the sign
+  // (there is no floor at 0).
+  std::swap(plan.agg_expr.arg, *plan.agg_expr.minus);
+  EXPECT_EQ(xml::Serialize(Run(plan)), "<results>-100</results>");
+  // With a tiny window no pair qualifies: max of nothing is empty.
+  plan.cross_conds[1].rhs_offset_days = 10;
+  EXPECT_EQ(xml::Serialize(Run(plan)), "<results/>");
 }
 
 TEST_F(SqlXmlTest, TAvgEmitsStepHistory) {
