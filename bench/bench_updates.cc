@@ -268,12 +268,50 @@ void BM_RecoveryReplay(benchmark::State& state) {
                      : "Open without checkpoint: replay = full history");
 }
 
+void BM_GenerateHistory(benchmark::State& state) {
+  // The history perfbench's setup_s builds, timed in process: the full
+  // 17-year employee workload through ArchIS's transactional write path.
+  // /0 is table3's paper scale (120 employees, U_min 0.4, uncompressed),
+  // /1 audit_compressed's 8x scale (U_min 0.2, BlockZIP).
+  const bool audit = state.range(0) == 1;
+  uint64_t changes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::ArchISOptions opts;
+    opts.segment.umin = audit ? 0.2 : 0.4;
+    opts.segment.compress = audit;
+    auto db = std::make_unique<core::ArchIS>(opts, Date::FromYmd(1985, 1, 1));
+    workload::WorkloadConfig cfg;
+    cfg.initial_employees = audit ? 8 * 120 : 120;
+    cfg.years = 17;
+    workload::EmployeeWorkload wl(cfg);
+    state.ResumeTiming();
+    Result<workload::WorkloadStats> stats = wl.Generate(db.get());
+    state.PauseTiming();
+    if (!stats.ok()) {
+      state.SkipWithError(stats.status().ToString().c_str());
+      return;
+    }
+    changes += stats->inserts + stats->updates + stats->deletes;
+    db.reset();
+    state.ResumeTiming();
+  }
+  // Archived changes (inserts, updates and deletes) per second.
+  state.counters["updates_per_s"] =
+      benchmark::Counter(static_cast<double>(changes),
+                         benchmark::Counter::kIsRate);
+  state.SetLabel(audit ? "8x scale, U_min 0.2, BlockZIP"
+                       : "paper scale, U_min 0.4, uncompressed");
+}
+
 BENCHMARK(BM_ArchISSingleUpdate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CommitBatch)->Arg(1)->Arg(8)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TaminoSingleUpdate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ArchISDailyUpdate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SegmentFreeze)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateHistory)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RecoveryReplay)
     ->Args({64, 0})
     ->Args({64, 1})

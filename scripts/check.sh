@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full static + dynamic check gate for archis.
 #
-#   1. Default build (GCC or Clang) with -Werror=unused-result, full ctest.
+#   1. Default build (GCC or Clang) with -Werror=unused-result, full ctest,
+#      and one pass of BM_GenerateHistory (the write path end to end, at
+#      paper scale and at 8x with BlockZIP) as a smoke test.
 #   2. If clang++ is available: ARCHIS_ANALYZE=ON build, which turns on
 #      Clang thread-safety analysis with -Werror=thread-safety.
 #   3. archis-lint over src/ and tools/ (domain-invariant checker).
@@ -83,6 +85,11 @@ step "[1/10] default build + tests"
 cmake -B build-check -S . >/dev/null
 cmake --build build-check -j"$JOBS"
 ctest --test-dir build-check --output-on-failure -j"$JOBS"
+GEN_OUT="$(./build-check/bench/bench_updates \
+  --benchmark_filter=BM_GenerateHistory --benchmark_min_time=0.001)"
+echo "$GEN_OUT"
+[[ "$(grep -c 'updates_per_s=' <<<"$GEN_OUT")" -eq 2 ]] || {
+  echo "BM_GenerateHistory did not complete both scales"; exit 1; }
 
 step "[2/10] clang thread-safety analysis (ARCHIS_ANALYZE=ON)"
 if command -v clang++ >/dev/null 2>&1; then

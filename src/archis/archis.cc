@@ -205,6 +205,7 @@ Transaction::Transaction(Transaction&& other) noexcept
     : db_(other.db_),
       txn_id_(other.txn_id_),
       begin_seq_(other.begin_seq_),
+      begin_drops_(other.begin_drops_),
       changes_(std::move(other.changes_)),
       overlay_(std::move(other.overlay_)),
       // A move releases affinity: the handle stays unclaimed until its
@@ -316,7 +317,7 @@ class ArchIS::CrashSource : public fr::CrashInfoSource {
 ArchIS::ArchIS(ArchISOptions options, Date start_date)
     : crash_source_(std::make_unique<CrashSource>(this)),
       options_(std::move(options)), clock_(start_date),
-      archiver_(&history_db_) {
+      archiver_(&history_db_, /*track_dirty=*/wal_backed()) {
   fr::InstallCrashHandler();
   fr::RegisterCrashInfoSource(crash_source_.get());
   // Export both query-path counters from the start, so a scrape can tell
@@ -529,6 +530,7 @@ Status ArchIS::DropRelationInternal(const std::string& name, Date when,
     return Status::NotFound("relation '" + name + "'");
   }
   ARCHIS_RETURN_NOT_OK(current_db_.catalog().DropTable(name));
+  ++relations_dropped_;
   ARCHIS_RETURN_NOT_OK(archiver_.UnregisterRelation(name, when));
   InvalidatePlanCache();
   ddl_since_checkpoint_ = true;
@@ -572,7 +574,9 @@ Result<Transaction> ArchIS::BeginInternal(bool stamp_at_commit) {
   const uint64_t txn_id = wal_ != nullptr ? wal_->NextTxnId() : next_txn_id_++;
   open_txns_.insert(txn_id);
   fr::Record(fr::EventType::kTxnBegin, txn_id);
-  return Transaction(this, txn_id, commit_seq_, stamp_at_commit);
+  Transaction txn(this, txn_id, commit_seq_, stamp_at_commit);
+  txn.begin_drops_ = relations_dropped_;
+  return txn;
 }
 
 Result<Transaction*> ArchIS::AmbientTxn() {
@@ -689,6 +693,36 @@ std::string ArchIS::DisplayKey(const std::string& relation,
   return out;
 }
 
+std::string ArchIS::DisplayWriteSetKey(const std::string& wkey) {
+  const size_t nul = wkey.find('\0');
+  size_t pos = 0;
+  Result<Tuple> key =
+      DecodeTuple(std::string_view(wkey).substr(nul + 1), &pos);
+  // The key was encoded by WriteSetKey in this process; a failed decode
+  // can only mean a bug, and the message still names the relation.
+  return DisplayKey(wkey.substr(0, nul), key.ok() ? key->values()
+                                                  : std::vector<Value>{});
+}
+
+Status ArchIS::BufferChange(Transaction* txn, std::string wkey,
+                            ChangeRecord change, storage::RecordId found) {
+  if (wal_ != nullptr) {
+    if (!txn->wal_begun_) {
+      ARCHIS_RETURN_NOT_OK(wal_->EnqueueBegin(txn->txn_id_));
+      txn->wal_begun_ = true;
+    }
+    ARCHIS_RETURN_NOT_OK(wal_->EnqueueChange(txn->txn_id_, change));
+  }
+  auto [it, fresh] = txn->overlay_.try_emplace(std::move(wkey));
+  Transaction::OverlayEntry& entry = it->second;
+  // Only the key's first statement reads the committed row; later ones
+  // see this transaction's own writes, and the first one's rid rides on.
+  if (fresh) entry.rid = found;
+  entry.latest = txn->changes_.size();
+  txn->changes_.push_back({std::move(change), &entry});
+  return Status::OK();
+}
+
 Status ArchIS::TxnInsert(Transaction* txn, const std::string& relation,
                          const Tuple& row) {
   auto info = relations_.find(relation);
@@ -700,13 +734,13 @@ Status ArchIS::TxnInsert(Transaction* txn, const std::string& relation,
                           current_db_.catalog().GetTable(relation));
   // Validate against the schema now — the deferred apply at commit must
   // not be the first place a malformed row surfaces.
-  ARCHIS_RETURN_NOT_OK(row.Encode(table->schema()).status());
+  ARCHIS_RETURN_NOT_OK(row.CheckSchema(table->schema()));
   const std::vector<Value> key = KeyOf(info->second, row);
-  const std::string wkey = WriteSetKey(relation, key);
+  std::string wkey = WriteSetKey(relation, key);
   bool visible = false;
   auto ov = txn->overlay_.find(wkey);
   if (ov != txn->overlay_.end()) {
-    visible = ov->second.row.has_value();
+    visible = txn->PendingRow(ov->second) != nullptr;
   } else {
     Tuple existing;
     Result<storage::RecordId> rid = FindByKey(table, info->second, key,
@@ -727,17 +761,7 @@ Status ArchIS::TxnInsert(Transaction* txn, const std::string& relation,
   change.relation = relation;
   change.new_row = row;
   change.when = clock_;
-  if (wal_ != nullptr) {
-    if (!txn->wal_begun_) {
-      ARCHIS_RETURN_NOT_OK(wal_->EnqueueBegin(txn->txn_id_));
-      txn->wal_begun_ = true;
-    }
-    ARCHIS_RETURN_NOT_OK(wal_->EnqueueChange(txn->txn_id_, change));
-  }
-  txn->changes_.push_back(std::move(change));
-  txn->overlay_[wkey] =
-      Transaction::OverlayEntry{row, DisplayKey(relation, key)};
-  return Status::OK();
+  return BufferChange(txn, std::move(wkey), std::move(change), {});
 }
 
 Status ArchIS::TxnUpdate(Transaction* txn, const std::string& relation,
@@ -752,18 +776,20 @@ Status ArchIS::TxnUpdate(Transaction* txn, const std::string& relation,
   MutexLock lock(commit_mu_);
   ARCHIS_ASSIGN_OR_RETURN(Table * table,
                           current_db_.catalog().GetTable(relation));
-  ARCHIS_RETURN_NOT_OK(new_row.Encode(table->schema()).status());
-  const std::string wkey = WriteSetKey(relation, key);
+  ARCHIS_RETURN_NOT_OK(new_row.CheckSchema(table->schema()));
+  std::string wkey = WriteSetKey(relation, key);
   Tuple old_row;
+  storage::RecordId found;
   auto ov = txn->overlay_.find(wkey);
   if (ov != txn->overlay_.end()) {
-    if (!ov->second.row.has_value()) {
+    const Tuple* pending = txn->PendingRow(ov->second);
+    if (pending == nullptr) {
       return Status::NotFound("no current row with that key");
     }
-    old_row = *ov->second.row;
+    old_row = *pending;
   } else {
-    ARCHIS_RETURN_NOT_OK(
-        FindByKey(table, info->second, key, &old_row).status());
+    ARCHIS_ASSIGN_OR_RETURN(found,
+                            FindByKey(table, info->second, key, &old_row));
   }
   // Keys are invariant in history (Section 3).
   for (size_t i = 0; i < key.size(); ++i) {
@@ -777,17 +803,7 @@ Status ArchIS::TxnUpdate(Transaction* txn, const std::string& relation,
   change.old_row = std::move(old_row);
   change.new_row = new_row;
   change.when = clock_;
-  if (wal_ != nullptr) {
-    if (!txn->wal_begun_) {
-      ARCHIS_RETURN_NOT_OK(wal_->EnqueueBegin(txn->txn_id_));
-      txn->wal_begun_ = true;
-    }
-    ARCHIS_RETURN_NOT_OK(wal_->EnqueueChange(txn->txn_id_, change));
-  }
-  txn->changes_.push_back(std::move(change));
-  txn->overlay_[wkey] =
-      Transaction::OverlayEntry{new_row, DisplayKey(relation, key)};
-  return Status::OK();
+  return BufferChange(txn, std::move(wkey), std::move(change), found);
 }
 
 Status ArchIS::TxnDelete(Transaction* txn, const std::string& relation,
@@ -802,34 +818,26 @@ Status ArchIS::TxnDelete(Transaction* txn, const std::string& relation,
   MutexLock lock(commit_mu_);
   ARCHIS_ASSIGN_OR_RETURN(Table * table,
                           current_db_.catalog().GetTable(relation));
-  const std::string wkey = WriteSetKey(relation, key);
+  std::string wkey = WriteSetKey(relation, key);
   Tuple old_row;
+  storage::RecordId found;
   auto ov = txn->overlay_.find(wkey);
   if (ov != txn->overlay_.end()) {
-    if (!ov->second.row.has_value()) {
+    const Tuple* pending = txn->PendingRow(ov->second);
+    if (pending == nullptr) {
       return Status::NotFound("no current row with that key");
     }
-    old_row = *ov->second.row;
+    old_row = *pending;
   } else {
-    ARCHIS_RETURN_NOT_OK(
-        FindByKey(table, info->second, key, &old_row).status());
+    ARCHIS_ASSIGN_OR_RETURN(found,
+                            FindByKey(table, info->second, key, &old_row));
   }
   ChangeRecord change;
   change.kind = ChangeKind::kDelete;
   change.relation = relation;
   change.old_row = std::move(old_row);
   change.when = clock_;
-  if (wal_ != nullptr) {
-    if (!txn->wal_begun_) {
-      ARCHIS_RETURN_NOT_OK(wal_->EnqueueBegin(txn->txn_id_));
-      txn->wal_begun_ = true;
-    }
-    ARCHIS_RETURN_NOT_OK(wal_->EnqueueChange(txn->txn_id_, change));
-  }
-  txn->changes_.push_back(std::move(change));
-  txn->overlay_[wkey] =
-      Transaction::OverlayEntry{std::nullopt, DisplayKey(relation, key)};
-  return Status::OK();
+  return BufferChange(txn, std::move(wkey), std::move(change), found);
 }
 
 void ArchIS::UnregisterTxnLocked(uint64_t txn_id) {
@@ -840,7 +848,8 @@ void ArchIS::UnregisterTxnLocked(uint64_t txn_id) {
   if (open_txns_.empty()) key_last_writer_.clear();
 }
 
-Status ArchIS::ApplyCommitted(const ChangeRecord& change) {
+Status ArchIS::ApplyCommitted(const ChangeRecord& change,
+                              storage::RecordId* rid) {
   auto info = relations_.find(change.relation);
   if (info == relations_.end()) {
     return Status::Internal("commit apply for unknown relation '" +
@@ -848,34 +857,34 @@ Status ArchIS::ApplyCommitted(const ChangeRecord& change) {
   }
   ARCHIS_ASSIGN_OR_RETURN(Table * table,
                           current_db_.catalog().GetTable(change.relation));
-  switch (change.kind) {
-    case ChangeKind::kInsert:
-      ARCHIS_RETURN_NOT_OK(table->Insert(change.new_row).status());
-      break;
-    case ChangeKind::kUpdate: {
-      Tuple row;
+  if (change.kind == ChangeKind::kInsert) {
+    ARCHIS_ASSIGN_OR_RETURN(*rid, table->Insert(change.new_row));
+  } else {
+    // A carried rid still holds change.old_row: a commit that touched the
+    // key since would have aborted this one as a conflict.
+    Tuple stored;
+    const Tuple* old_row = &change.old_row;
+    if (!rid->valid()) {
       ARCHIS_ASSIGN_OR_RETURN(
-          storage::RecordId rid,
-          FindByKey(table, info->second, KeyOf(info->second, change.new_row),
-                    &row));
-      ARCHIS_RETURN_NOT_OK(table->Update(&rid, change.new_row));
-      break;
+          *rid, FindByKey(table, info->second,
+                          KeyOf(info->second, change.old_row), &stored));
+      old_row = &stored;
     }
-    case ChangeKind::kDelete: {
-      Tuple row;
-      ARCHIS_ASSIGN_OR_RETURN(
-          storage::RecordId rid,
-          FindByKey(table, info->second, KeyOf(info->second, change.old_row),
-                    &row));
-      ARCHIS_RETURN_NOT_OK(table->Delete(rid));
-      break;
+    if (change.kind == ChangeKind::kUpdate) {
+      ARCHIS_RETURN_NOT_OK(table->Update(rid, *old_row, change.new_row));
+    } else {
+      ARCHIS_RETURN_NOT_OK(table->Delete(*rid));
+      *rid = storage::RecordId{};
     }
   }
   ARCHIS_RETURN_NOT_OK(archiver_.Apply(change));
-  const Tuple& key_row = change.kind == ChangeKind::kDelete ? change.old_row
-                                                            : change.new_row;
-  dirty_current_keys_[change.relation].insert(
-      EncodeKeyValues(KeyOf(info->second, key_row)));
+  if (wal_backed()) {
+    const Tuple& key_row = change.kind == ChangeKind::kDelete
+                               ? change.old_row
+                               : change.new_row;
+    dirty_current_keys_[change.relation].insert(
+        EncodeKeyValues(KeyOf(info->second, key_row)));
+  }
   return Status::OK();
 }
 
@@ -919,18 +928,21 @@ Status ArchIS::CommitTxn(Transaction* txn) {
         CommitSecondsMetric(/*conflict=*/true)->Observe(commit_seconds());
         ConflictChangesMetric()->Inc(nchanges);
         ConflictWindowMetric()->Observe(0.0);
+        const std::string display = DisplayWriteSetKey(wkey);
         fr::Record(fr::EventType::kTxnConflict, txn->txn_id_, winner_seq, 0,
-                   entry.display);
+                   display);
         fr::Record(fr::EventType::kTxnAbort, txn->txn_id_, 0,
                    static_cast<uint32_t>(fr::AbortReason::kConflict));
         return Status::Conflict(
-            "write-write conflict on " + entry.display +
+            "write-write conflict on " + display +
             ": a concurrent transaction committed this key first");
       }
     }
     // One transaction, one transaction-time instant: the clock at commit.
     if (txn->stamp_at_commit_) {
-      for (ChangeRecord& change : txn->changes_) change.when = clock_;
+      for (Transaction::PendingChange& p : txn->changes_) {
+        p.change.when = clock_;
+      }
     }
     const uint64_t seq = commit_seq_ + 1;
     if (wal_ != nullptr) {
@@ -948,9 +960,14 @@ Status ArchIS::CommitTxn(Transaction* txn) {
       }
       ticket = *enq;
     }
+    if (txn->begin_drops_ != relations_dropped_) {
+      // A drop since Begin freed a table's pages, which later tables may
+      // reuse: carried record ids could name another row. Look them up.
+      for (auto& [wkey, entry] : txn->overlay_) entry.rid = {};
+    }
     Status applied = Status::OK();
-    for (const ChangeRecord& change : txn->changes_) {
-      applied = ApplyCommitted(change);
+    for (Transaction::PendingChange& p : txn->changes_) {
+      applied = ApplyCommitted(p.change, &p.entry->rid);
       if (!applied.ok()) break;
     }
     if (!applied.ok()) {
@@ -958,8 +975,12 @@ Status ArchIS::CommitTxn(Transaction* txn) {
       return applied;
     }
     commit_seq_ = seq;
-    for (const auto& [wkey, entry] : txn->overlay_) {
-      key_last_writer_[wkey] = seq;
+    // Only a transaction open now can have begun before this commit, so
+    // only then can these keys conflict with anything.
+    if (open_txns_.size() > 1) {
+      for (const auto& [wkey, entry] : txn->overlay_) {
+        key_last_writer_[wkey] = seq;
+      }
     }
     committed_seq = seq;
     UnregisterTxnLocked(txn->txn_id_);
@@ -1044,7 +1065,7 @@ Status ArchIS::ReplayChange(const ChangeRecord& change) {
           FindByKey(table, info->second, KeyOf(info->second, change.new_row),
                     &existing));
       if (existing == change.new_row) return Status::OK();  // already applied
-      ARCHIS_RETURN_NOT_OK(table->Update(&rid, change.new_row));
+      ARCHIS_RETURN_NOT_OK(table->Update(&rid, existing, change.new_row));
       ARCHIS_RETURN_NOT_OK(archiver_.Apply(change));
       applied_row = &change.new_row;
       break;

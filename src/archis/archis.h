@@ -182,12 +182,30 @@ class Transaction {
   friend class ArchIS;
 
   /// Write-set overlay entry: the transaction's view of one key.
-  /// `row` is the pending current-table tuple (nullopt = deleted);
-  /// `display` renders the key for conflict messages.
   struct OverlayEntry {
-    std::optional<minirel::Tuple> row;
-    std::string display;
+    /// Index in changes_ of the latest statement on the key; its new_row
+    /// (none after a delete) is the key's pending current-table tuple.
+    size_t latest = 0;
+    /// Where the key's current-table row sits: found by the statement
+    /// that first read it, then moved along by each applied change, so
+    /// commit apply needs no second lookup. Invalid = not known (commit
+    /// apply looks the key up in the pk index).
+    storage::RecordId rid;
   };
+
+  /// A buffered statement and the overlay entry of its key (std::map
+  /// nodes never move, so the pointer survives inserts and moves).
+  struct PendingChange {
+    ChangeRecord change;
+    OverlayEntry* entry;
+  };
+
+  /// The pending current-table tuple of `entry`'s key; nullptr once the
+  /// transaction deleted it.
+  const minirel::Tuple* PendingRow(const OverlayEntry& entry) const {
+    const ChangeRecord& c = changes_[entry.latest].change;
+    return c.kind == ChangeKind::kDelete ? nullptr : &c.new_row;
+  }
 
   Transaction(ArchIS* db, uint64_t txn_id, uint64_t begin_seq,
               bool stamp_at_commit);
@@ -201,7 +219,10 @@ class Transaction {
   /// Commit sequence number at Begin; commits with a later sequence on an
   /// overlapping key are conflicts.
   uint64_t begin_seq_;
-  std::vector<ChangeRecord> changes_;
+  /// ArchIS's relation-drop count at Begin: a drop in between frees pages,
+  /// so commit apply then drops the carried record ids.
+  uint64_t begin_drops_ = 0;
+  std::vector<PendingChange> changes_;
   /// Write set keyed by relation + encoded key values.
   std::map<std::string, OverlayEntry> overlay_;
   /// Owning thread. A move resets it to the null id ("unclaimed"); the
@@ -429,6 +450,12 @@ class ArchIS {
   Status TxnDelete(Transaction* txn, const std::string& relation,
                    const std::vector<minirel::Value>& key);
 
+  /// Logs `change` to the WAL, buffers it, and points its key's overlay
+  /// entry at the new row; `found` is where this statement found the key's
+  /// committed row (invalid when it did not look).
+  Status BufferChange(Transaction* txn, std::string wkey, ChangeRecord change,
+                      storage::RecordId found) ARCHIS_REQUIRES(commit_mu_);
+
   /// Commit protocol: conflict-validate the write set, stamp, apply to
   /// the current tables, archive, log; wait for durability outside the
   /// commit lock (group commit).
@@ -437,10 +464,16 @@ class ArchIS {
   /// Abort protocol: deregister and best-effort log an ABORT frame.
   Status AbortTxn(Transaction* txn);
 
-  /// Applies one committed change to the current table + H-tables and
-  /// marks the row dirty for the next incremental checkpoint.
-  Status ApplyCommitted(const ChangeRecord& change)
+  /// Applies one committed change to the current table + H-tables and,
+  /// on WAL-backed instances, marks the row dirty for the next incremental
+  /// checkpoint. `rid` is where the statement found the key's current row
+  /// (invalid: look it up); it is moved to where the row is afterwards.
+  Status ApplyCommitted(const ChangeRecord& change, storage::RecordId* rid)
       ARCHIS_REQUIRES(commit_mu_);
+
+  /// Whether this instance logs to a WAL (and so checkpoints, which is
+  /// what consumes dirty tracking).
+  bool wal_backed() const { return !options_.wal.path.empty(); }
 
   /// Deregisters `txn_id`; the last one out clears the committed-writer
   /// index (nothing left to conflict with).
@@ -534,6 +567,9 @@ class ArchIS {
   static std::string DisplayKey(const std::string& relation,
                                 const std::vector<minirel::Value>& key);
 
+  /// DisplayKey of a write-set key.
+  static std::string DisplayWriteSetKey(const std::string& wkey);
+
   /// Contributes the active-transaction table to flight-recorder crash
   /// dumps; registered for this instance's lifetime (defined in the .cc).
   class CrashSource;
@@ -557,14 +593,17 @@ class ArchIS {
   uint64_t next_txn_id_ ARCHIS_GUARDED_BY(commit_mu_) = 1;
   /// Ids of open transactions (admission + checkpoint active table).
   std::set<uint64_t> open_txns_ ARCHIS_GUARDED_BY(commit_mu_);
-  /// Last commit sequence that wrote each write-set key. Cleared when the
-  /// last open transaction finishes (no one left to conflict).
+  /// Last commit sequence that wrote each write-set key, recorded only
+  /// while another transaction is open (no later Begin can conflict with
+  /// it). Cleared when the last open transaction finishes.
   std::unordered_map<std::string, uint64_t> key_last_writer_
       ARCHIS_GUARDED_BY(commit_mu_);
   /// Current-table rows (encoded key values per relation) written since
-  /// the last checkpoint capture.
+  /// the last checkpoint capture (WAL-backed instances only).
   std::map<std::string, std::set<std::string>> dirty_current_keys_
       ARCHIS_GUARDED_BY(commit_mu_);
+  /// Relations dropped so far (see Transaction::begin_drops_).
+  uint64_t relations_dropped_ ARCHIS_GUARDED_BY(commit_mu_) = 0;
   /// Forces the next checkpoint to write a full base manifest. Starts
   /// true (fresh or recovered instances have no in-process chain) and is
   /// re-set by DDL, whose effects deltas cannot express.

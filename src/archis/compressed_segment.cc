@@ -3,21 +3,12 @@
 namespace archis::core {
 
 Result<std::unique_ptr<CompressedSegment>> CompressedSegment::Build(
-    const minirel::Schema& schema, const std::vector<minirel::Tuple>& rows,
-    size_t block_size, uint64_t cache_bytes) {
+    const minirel::Schema& schema,
+    const std::vector<std::pair<int64_t, std::string>>& records,
+    const std::vector<TimeInterval>& times, size_t block_size,
+    uint64_t cache_bytes) {
   auto seg = std::unique_ptr<CompressedSegment>(new CompressedSegment());
   seg->schema_ = schema;
-  const size_t tstart_col = schema.num_columns() - 2;
-  const size_t tend_col = schema.num_columns() - 1;
-  std::vector<std::pair<int64_t, std::string>> records;
-  std::vector<TimeInterval> times;
-  records.reserve(rows.size());
-  times.reserve(rows.size());
-  for (const minirel::Tuple& row : rows) {
-    ARCHIS_ASSIGN_OR_RETURN(std::string bytes, row.Encode(schema));
-    records.emplace_back(row.at(0).AsInt(), std::move(bytes));
-    times.emplace_back(row.at(tstart_col).AsDate(), row.at(tend_col).AsDate());
-  }
   compress::BlockZipOptions opts;
   opts.block_size = block_size;
   ARCHIS_RETURN_NOT_OK(seg->store_.Build(records, opts, times));
@@ -31,14 +22,19 @@ Status CompressedSegment::Scan(
     compress::BlobReadStats* stats) const {
   const int64_t lo = id.value_or(INT64_MIN);
   const int64_t hi = id.value_or(INT64_MAX);
-  return store_.ScanRangeInterval(
+  Status failure = Status::OK();
+  ARCHIS_RETURN_NOT_OK(store_.ScanRangeInterval(
       lo, hi, window,
       [&](int64_t, const std::string& rec) {
         auto t = minirel::Tuple::Decode(schema_, rec);
-        if (!t.ok()) return true;
+        if (!t.ok()) {
+          failure = t.status();
+          return false;  // abort: a vanishing row is silent data loss
+        }
         return fn(*t);
       },
-      stats);
+      stats));
+  return failure;
 }
 
 Status CompressedSegment::ScanAll(

@@ -23,19 +23,23 @@ namespace archis::core {
 /// BlockZIP-compressed storage for one frozen segment's rows.
 class CompressedSegment {
  public:
-  /// Compresses `rows` (already id-sorted; encoded with `schema`; tstart
-  /// and tend in the last two columns). `cache_bytes` > 0 enables the
+  /// Compresses id-sorted (id, record) pairs, each record a row encoded
+  /// with `schema` (tstart and tend in the last two columns), whose
+  /// intervals `times` parallels. `cache_bytes` > 0 enables the
   /// decompressed-block LRU cache of the underlying BlobStore.
   static Result<std::unique_ptr<CompressedSegment>> Build(
-      const minirel::Schema& schema, const std::vector<minirel::Tuple>& rows,
-      size_t block_size, uint64_t cache_bytes = 0);
+      const minirel::Schema& schema,
+      const std::vector<std::pair<int64_t, std::string>>& records,
+      const std::vector<TimeInterval>& times, size_t block_size,
+      uint64_t cache_bytes = 0);
 
   /// Decodes rows in stored (id, tstart) order. `id` restricts to one
   /// object via the block sid ranges; `window` skips blocks via the
   /// temporal zone maps. Rows of surviving blocks are NOT time-filtered —
   /// the zone map is a block-level test only, row-level filtering stays
   /// with the caller (which preserves the cross-segment dedup contract of
-  /// SegmentedStore::ScanSegments).
+  /// SegmentedStore::ScanSegments). A record that does not decode under
+  /// the schema fails the scan with Corruption.
   Status Scan(std::optional<int64_t> id,
               const std::optional<TimeInterval>& window,
               const std::function<bool(const minirel::Tuple&)>& fn,

@@ -14,7 +14,7 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
     minirel::Database* hdb, const std::string& name,
     const Schema& current_schema,
     const std::vector<std::string>& key_columns,
-    const SegmentOptions& seg_options, Date open_date) {
+    const SegmentOptions& seg_options, Date open_date, bool track_dirty) {
   if (key_columns.empty()) {
     return Status::InvalidArgument("relation needs at least one key column");
   }
@@ -22,6 +22,7 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
   set->name_ = name;
   set->current_schema_ = current_schema;
   set->key_columns_ = key_columns;
+  set->track_dirty_ = track_dirty;
   for (const std::string& k : key_columns) {
     ARCHIS_ASSIGN_OR_RETURN(size_t pos, current_schema.ColumnIndex(k));
     set->key_positions_.push_back(pos);
@@ -37,7 +38,7 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
   ARCHIS_ASSIGN_OR_RETURN(
       set->key_store_,
       SegmentedStore::Create(hdb, name + "_key", key_schema, seg_options,
-                             open_date));
+                             open_date, track_dirty));
 
   // One attribute history table per non-key column.
   for (size_t i = 0; i < current_schema.num_columns(); ++i) {
@@ -54,7 +55,7 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
     ARCHIS_ASSIGN_OR_RETURN(
         std::unique_ptr<SegmentedStore> store,
         SegmentedStore::Create(hdb, name + "_" + col.name, attr_schema,
-                               seg_options, open_date));
+                               seg_options, open_date, track_dirty));
     set->attr_stores_.push_back(std::move(store));
   }
   return set;
@@ -100,7 +101,7 @@ Result<int64_t> HTableSet::IdFor(const Tuple& current_row) {
   auto [it, inserted] = surrogate_ids_.try_emplace(encoded, next_surrogate_);
   if (inserted) {
     ++next_surrogate_;
-    dirty_surrogates_.emplace_back(it->first, it->second);
+    if (track_dirty_) dirty_surrogates_.emplace_back(it->first, it->second);
   }
   return it->second;
 }

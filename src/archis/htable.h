@@ -25,12 +25,14 @@ class HTableSet {
   /// Creates key + attribute stores inside `hdb` for relation `name` with
   /// the given current-table schema. `key_columns` name the relation key
   /// (one INT64 column uses its value as id; anything else gets a
-  /// surrogate).
+  /// surrogate). `track_dirty` keeps checkpoint dirty state (stores and
+  /// surrogates; WAL-backed instances only).
   static Result<std::unique_ptr<HTableSet>> Create(
       minirel::Database* hdb, const std::string& name,
       const minirel::Schema& current_schema,
       const std::vector<std::string>& key_columns,
-      const SegmentOptions& seg_options, Date open_date);
+      const SegmentOptions& seg_options, Date open_date,
+      bool track_dirty = false);
 
   const std::string& relation() const { return name_; }
   const minirel::Schema& current_schema() const { return current_schema_; }
@@ -129,6 +131,7 @@ class HTableSet {
   std::unordered_map<std::string, int64_t> surrogate_ids_;
   /// Assignments minted since the last checkpoint capture, in mint order.
   std::vector<std::pair<std::string, int64_t>> dirty_surrogates_;
+  bool track_dirty_ = false;
   int64_t next_surrogate_ = 1;
 };
 

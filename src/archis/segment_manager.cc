@@ -1,6 +1,8 @@
 #include "archis/segment_manager.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <queue>
 
 #include "common/flight_recorder.h"
@@ -66,6 +68,28 @@ VersionKey VersionOf(const Tuple& row, size_t tstart_col) {
   return {row.at(0).AsInt(), row.at(tstart_col).AsDate().days()};
 }
 
+// A store record is its row's values encoded back to back
+// (Tuple::Encode), and INT64 and DATE values encode as fixed 8-byte
+// integers (Value::EncodeTo). So the id is a record's first 8 bytes and
+// its interval the last 16: the update path reads and closes versions
+// without decoding them.
+constexpr size_t kFixedBytes = sizeof(int64_t);
+const int64_t kForeverDays = Date::Forever().days();
+
+int64_t FixedAt(std::string_view record, size_t pos) {
+  int64_t v;
+  std::memcpy(&v, record.data() + pos, kFixedBytes);
+  return v;
+}
+
+int64_t TstartDays(std::string_view record) {
+  return FixedAt(record, record.size() - 2 * kFixedBytes);
+}
+
+int64_t TendDays(std::string_view record) {
+  return FixedAt(record, record.size() - kFixedBytes);
+}
+
 void AccumulateBlobStats(const compress::BlobReadStats& b,
                          StoreScanStats* stats) {
   if (stats == nullptr) return;
@@ -79,7 +103,8 @@ void AccumulateBlobStats(const compress::BlobReadStats& b,
 
 Result<std::unique_ptr<SegmentedStore>> SegmentedStore::Create(
     minirel::Database* db, const std::string& name,
-    const Schema& row_schema, SegmentOptions options, Date open_date) {
+    const Schema& row_schema, SegmentOptions options, Date open_date,
+    bool track_dirty) {
   if (row_schema.num_columns() < 3) {
     return Status::InvalidArgument(
         "row schema needs at least (id, tstart, tend)");
@@ -87,14 +112,20 @@ Result<std::unique_ptr<SegmentedStore>> SegmentedStore::Create(
   if (row_schema.column(0).type != minirel::DataType::kInt64) {
     return Status::InvalidArgument("column 0 must be the INT64 id");
   }
+  const size_t ncols = row_schema.num_columns();
+  if (row_schema.column(ncols - 2).type != minirel::DataType::kDate ||
+      row_schema.column(ncols - 1).type != minirel::DataType::kDate) {
+    return Status::InvalidArgument("tstart and tend must be DATE columns");
+  }
   auto store = std::unique_ptr<SegmentedStore>(new SegmentedStore());
   store->name_ = name;
   store->row_schema_ = row_schema;
   store->options_ = options;
   store->db_ = db;
   store->live_start_ = open_date;
-  store->tstart_col_ = row_schema.num_columns() - 2;
-  store->tend_col_ = row_schema.num_columns() - 1;
+  store->track_dirty_ = track_dirty;
+  store->tstart_col_ = ncols - 2;
+  store->tend_col_ = ncols - 1;
 
   ARCHIS_ASSIGN_OR_RETURN(store->live_,
                           db->catalog().CreateTable(name + "__live",
@@ -120,55 +151,63 @@ SegmentedStore::~SegmentedStore() {
   FrozenSegmentsMetric()->Add(-static_cast<int64_t>(segments_.size()));
 }
 
-Status SegmentedStore::InsertVersion(int64_t id,
-                                     const std::vector<Value>& values,
-                                     Date now) {
+Result<std::string> SegmentedStore::EncodeVersion(
+    int64_t id, const std::vector<Value>& values, Date tstart,
+    Date tend) const {
   if (values.size() + 3 != row_schema_.num_columns()) {
     return Status::InvalidArgument("value arity mismatch for " + name_);
   }
-  Tuple row;
-  row.Append(Value(id));
-  for (const Value& v : values) row.Append(v);
-  row.Append(Value(now));
-  row.Append(Value(Date::Forever()));
-  ARCHIS_RETURN_NOT_OK(live_->Insert(row).status());
+  std::string record;
+  Value(id).EncodeTo(&record);
+  for (size_t i = 0; i < values.size(); ++i) {
+    const minirel::Column& col = row_schema_.column(1 + i);
+    if (values[i].type() != col.type) {
+      return Status::TypeError("column '" + col.name + "' expects " +
+                               minirel::DataTypeName(col.type) + ", got " +
+                               minirel::DataTypeName(values[i].type()));
+    }
+    values[i].EncodeTo(&record);
+  }
+  Value(tstart).EncodeTo(&record);
+  Value(tend).EncodeTo(&record);
+  return record;
+}
+
+Status SegmentedStore::AddVersion(int64_t id, std::string_view record,
+                                  const TimeInterval& interval) {
+  ARCHIS_RETURN_NOT_OK(live_->InsertRecord(record, {Value(id)}).status());
   ++live_total_;
-  ++live_current_;
   ++stats_.versions_total;
-  ++stats_.versions_open;
-  stats_.tstart_hist.Add(now.days());
+  stats_.tstart_hist.Add(interval.tstart.days());
   stats_.distinct_ids.Add(id);
-  dirty_.emplace(id, now.days());
+  if (interval.is_current()) {
+    ++live_current_;
+    ++stats_.versions_open;
+  } else {
+    stats_.tend_hist.Add(interval.tend.days());
+  }
+  if (track_dirty_) dirty_.emplace(id, interval.tstart.days());
   return Status::OK();
+}
+
+Status SegmentedStore::InsertVersion(int64_t id,
+                                     const std::vector<Value>& values,
+                                     Date now) {
+  ARCHIS_ASSIGN_OR_RETURN(std::string record,
+                          EncodeVersion(id, values, now, Date::Forever()));
+  return AddVersion(id, record, MakeInterval(now, Date::Forever()));
 }
 
 Status SegmentedStore::LoadVersion(int64_t id,
                                    const std::vector<Value>& values,
                                    const TimeInterval& interval) {
-  if (values.size() + 3 != row_schema_.num_columns()) {
-    return Status::InvalidArgument("value arity mismatch for " + name_);
-  }
   if (!interval.valid()) {
     return Status::InvalidArgument("invalid interval for " + name_);
   }
-  Tuple row;
-  row.Append(Value(id));
-  for (const Value& v : values) row.Append(v);
-  row.Append(Value(interval.tstart));
-  row.Append(Value(interval.tend));
-  ARCHIS_RETURN_NOT_OK(live_->Insert(row).status());
-  ++live_total_;
-  if (interval.is_current()) ++live_current_;
-  ++stats_.versions_total;
-  stats_.tstart_hist.Add(interval.tstart.days());
-  stats_.distinct_ids.Add(id);
-  if (interval.is_current()) {
-    ++stats_.versions_open;
-  } else {
-    stats_.tend_hist.Add(interval.tend.days());
-  }
-  dirty_.emplace(id, interval.tstart.days());
-  return Status::OK();
+  ARCHIS_ASSIGN_OR_RETURN(
+      std::string record,
+      EncodeVersion(id, values, interval.tstart, interval.tend));
+  return AddVersion(id, record, interval);
 }
 
 Status SegmentedStore::LoadCheckpointRows(
@@ -223,7 +262,7 @@ Status SegmentedStore::UpsertCheckpointRow(const Tuple& row) {
   }
   const bool was_open = found_row->at(tend_col_).AsDate().IsForever();
   storage::RecordId rid = *found_rid;
-  ARCHIS_RETURN_NOT_OK(live_->Update(&rid, row));
+  ARCHIS_RETURN_NOT_OK(live_->Update(&rid, *found_row, row));
   // Keep the open/closed counters coherent; the full statistics snapshot
   // is installed from the delta's stats blob afterwards.
   if (was_open && !interval.is_current()) {
@@ -233,7 +272,7 @@ Status SegmentedStore::UpsertCheckpointRow(const Tuple& row) {
     ++live_current_;
     ++stats_.versions_open;
   }
-  dirty_.emplace(id, tstart.days());
+  if (track_dirty_) dirty_.emplace(id, tstart.days());
   return Status::OK();
 }
 
@@ -248,83 +287,87 @@ void SegmentedStore::MergeDirty(
   dirty_.insert(dirty.begin(), dirty.end());
 }
 
-Status SegmentedStore::FindOpenVersion(int64_t id,
-                                       std::optional<storage::RecordId>* rid,
-                                       std::optional<Tuple>* row) {
-  const minirel::TableIndex* idx = live_->GetIndex("id");
-  minirel::IndexKey key{Value(id)};
+Status SegmentedStore::FindOpenVersion(int64_t id, storage::RecordId* rid,
+                                       std::string* record) const {
+  const minirel::TableIndex& idx = *live_->GetIndex("id");
+  const minirel::IndexKey key{Value(id)};
+  // Updates append an id's versions in time order and never move a
+  // closed one, so the open version is the id's last index entry: one
+  // index descent and one record read, nothing decoded.
+  if (const storage::RecordId* last = idx.tree.FindLast(key)) {
+    ARCHIS_ASSIGN_OR_RETURN(*record, live_->heap().Read(*last));
+    assert(record->size() >= 3 * kFixedBytes && FixedAt(*record, 0) == id);
+    if (TendDays(*record) == kForeverDays) {
+      *rid = *last;
+      return Status::OK();
+    }
+  }
+  // Bulk loads (H-document import, checkpoint restore) may leave a closed
+  // version behind the open one; walk every version of the id.
+  bool found = false;
   ARCHIS_RETURN_NOT_OK(live_->IndexScan(
-      *idx, key, key, [&](const storage::RecordId& r, const Tuple& t) {
-        if (t.at(tend_col_).AsDate().IsForever()) {
-          *rid = r;
-          *row = t;
-          return false;
-        }
-        return true;
+      idx, key, key, [&](const storage::RecordId& r, const Tuple& t) {
+        if (!t.at(tend_col_).AsDate().IsForever()) return true;
+        *rid = r;
+        found = true;
+        return false;
       }));
-  if (!rid->has_value()) {
+  if (!found) {
     return Status::NotFound("no live version of id " + std::to_string(id) +
                             " in " + name_);
   }
+  ARCHIS_ASSIGN_OR_RETURN(*record, live_->heap().Read(*rid));
+  return Status::OK();
+}
+
+Status SegmentedStore::CloseOpenVersion(int64_t id, storage::RecordId rid,
+                                        std::string* record, Date now) {
+  // Close the interval the day before the change takes effect, matching the
+  // paper's adjacent-interval samples (…02/19/1989][02/20/1989…).
+  const Date tstart(TstartDays(*record));
+  Date end = now.AddDays(-1);
+  if (end < tstart) end = tstart;
+  const int64_t end_days = end.days();
+  std::memcpy(record->data() + record->size() - kFixedBytes, &end_days,
+              kFixedBytes);
+  // Same size and same id: the record is overwritten where it lies.
+  ARCHIS_RETURN_NOT_OK(live_->UpdateRecord(&rid, *record, {Value(id)}));
+  NoteClose(id, tstart, end);
+  if (live_current_ > 0) --live_current_;
+  if (stats_.versions_open > 0) --stats_.versions_open;
+  stats_.tend_hist.Add(end_days);
+  if (track_dirty_) dirty_.emplace(id, tstart.days());
   return Status::OK();
 }
 
 Status SegmentedStore::CloseVersion(int64_t id, Date now) {
-  std::optional<storage::RecordId> found_rid;
-  std::optional<Tuple> found_row;
-  ARCHIS_RETURN_NOT_OK(FindOpenVersion(id, &found_rid, &found_row));
-  Tuple row = *found_row;
-  // Close the interval the day before the change takes effect, matching the
-  // paper's adjacent-interval samples (…02/19/1989][02/20/1989…).
-  Date end = now.AddDays(-1);
-  if (end < row.at(tstart_col_).AsDate()) end = row.at(tstart_col_).AsDate();
-  row.at(tend_col_) = Value(end);
-  storage::RecordId rid = *found_rid;
-  ARCHIS_RETURN_NOT_OK(live_->Update(&rid, row));
-  NoteClose(id, row.at(tstart_col_).AsDate(), end);
-  if (live_current_ > 0) --live_current_;
-  if (stats_.versions_open > 0) --stats_.versions_open;
-  stats_.tend_hist.Add(end.days());
-  dirty_.emplace(id, row.at(tstart_col_).AsDate().days());
+  storage::RecordId rid;
+  std::string record;
+  ARCHIS_RETURN_NOT_OK(FindOpenVersion(id, &rid, &record));
+  ARCHIS_RETURN_NOT_OK(CloseOpenVersion(id, rid, &record, now));
   return FreezeIfNeeded(now);
 }
 
 Status SegmentedStore::ReplaceVersion(int64_t id,
                                       const std::vector<Value>& values,
                                       Date now) {
-  if (values.size() + 3 != row_schema_.num_columns()) {
-    return Status::InvalidArgument("value arity mismatch for " + name_);
-  }
-  std::optional<storage::RecordId> found_rid;
-  std::optional<Tuple> found_row;
-  ARCHIS_RETURN_NOT_OK(FindOpenVersion(id, &found_rid, &found_row));
-  if (found_row->at(tstart_col_).AsDate() == now) {
+  ARCHIS_ASSIGN_OR_RETURN(std::string fresh,
+                          EncodeVersion(id, values, now, Date::Forever()));
+  storage::RecordId rid;
+  std::string record;
+  ARCHIS_RETURN_NOT_OK(FindOpenVersion(id, &rid, &record));
+  if (TstartDays(record) == now.days()) {
     // The open version was born today; overwrite its value columns so the
     // store never holds two versions sharing (id, tstart). A frozen copy of
     // the old value may exist, but the live row is the newer source and
     // shadows it in every scan.
-    Tuple row = *found_row;
-    for (size_t i = 0; i < values.size(); ++i) row.at(1 + i) = values[i];
-    storage::RecordId rid = *found_rid;
-    ARCHIS_RETURN_NOT_OK(live_->Update(&rid, row));
-    dirty_.emplace(id, now.days());
+    ARCHIS_RETURN_NOT_OK(live_->UpdateRecord(&rid, fresh, {Value(id)}));
+    if (track_dirty_) dirty_.emplace(id, now.days());
     return Status::OK();
   }
-  Tuple row = *found_row;
-  Date closed_at = now.AddDays(-1);
-  if (closed_at < row.at(tstart_col_).AsDate()) {
-    closed_at = row.at(tstart_col_).AsDate();
-  }
-  row.at(tend_col_) = Value(closed_at);
-  storage::RecordId rid = *found_rid;
-  ARCHIS_RETURN_NOT_OK(live_->Update(&rid, row));
-  NoteClose(id, row.at(tstart_col_).AsDate(), closed_at);
-  if (live_current_ > 0) --live_current_;
-  if (stats_.versions_open > 0) --stats_.versions_open;
-  stats_.tend_hist.Add(closed_at.days());
-  dirty_.emplace(id, row.at(tstart_col_).AsDate().days());
+  ARCHIS_RETURN_NOT_OK(CloseOpenVersion(id, rid, &record, now));
   ARCHIS_RETURN_NOT_OK(FreezeIfNeeded(now));
-  return InsertVersion(id, values, now);
+  return AddVersion(id, fresh, MakeInterval(now, Date::Forever()));
 }
 
 void SegmentedStore::NoteClose(int64_t id, Date tstart, Date tend) {
@@ -367,66 +410,96 @@ Status SegmentedStore::Freeze(Date now) {
   // The clustering decision this freeze embodies: U at freeze time.
   const double usefulness_at_freeze = Usefulness();
 
-  // 1. Collect every tuple of the live segment, sorted by (id, tstart).
-  std::vector<Tuple> rows;
-  rows.reserve(live_total_);
-  ARCHIS_RETURN_NOT_OK(
-      live_->Scan([&](const storage::RecordId&, const Tuple& row) {
-        rows.push_back(row);
-        return true;
-      }));
-  std::sort(rows.begin(), rows.end(), [&](const Tuple& a, const Tuple& b) {
-    return VersionOf(a, tstart_col_) < VersionOf(b, tstart_col_);
+  // 1. Copy every record of the live segment out, sorted by version
+  //    (id, tstart). The copies outlive the live table dropped in step 4.
+  struct Version {
+    VersionKey key;
+    size_t offset;  // into `bytes`
+    size_t size;
+  };
+  std::string bytes;
+  std::vector<Version> versions;
+  versions.reserve(live_total_);
+  bool truncated = false;
+  live_->heap().Scan([&](const storage::RecordId&, std::string_view rec) {
+    if (rec.size() < 3 * kFixedBytes) {
+      truncated = true;
+      return false;
+    }
+    versions.push_back({{FixedAt(rec, 0), TstartDays(rec)}, bytes.size(),
+                        rec.size()});
+    bytes.append(rec);
+    return true;
   });
+  if (truncated) return Status::Corruption("truncated live record in " + name_);
+  std::sort(versions.begin(), versions.end(),
+            [](const Version& a, const Version& b) { return a.key < b.key; });
+  auto record = [&bytes](const Version& v) {
+    return std::string_view(bytes).substr(v.offset, v.size);
+  };
 
   // 2. Allocate the segment and record its interval.
   SegmentInfo info;
   info.segno = next_segno_++;
   info.interval = MakeInterval(live_start_, now);
-  info.tuple_count = rows.size();
+  info.tuple_count = versions.size();
   info.compressed = options_.compress;
   // Rows are (id, tstart)-sorted, so the exact distinct-id count of the
   // segment is one transition scan (planner input, DESIGN.md §11).
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i == 0 || rows[i].at(0).AsInt() != rows[i - 1].at(0).AsInt()) {
+  for (size_t i = 0; i < versions.size(); ++i) {
+    if (i == 0 || versions[i].key.first != versions[i - 1].key.first) {
       ++info.distinct_ids;
     }
   }
 
-  // 3. Materialise the frozen segment: BlockZIP blob or id-clustered rows.
+  // 3. Materialise the frozen segment: BlockZIP blob or id-clustered rows,
+  //    each arch row being segno followed by the live record.
   if (options_.compress) {
+    std::vector<std::pair<int64_t, std::string>> records;
+    std::vector<TimeInterval> times;
+    records.reserve(versions.size());
+    times.reserve(versions.size());
+    for (const Version& v : versions) {
+      records.emplace_back(v.key.first, std::string(record(v)));
+      times.emplace_back(Date(v.key.second), Date(TendDays(record(v))));
+    }
     ARCHIS_ASSIGN_OR_RETURN(
         std::unique_ptr<CompressedSegment> seg,
-        CompressedSegment::Build(row_schema_, rows, options_.block_size,
+        CompressedSegment::Build(row_schema_, records, times,
+                                 options_.block_size,
                                  options_.block_cache_bytes));
     info.blocks = seg->block_count();
     compressed_.push_back(std::move(seg));
   } else {
     compressed_.push_back(nullptr);
-    for (const Tuple& row : rows) {
-      Tuple arch_row;
-      arch_row.Append(Value(info.segno));
-      for (const Value& v : row.values()) arch_row.Append(v);
-      ARCHIS_RETURN_NOT_OK(arch_->Insert(arch_row).status());
+    std::string arch_record;
+    for (const Version& v : versions) {
+      arch_record.clear();
+      Value(info.segno).EncodeTo(&arch_record);
+      arch_record.append(record(v));
+      ARCHIS_RETURN_NOT_OK(
+          arch_->AppendRecord(arch_record,
+                              {Value(info.segno), Value(v.key.first)})
+              .status());
     }
   }
   segments_.push_back(info);
 
   // 4. New live segment with only the live tuples; drop the old one.
-  std::vector<Tuple> carried;
-  for (const Tuple& row : rows) {
-    if (row.at(tend_col_).AsDate().IsForever()) carried.push_back(row);
-  }
   ARCHIS_RETURN_NOT_OK(db_->catalog().DropTable(name_ + "__live"));
   ARCHIS_ASSIGN_OR_RETURN(live_, db_->catalog().CreateTable(name_ + "__live",
                                                             row_schema_));
   ARCHIS_RETURN_NOT_OK(live_->CreateIndex("id",
                                           {row_schema_.column(0).name}));
-  for (const Tuple& row : carried) {
-    ARCHIS_RETURN_NOT_OK(live_->Insert(row).status());
+  uint64_t carried = 0;
+  for (const Version& v : versions) {
+    if (TendDays(record(v)) != kForeverDays) continue;
+    ARCHIS_RETURN_NOT_OK(
+        live_->AppendRecord(record(v), {Value(v.key.first)}).status());
+    ++carried;
   }
-  live_total_ = carried.size();
-  live_current_ = carried.size();
+  live_total_ = carried;
+  live_current_ = carried;
   live_start_ = now;
   FreezesMetric()->Inc();
   FreezeUsefulnessMetric()->Observe(usefulness_at_freeze);
@@ -439,7 +512,7 @@ Status SegmentedStore::Freeze(Date now) {
       .Kv("segno", info.segno)
       .Kv("usefulness", usefulness_at_freeze)
       .Kv("tuples", info.tuple_count)
-      .Kv("carried_live", carried.size())
+      .Kv("carried_live", carried)
       .Kv("compressed", options_.compress);
   return Status::OK();
 }

@@ -87,16 +87,25 @@ struct StoreScanStats {
 /// One segmented H-table.
 ///
 /// Row layout: (id INT64, <value columns...>, tstart DATE, tend DATE).
-/// The id is column 0; tstart/tend are the last two columns.
+/// The id is column 0; tstart/tend are the last two columns. INT64 and
+/// DATE encode as fixed 8-byte integers, so the update path reads a
+/// record's id and interval straight from its bytes.
+///
+/// The live segment changes in exactly three ways: a version is appended,
+/// an open version's 8-byte tend is closed in place, or a version opened
+/// today gets its values replaced (same-day last-writer-wins). Frozen
+/// segments never change.
 class SegmentedStore {
  public:
   /// Creates the backing tables inside `db`:
   ///   <name>__live  (id, values..., tstart, tend)      + index on id
   ///   <name>__arch  (segno, id, values..., tstart, tend) + index (segno,id)
+  /// `track_dirty` keeps the checkpoint dirty set (WAL-backed instances
+  /// only: nothing else drains it).
   static Result<std::unique_ptr<SegmentedStore>> Create(
       minirel::Database* db, const std::string& name,
       const minirel::Schema& row_schema, SegmentOptions options,
-      Date open_date);
+      Date open_date, bool track_dirty = false);
 
   /// Releases this store's contribution to the process-wide frozen-segment
   /// gauge (archis_frozen_segments).
@@ -150,7 +159,8 @@ class SegmentedStore {
   /// Version identities (id, tstart days) written since the last
   /// checkpoint capture. A checkpoint drains this with TakeDirty(),
   /// serializes the named rows into a delta manifest, and merges the set
-  /// back with MergeDirty() if the install fails.
+  /// back with MergeDirty() if the install fails. Always empty unless the
+  /// store was created with `track_dirty`.
   size_t dirty_count() const { return dirty_.size(); }
   std::set<std::pair<int64_t, int64_t>> TakeDirty();
   void MergeDirty(const std::set<std::pair<int64_t, int64_t>>& dirty);
@@ -193,6 +203,12 @@ class SegmentedStore {
   /// The segment metadata table (frozen segments only).
   const std::vector<SegmentInfo>& segments() const { return segments_; }
 
+  /// The BlockZIP blob of frozen segment `index` (its position in
+  /// segments()); nullptr for uncompressed segments.
+  const CompressedSegment* compressed_segment(size_t index) const {
+    return index < compressed_.size() ? compressed_[index].get() : nullptr;
+  }
+
   /// The statistics catalog entry for this store, maintained incrementally
   /// by the update path and rebuilt by recovery (LoadCheckpointRows routes
   /// through LoadVersion).
@@ -234,9 +250,23 @@ class SegmentedStore {
   SegmentedStore() = default;
 
   Status FreezeIfNeeded(Date now);
-  /// Locates the open (tend = forever) live row for `id`; NotFound if none.
-  Status FindOpenVersion(int64_t id, std::optional<storage::RecordId>* rid,
-                         std::optional<minirel::Tuple>* row);
+  /// Encodes (id, values..., tstart, tend) in row_schema_'s record format,
+  /// checking the values' arity and types.
+  Result<std::string> EncodeVersion(int64_t id,
+                                    const std::vector<minirel::Value>& values,
+                                    Date tstart, Date tend) const;
+  /// Adds the encoded version `record` of `id` to the live segment and
+  /// the statistics.
+  Status AddVersion(int64_t id, std::string_view record,
+                    const TimeInterval& interval);
+  /// Locates the open (tend = forever) live record for `id`; NotFound if
+  /// none.
+  Status FindOpenVersion(int64_t id, storage::RecordId* rid,
+                         std::string* record) const;
+  /// Closes the open version `record` of `id` at `rid`: tend = now - 1,
+  /// clamped to tstart, written over the record's last 8 bytes.
+  Status CloseOpenVersion(int64_t id, storage::RecordId rid,
+                          std::string* record, Date now);
   /// Scans the frozen segments `segnos` (oldest first) plus, optionally,
   /// the live segment. Rows outside `filter` or not matching `id_filter`
   /// are dropped; with more than one source the newest copy of each
@@ -285,6 +315,7 @@ class SegmentedStore {
   /// (id, tstart days) — the same key the multi-segment merge uses, so a
   /// delta row replayed onto a restored store lands on the right version.
   std::set<std::pair<int64_t, int64_t>> dirty_;
+  bool track_dirty_ = false;
   /// Authoritative tend of versions closed after a freeze copied them open,
   /// by identity (id, tstart days). Frozen copies are immutable, so a scan
   /// that reaches such a version only through older segments (a snapshot

@@ -13,9 +13,10 @@ Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema) {
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  if (tables_.erase(name) == 0) {
-    return Status::NotFound("table '" + name + "'");
-  }
+  auto it = tables_.find(name);
+  if (it == tables_.end()) return Status::NotFound("table '" + name + "'");
+  it->second->heap().Clear();
+  tables_.erase(it);
   return Status::OK();
 }
 

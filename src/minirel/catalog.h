@@ -19,7 +19,7 @@ class Catalog {
   /// Creates an empty table; AlreadyExists if the name is taken.
   Result<Table*> CreateTable(const std::string& name, Schema schema);
 
-  /// Drops a table; its pages remain allocated in the PageManager.
+  /// Drops a table and returns its pages to the PageManager for reuse.
   Status DropTable(const std::string& name);
 
   /// The table named `name`, or NotFound.

@@ -27,16 +27,57 @@ Status Table::Delete(const storage::RecordId& rid) {
 
 Status Table::Update(storage::RecordId* rid, const Tuple& t) {
   ARCHIS_ASSIGN_OR_RETURN(Tuple old, Read(*rid));
-  ARCHIS_ASSIGN_OR_RETURN(std::string bytes, t.Encode(schema_));
+  return Update(rid, old, t);
+}
+
+Status Table::Update(storage::RecordId* rid, const Tuple& old_row,
+                     const Tuple& new_row) {
+  ARCHIS_ASSIGN_OR_RETURN(std::string bytes, new_row.Encode(schema_));
   storage::RecordId old_rid = *rid;
   ARCHIS_RETURN_NOT_OK(heap_.Update(rid, bytes));
   for (auto& idx : indexes_) {
-    IndexKey old_key = KeyFor(*idx, old);
-    IndexKey new_key = KeyFor(*idx, t);
+    IndexKey old_key = KeyFor(*idx, old_row);
+    IndexKey new_key = KeyFor(*idx, new_row);
     if (old_key != new_key || old_rid != *rid) {
       idx->tree.Erase(old_key, old_rid);
       idx->tree.Insert(new_key, *rid);
     }
+  }
+  return Status::OK();
+}
+
+Result<TableIndex*> Table::SoleIndex() {
+  if (indexes_.size() != 1) {
+    return Status::InvalidArgument("encoded-record access to table '" +
+                                   name_ + "' needs exactly one index");
+  }
+  return indexes_.front().get();
+}
+
+Result<storage::RecordId> Table::InsertRecord(std::string_view record,
+                                              const IndexKey& key) {
+  ARCHIS_ASSIGN_OR_RETURN(TableIndex * idx, SoleIndex());
+  ARCHIS_ASSIGN_OR_RETURN(storage::RecordId rid, heap_.Append(record));
+  idx->tree.Insert(key, rid);
+  return rid;
+}
+
+Result<storage::RecordId> Table::AppendRecord(std::string_view record,
+                                              const IndexKey& key) {
+  ARCHIS_ASSIGN_OR_RETURN(TableIndex * idx, SoleIndex());
+  ARCHIS_ASSIGN_OR_RETURN(storage::RecordId rid, heap_.Append(record));
+  idx->tree.Append(key, rid);
+  return rid;
+}
+
+Status Table::UpdateRecord(storage::RecordId* rid, std::string_view record,
+                           const IndexKey& key) {
+  ARCHIS_ASSIGN_OR_RETURN(TableIndex * idx, SoleIndex());
+  const storage::RecordId old_rid = *rid;
+  ARCHIS_RETURN_NOT_OK(heap_.Update(rid, record));
+  if (*rid != old_rid) {
+    idx->tree.Erase(key, old_rid);
+    idx->tree.Insert(key, *rid);
   }
   return Status::OK();
 }

@@ -57,6 +57,32 @@ class Table {
   /// case the new record id is written back through `rid`.
   Status Update(storage::RecordId* rid, const Tuple& t);
 
+  /// Update for a caller that already holds the stored tuple `old_row`
+  /// (it must be the row at `rid`): skips re-reading it for the old index
+  /// keys.
+  Status Update(storage::RecordId* rid, const Tuple& old_row,
+                const Tuple& new_row);
+
+  // -- Encoded-record access ---------------------------------------------
+  // For tables with exactly one index, whose callers build records in
+  // Tuple::Encode's format themselves. `key` is the record's key in that
+  // index; the caller guarantees both match the bytes.
+
+  /// Inserts an encoded record.
+  Result<storage::RecordId> InsertRecord(std::string_view record,
+                                         const IndexKey& key);
+
+  /// InsertRecord for a key >= every key already indexed (sorted bulk
+  /// loads): the index append skips the search.
+  Result<storage::RecordId> AppendRecord(std::string_view record,
+                                         const IndexKey& key);
+
+  /// Replaces the record at `rid` with `record`, whose index key `key` is
+  /// unchanged; a record that no longer fits moves, and `rid` follows it.
+  /// A same-size record is overwritten in place.
+  Status UpdateRecord(storage::RecordId* rid, std::string_view record,
+                      const IndexKey& key);
+
   /// Creates a B+-tree index named `index_name` over `column_names`,
   /// back-filling from existing rows.
   Status CreateIndex(const std::string& index_name,
@@ -103,6 +129,8 @@ class Table {
 
  private:
   IndexKey KeyFor(const TableIndex& index, const Tuple& t) const;
+  /// The single index of an encoded-record table.
+  Result<TableIndex*> SoleIndex();
 
   std::string name_;
   Schema schema_;

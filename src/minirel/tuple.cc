@@ -2,11 +2,10 @@
 
 namespace archis::minirel {
 
-Result<std::string> Tuple::Encode(const Schema& schema) const {
+Status Tuple::CheckSchema(const Schema& schema) const {
   if (values_.size() != schema.num_columns()) {
     return Status::InvalidArgument("tuple arity does not match schema");
   }
-  std::string out;
   for (size_t i = 0; i < values_.size(); ++i) {
     if (values_[i].type() != schema.column(i).type) {
       return Status::TypeError("column '" + schema.column(i).name +
@@ -14,8 +13,14 @@ Result<std::string> Tuple::Encode(const Schema& schema) const {
                                DataTypeName(schema.column(i).type) +
                                ", got " + DataTypeName(values_[i].type()));
     }
-    values_[i].EncodeTo(&out);
   }
+  return Status::OK();
+}
+
+Result<std::string> Tuple::Encode(const Schema& schema) const {
+  ARCHIS_RETURN_NOT_OK(CheckSchema(schema));
+  std::string out;
+  for (const Value& v : values_) v.EncodeTo(&out);
   return out;
 }
 

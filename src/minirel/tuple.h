@@ -23,6 +23,10 @@ class Tuple {
 
   void Append(Value v) { values_.push_back(std::move(v)); }
 
+  /// OK when the tuple has `schema`'s arity and column types (what Encode
+  /// requires), without encoding it.
+  Status CheckSchema(const Schema& schema) const;
+
   /// Serializes per `schema` column order into a byte string.
   Result<std::string> Encode(const Schema& schema) const;
 

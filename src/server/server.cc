@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -765,6 +766,12 @@ struct ArchisServer::Impl {
       }
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      // Bounded sends: a write that makes no progress fails with EAGAIN,
+      // and the session ends instead of blocking Stop().
+      timeval send_timeout{};
+      send_timeout.tv_sec = kSessionSendTimeoutSeconds;
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                   sizeof(send_timeout));
       SpawnSession(fd, http);
       ReapFinished();
     }

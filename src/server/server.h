@@ -35,6 +35,14 @@ class ArchIS;
 
 namespace archis::server {
 
+/// Longest a session's send may make no progress before the session is
+/// dropped (SO_SNDTIMEO). A peer that stops reading would otherwise hold
+/// its session in send, and Stop() waits for every session. A send that
+/// moved some bytes before timing out returns them and the next one waits
+/// again, so a peer whose zero window still admits a trickle (the
+/// sender's window probes) holds the session for a few such periods.
+inline constexpr int kSessionSendTimeoutSeconds = 2;
+
 struct ServerOptions {
   /// Bind address. The default keeps archisd loopback-only; exposing it
   /// beyond the host is an explicit operator decision.
@@ -73,7 +81,9 @@ class ArchisServer {
   ArchisServer& operator=(const ArchisServer&) = delete;
 
   /// Graceful shutdown: refuse new connections and new frames, drain every
-  /// admitted request, join all threads. Idempotent.
+  /// admitted request, join all threads. Idempotent. A session stuck
+  /// sending to a peer that does not read holds it for a few
+  /// kSessionSendTimeoutSeconds periods.
   Status Stop();
 
   /// Actual bound ports (resolves port 0).

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -32,17 +33,38 @@ class BPlusTree {
   /// keys are allowed, and node splits cannot fail.
   // archis-lint: allow(void-mutator) -- no error path exists by design
   void Insert(const Key& key, const Value& value) {
-    InsertResult r = InsertRec(root_.get(), key, value);
-    if (r.split) {
-      auto new_root = std::make_unique<Node>();
-      new_root->is_leaf = false;
-      new_root->keys.push_back(r.split_key);
-      new_root->children.push_back(std::move(root_));
-      new_root->children.push_back(std::move(r.right));
-      root_ = std::move(new_root);
-      ++height_;
+    InsertAt(key, value, /*rightmost=*/false);
+  }
+
+  /// Inserts a (key, value) pair whose key is >= every key in the tree,
+  /// descending the rightmost path without a search: bulk loads of sorted
+  /// runs. The tree ends up exactly as Insert would leave it.
+  // archis-lint: allow(void-mutator) -- no error path exists by design
+  void Append(const Key& key, const Value& value) {
+    assert(AtOrPastEnd(key));
+    InsertAt(key, value, /*rightmost=*/true);
+  }
+
+  /// The value of the last entry with key == `key` in scan order (for
+  /// duplicates, the most recently inserted one still present); nullptr
+  /// when there is none.
+  const Value* FindLast(const Key& key) const {
+    // Descend like an insert of `key`: the leaf reached holds the
+    // position just past every entry <= `key`.
+    const Node* node = root_.get();
+    while (!node->is_leaf) node = node->children[ChildIndex(node, key)].get();
+    auto it = std::upper_bound(node->keys.begin(), node->keys.end(), key);
+    if (it != node->keys.begin() && !(*(it - 1) < key)) {
+      return &node->values[static_cast<size_t>(it - node->keys.begin()) - 1];
     }
-    ++size_;
+    // That leaf holds no entry for `key` (erases never rebalance, so the
+    // last one may sit in an earlier leaf): walk the run from its start.
+    const Value* last = nullptr;
+    Lookup(key, [&last](const Key&, const Value& v) {
+      last = &v;
+      return true;
+    });
+    return last;
   }
 
   /// Calls `fn(key, value)` for every entry with key == `key`; stops early
@@ -130,15 +152,33 @@ class BPlusTree {
     std::unique_ptr<Node> right;
   };
 
+  // archis-lint: allow(void-mutator) -- no error path exists by design
+  void InsertAt(const Key& key, const Value& value, bool rightmost) {
+    InsertResult r = InsertRec(root_.get(), key, value, rightmost);
+    if (r.split) {
+      auto new_root = std::make_unique<Node>();
+      new_root->is_leaf = false;
+      new_root->keys.push_back(r.split_key);
+      new_root->children.push_back(std::move(root_));
+      new_root->children.push_back(std::move(r.right));
+      root_ = std::move(new_root);
+      ++height_;
+    }
+    ++size_;
+  }
+
   static std::unique_ptr<Node> NewLeaf() {
     auto n = std::make_unique<Node>();
     n->is_leaf = true;
     return n;
   }
 
-  InsertResult InsertRec(Node* node, const Key& key, const Value& value) {
+  InsertResult InsertRec(Node* node, const Key& key, const Value& value,
+                         bool rightmost) {
     if (node->is_leaf) {
-      auto it = std::upper_bound(node->keys.begin(), node->keys.end(), key);
+      auto it = rightmost ? node->keys.end()
+                          : std::upper_bound(node->keys.begin(),
+                                             node->keys.end(), key);
       size_t pos = static_cast<size_t>(it - node->keys.begin());
       node->keys.insert(it, key);
       node->values.insert(node->values.begin() + static_cast<long>(pos),
@@ -146,8 +186,10 @@ class BPlusTree {
       if (node->keys.size() <= kFanout) return {};
       return SplitLeaf(node);
     }
-    size_t child = ChildIndex(node, key);
-    InsertResult r = InsertRec(node->children[child].get(), key, value);
+    size_t child =
+        rightmost ? node->children.size() - 1 : ChildIndex(node, key);
+    InsertResult r =
+        InsertRec(node->children[child].get(), key, value, rightmost);
     if (!r.split) return {};
     node->keys.insert(node->keys.begin() + static_cast<long>(child),
                       r.split_key);
@@ -161,10 +203,12 @@ class BPlusTree {
   InsertResult SplitLeaf(Node* node) {
     auto right = NewLeaf();
     size_t mid = node->keys.size() / 2;
-    right->keys.assign(node->keys.begin() + static_cast<long>(mid),
-                       node->keys.end());
-    right->values.assign(node->values.begin() + static_cast<long>(mid),
-                         node->values.end());
+    right->keys.assign(
+        std::make_move_iterator(node->keys.begin() + static_cast<long>(mid)),
+        std::make_move_iterator(node->keys.end()));
+    right->values.assign(
+        std::make_move_iterator(node->values.begin() + static_cast<long>(mid)),
+        std::make_move_iterator(node->values.end()));
     node->keys.resize(mid);
     node->values.resize(mid);
     right->next_leaf = node->next_leaf;
@@ -177,8 +221,10 @@ class BPlusTree {
     right->is_leaf = false;
     size_t mid = node->keys.size() / 2;
     Key up_key = node->keys[mid];
-    right->keys.assign(node->keys.begin() + static_cast<long>(mid) + 1,
-                       node->keys.end());
+    right->keys.assign(
+        std::make_move_iterator(node->keys.begin() + static_cast<long>(mid) +
+                                1),
+        std::make_move_iterator(node->keys.end()));
     for (size_t i = mid + 1; i < node->children.size(); ++i) {
       right->children.push_back(std::move(node->children[i]));
     }
@@ -205,6 +251,15 @@ class BPlusTree {
 
   Node* FindLeafMutable(Node* node, const Key& key) {
     return const_cast<Node*>(FindLeaf(node, key));
+  }
+
+  /// Whether an insert of `key` would descend the rightmost path and land
+  /// at the end of the last leaf (the Append precondition).
+  bool AtOrPastEnd(const Key& key) const {
+    for (const Node* n = root_.get();; n = n->children.back().get()) {
+      if (!n->keys.empty() && key < n->keys.back()) return false;
+      if (n->is_leaf) return true;
+    }
   }
 
   const Node* LeftmostLeaf() const {

@@ -3,13 +3,13 @@
 namespace archis::storage {
 
 Result<RecordId> HeapFile::Append(std::string_view record) {
-  if (pages_.empty() ||
-      !pm_->ReadPage(pages_.back()).CanFit(
-          static_cast<uint32_t>(record.size()))) {
+  const auto size = static_cast<uint32_t>(record.size());
+  Page* page = pages_.empty() ? nullptr : &pm_->WritePage(pages_.back());
+  if (page == nullptr || !page->CanFit(size)) {
     pages_.push_back(pm_->Allocate());
+    page = &pm_->WritePage(pages_.back());
   }
-  Page& page = pm_->WritePage(pages_.back());
-  ARCHIS_ASSIGN_OR_RETURN(uint16_t slot, page.Insert(record));
+  ARCHIS_ASSIGN_OR_RETURN(uint16_t slot, page->Insert(record));
   return RecordId{pages_.back(), slot};
 }
 
@@ -50,6 +50,11 @@ void HeapFile::ScanPages(
       if (!fn(RecordId{pid, s}, *bytes)) return;
     }
   }
+}
+
+void HeapFile::Clear() {
+  for (PageId pid : pages_) pm_->Free(pid);
+  pages_.clear();
 }
 
 uint64_t HeapFile::CountLive() const {

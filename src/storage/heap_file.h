@@ -53,10 +53,10 @@ class HeapFile {
   /// Storage footprint in bytes (pages * page size).
   uint64_t SizeBytes() const { return pages_.size() * uint64_t{kPageSize}; }
 
-  /// Drops all pages from this file's view (page ids remain allocated in
-  /// the PageManager; the archive store never reuses them, mirroring the
-  /// paper's "old live segment is dropped" step).
-  void Clear() { pages_.clear(); }
+  /// Returns every page to the PageManager for reuse and empties the file
+  /// (the paper's "old live segment is dropped" step). Record ids into
+  /// this file are dead afterwards.
+  void Clear();
 
  private:
   PageManager* pm_;

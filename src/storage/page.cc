@@ -1,8 +1,16 @@
 #include "storage/page.h"
 
+#include <algorithm>
+
 namespace archis::storage {
 
 Page::Page() : data_(kPageSize, 0) {
+  header()->slot_count = 0;
+  header()->free_offset = kPageSize;
+}
+
+void Page::Reset() {
+  std::fill(data_.begin(), data_.end(), 0);
   header()->slot_count = 0;
   header()->free_offset = kPageSize;
 }

@@ -63,6 +63,9 @@ class Page {
   /// larger; otherwise returns OutOfRange (caller re-inserts elsewhere).
   Status UpdateInPlace(uint16_t slot, std::string_view record);
 
+  /// Empties the page: byte-identical to a freshly constructed one.
+  void Reset();
+
   /// Raw page bytes, e.g. for persistence.
   const char* data() const { return data_.data(); }
   char* mutable_data() { return data_.data(); }

@@ -36,9 +36,21 @@ metrics::Counter* PagesAllocatedMetric() {
 PageId PageManager::Allocate() {
   PagesAllocatedMetric()->Inc();
   MutexLock lock(mu_);
-  pages_.push_back(std::make_unique<Page>());
   pages_allocated_.fetch_add(1, std::memory_order_relaxed);
+  if (!free_.empty()) {
+    const PageId id = free_.back();
+    free_.pop_back();
+    return id;
+  }
+  pages_.push_back(std::make_unique<Page>());
   return static_cast<PageId>(pages_.size() - 1);
+}
+
+void PageManager::Free(PageId id) {
+  MutexLock lock(mu_);
+  assert(id < pages_.size());
+  pages_[id]->Reset();
+  free_.push_back(id);
 }
 
 const Page& PageManager::ReadPage(PageId id) const {
@@ -99,6 +111,7 @@ Status PageManager::LoadFromFile(const std::string& path) {
   std::fclose(f);
   MutexLock lock(mu_);
   pages_ = std::move(pages);
+  free_.clear();
   return Status::OK();
 }
 

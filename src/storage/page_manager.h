@@ -35,10 +35,15 @@ class PageManager {
   PageManager(const PageManager&) = delete;
   PageManager& operator=(const PageManager&) = delete;
 
-  /// Allocates a fresh empty page and returns its id. Thread-safe: the
-  /// page directory is mutex-protected, so allocation may race with
-  /// concurrent ReadPage/WritePage on other pages.
+  /// Allocates an empty page and returns its id, reusing a freed page
+  /// before growing the directory. Thread-safe: the page directory is
+  /// mutex-protected, so allocation may race with concurrent
+  /// ReadPage/WritePage on other pages.
   PageId Allocate() ARCHIS_EXCLUDES(mu_);
+
+  /// Returns `id` to the allocator. Its bytes are reset at once; the
+  /// caller must hold no other reference to it.
+  void Free(PageId id) ARCHIS_EXCLUDES(mu_);
 
   /// Read access; bumps the page-read counter. Concurrent ReadPage calls
   /// are safe (page pointers are stable and the directory lookup is
@@ -50,7 +55,7 @@ class PageManager {
   /// Write access; bumps the page-write counter.
   Page& WritePage(PageId id) ARCHIS_EXCLUDES(mu_);
 
-  /// Number of pages allocated so far.
+  /// Number of pages in the directory, free ones included.
   size_t page_count() const ARCHIS_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return pages_.size();
@@ -77,8 +82,9 @@ class PageManager {
   /// Writes all pages to `path` (simple length-prefixed dump).
   Status PersistToFile(const std::string& path) const ARCHIS_EXCLUDES(mu_);
 
-  /// Replaces the current pages with the contents of `path`. Must not run
-  /// concurrently with reads (it swaps the whole directory).
+  /// Replaces the current pages with the contents of `path`; every loaded
+  /// page counts as allocated. Must not run concurrently with reads (it
+  /// swaps the whole directory).
   Status LoadFromFile(const std::string& path) ARCHIS_EXCLUDES(mu_);
 
  private:
@@ -86,6 +92,8 @@ class PageManager {
   /// pages are heap-allocated so references stay valid across Allocate).
   mutable Mutex mu_{LockRank::kPageManager};
   std::vector<std::unique_ptr<Page>> pages_ ARCHIS_GUARDED_BY(mu_);
+  /// Freed pages, reused last-freed first.
+  std::vector<PageId> free_ ARCHIS_GUARDED_BY(mu_);
   mutable std::atomic<uint64_t> page_reads_{0};
   std::atomic<uint64_t> page_writes_{0};
   std::atomic<uint64_t> pages_allocated_{0};

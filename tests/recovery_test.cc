@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <thread>
 
 #include "archis/checkpoint.h"
@@ -233,6 +234,71 @@ TEST(TransactionTest, ReadYourOwnWritesThroughTheOverlay) {
   ASSERT_TRUE(snap.ok());
   ASSERT_EQ(snap->size(), 1u);
   EXPECT_EQ((*snap)[0], Emp(1, "Ann", 300));
+}
+
+TEST(TransactionTest, CommitApplyFollowsRowsTheBatchMoves) {
+  // Each statement's change lands where the previous one left the row: a
+  // grown update relocates it, a delete and re-insert gives it a new slot.
+  ArchIS db(ArchISOptions{}, D(1995, 1, 1));
+  ASSERT_TRUE(db.CreateRelation(EmpSpec()).ok());
+  for (int64_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(db.Insert("employees", Emp(id, "E", 100 * id)).ok());
+  }
+  ASSERT_TRUE(db.AdvanceClock(D(1995, 2, 1)).ok());
+  BEGIN_TXN(txn, &db);
+  const std::string grown(300, 'x');  // no longer fits its slot
+  ASSERT_TRUE(txn.Update("employees", {Value(int64_t{2})},
+                         Emp(2, grown, 210)).ok());
+  ASSERT_TRUE(txn.Update("employees", {Value(int64_t{2})},
+                         Emp(2, grown + "y", 220)).ok());
+  ASSERT_TRUE(txn.Delete("employees", {Value(int64_t{3})}).ok());
+  ASSERT_TRUE(txn.Insert("employees", Emp(3, "F", 330)).ok());
+  ASSERT_TRUE(txn.Update("employees", {Value(int64_t{3})},
+                         Emp(3, "G", 340)).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+
+  auto table = db.current_db().catalog().GetTable("employees");
+  ASSERT_TRUE(table.ok());
+  std::map<int64_t, Tuple> rows;
+  ASSERT_TRUE((*table)->Scan([&](const storage::RecordId&, const Tuple& t) {
+    EXPECT_TRUE(rows.emplace(t.at(0).AsInt(), t).second) << t.ToString();
+    return true;
+  }).ok());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1], Emp(1, "E", 100));
+  EXPECT_EQ(rows[2], Emp(2, grown + "y", 220));
+  EXPECT_EQ(rows[3], Emp(3, "G", 340));
+  auto snap = db.Snapshot("employees", D(1995, 2, 1));
+  ASSERT_TRUE(snap.ok());
+  ASSERT_EQ(snap->size(), 3u);
+}
+
+TEST(TransactionTest, CommitAfterADropLooksRowsUp) {
+  // A drop frees the table's pages. Creating the name again fails in the
+  // archive (its history is kept) after the current table exists anew, so
+  // rows inserted then may reuse the dropped pages: a transaction that
+  // found its row before the drop must not write through that record id.
+  ArchIS db(ArchISOptions{}, D(1995, 1, 1));
+  ASSERT_TRUE(db.CreateRelation(EmpSpec()).ok());
+  ASSERT_TRUE(db.Insert("employees", Emp(1, "A", 100)).ok());
+  BEGIN_TXN(txn, &db);
+  ASSERT_TRUE(txn.Update("employees", {Value(int64_t{1})},
+                         Emp(1, "A", 150)).ok());
+  ASSERT_TRUE(db.DropRelation("employees").ok());
+  EXPECT_FALSE(db.CreateRelation(EmpSpec()).ok());
+  ASSERT_TRUE(db.Insert("employees", Emp(2, "B", 200)).ok());
+  // Key 1 is gone from the new table: the commit fails on the lookup
+  // instead of overwriting whatever took the old slot.
+  EXPECT_EQ(txn.Commit().code(), StatusCode::kNotFound);
+  auto table = db.current_db().catalog().GetTable("employees");
+  ASSERT_TRUE(table.ok());
+  std::vector<Tuple> rows;
+  ASSERT_TRUE((*table)->Scan([&](const storage::RecordId&, const Tuple& t) {
+    rows.push_back(t);
+    return true;
+  }).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0], Emp(2, "B", 200));
 }
 
 TEST(TransactionTest, FirstCommitterWinsOnOverlappingWriteSets) {

@@ -4,6 +4,8 @@
 // configurations.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <random>
 
@@ -385,6 +387,99 @@ TEST(SegmentedStoreTest, CompressedSegmentsPruneBlocksForPointLookups) {
   ASSERT_TRUE(store->ScanHistory([](const Tuple&) { return true; }, &full)
                   .ok());
   EXPECT_LT(point.blocks_decompressed, full.blocks_decompressed);
+}
+
+TEST(SegmentedStoreTest, CompressedScanFailsOnUndecodableRecord) {
+  // A record cut short of the schema's (id, salary, tstart, tend): the
+  // scan must report it, not drop the row from the answer.
+  std::string record;
+  Value(int64_t{7}).EncodeTo(&record);
+  Value(int64_t{1000}).EncodeTo(&record);
+  Value(D(1990, 1, 1)).EncodeTo(&record);
+  auto seg = CompressedSegment::Build(
+      SalarySchema(), {{7, record}},
+      {TimeInterval(D(1990, 1, 1), Date::Forever())}, 4000);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  size_t rows = 0;
+  Status st = (*seg)->ScanAll([&](const Tuple&) {
+    ++rows;
+    return true;
+  });
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_EQ(rows, 0u);
+}
+
+TEST(SegmentedStoreTest, RepeatedFreezesReuseTheDroppedLivePages) {
+  minirel::Database db;
+  SegmentOptions opts;
+  opts.umin = 0.5;
+  opts.compress = true;  // frozen rows leave the page manager entirely
+  auto store = MakeStore(&db, opts);
+  Date day = D(1990, 1, 1);
+  for (int64_t id = 1; id <= 300; ++id) {
+    ASSERT_TRUE(store->InsertVersion(id, {Value(id)}, day).ok());
+  }
+  auto churn = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      day = day.AddDays(1);
+      for (int64_t id = 1; id <= 300; ++id) {
+        ASSERT_TRUE(store->ReplaceVersion(id, {Value(id + r)}, day).ok());
+      }
+    }
+  };
+  churn(5);
+  const size_t segments = store->segments().size();
+  const size_t pages = db.page_manager().page_count();
+  churn(30);
+  ASSERT_GE(store->segments().size(), segments + 20);
+  // Every freeze drops a live table and makes a new one of the same
+  // size: the dropped pages are reused, so the directory stops growing.
+  EXPECT_LE(db.page_manager().page_count(), pages + 2);
+
+  // The pages still round-trip through a file, reused ones included.
+  std::vector<Tuple> before;
+  ASSERT_TRUE(store->ScanHistory([&](const Tuple& row) {
+    before.push_back(row);
+    return true;
+  }).ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "segment_page_reuse.bin")
+          .string();
+  ASSERT_TRUE(db.page_manager().PersistToFile(path).ok());
+  ASSERT_TRUE(db.page_manager().LoadFromFile(path).ok());
+  std::remove(path.c_str());
+  std::vector<Tuple> after;
+  ASSERT_TRUE(store->ScanHistory([&](const Tuple& row) {
+    after.push_back(row);
+    return true;
+  }).ok());
+  EXPECT_EQ(before, after);
+  churn(1);
+}
+
+TEST(SegmentedStoreTest, OpenVersionBehindABulkLoadedClosedOneIsFound) {
+  // An H-document import may list a closed version after the open one;
+  // the update path must still close the open version.
+  minirel::Database db;
+  auto store = MakeStore(&db, SegmentOptions{});
+  ASSERT_TRUE(store->LoadVersion(
+      1, {Value(int64_t{200})}, TimeInterval(D(1991, 1, 1), Date::Forever()))
+                  .ok());
+  ASSERT_TRUE(store->LoadVersion(
+      1, {Value(int64_t{100})}, TimeInterval(D(1990, 1, 1), D(1990, 12, 31)))
+                  .ok());
+  ASSERT_TRUE(store->ReplaceVersion(1, {Value(int64_t{300})}, D(1992, 1, 1))
+                  .ok());
+  std::map<int64_t, Date> tend_by_salary;
+  ASSERT_TRUE(store->ScanId(1, [&](const Tuple& row) {
+    tend_by_salary[row.at(1).AsInt()] = row.at(3).AsDate();
+    return true;
+  }).ok());
+  ASSERT_EQ(tend_by_salary.size(), 3u);
+  EXPECT_EQ(tend_by_salary[100], D(1990, 12, 31));
+  EXPECT_EQ(tend_by_salary[200], D(1991, 12, 31));
+  EXPECT_TRUE(tend_by_salary[300].IsForever());
+  EXPECT_EQ(store->live_current(), 1u);
 }
 
 }  // namespace

@@ -232,6 +232,65 @@ TEST(ServerTest, HalfOpenConnectionDoesNotBlockShutdown) {
   ::close(stalled);
 }
 
+// A peer that pipelines large-result queries and never reads the replies
+// fills the socket buffers until its session blocks in send. Other
+// sessions keep their service, and Stop() returns once the bounded send
+// gives up.
+TEST(ServerTest, NonReadingPeerCannotHoldStop) {
+  auto db = MakeDb(/*employees=*/120, /*years=*/17);
+  auto server = MustStart(db.get(), ServerOptions{});
+  // The H-document once per department: natively evaluated, megabytes per
+  // reply, so the rest of a blocked reply outweighs anything the read-side
+  // shutdown in Stop() releases.
+  const std::string big =
+      "for $d in doc(\"depts.xml\")/depts/dept "
+      "return doc(\"employees.xml\")/employees";
+  ArchisClient client(ClientFor(*server));
+  Result<std::string> reply = client.Query(big);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_GT(reply->size(), 1u << 20);
+
+  metrics::Counter* queries = metrics::Registry::Global().GetCounter(
+      "archis_server_requests_total{type=\"query\"}", "");
+  const uint64_t before = queries->value();
+  constexpr uint64_t kPipelined = 16;
+  const int hog = RawConnect(server->port());
+  for (uint64_t i = 0; i < kPipelined; ++i) {
+    ASSERT_TRUE(WriteFrame(hog, static_cast<uint8_t>(FrameType::kQuery),
+                           EncodeQueryPayload(0, big))
+                    .ok());
+  }
+  // The session reads a frame only after writing the previous reply, so
+  // once send blocks its request count stalls short of kPipelined with
+  // nothing in flight (a query still evaluating would stall it too).
+  const metrics::Gauge& in_flight = ServerGauge("archis_server_in_flight");
+  uint64_t seen = 0;
+  int steady_polls = 0;
+  ASSERT_TRUE(WaitFor([&] {
+    const uint64_t now = queries->value();
+    steady_polls = now == seen && in_flight.value() == 0 ? steady_polls + 1
+                                                         : 0;
+    seen = now;
+    return steady_polls >= 500;
+  }));
+  ASSERT_LT(seen - before, kPipelined) << "replies never backed up";
+
+  // Other sessions are unaffected.
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(client.Query(kNamesQuery).ok());
+
+  // A send that trickles out a few bytes (window probes into the full
+  // receive buffer) returns them at its timeout and the next send waits
+  // again, until a probe gap outlasts the timeout.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(server->Stop().ok());
+  const auto secs = std::chrono::duration_cast<std::chrono::seconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_LE(secs, 4 * kSessionSendTimeoutSeconds + 2);
+  ::close(hog);
+}
+
 // -- Deadlines ---------------------------------------------------------------
 
 TEST(ServerTest, FacadeQueryDeadlineCancelsBeforeExecution) {

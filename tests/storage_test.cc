@@ -5,6 +5,9 @@
 
 #include <map>
 #include <random>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "storage/bptree.h"
 #include "storage/heap_file.h"
@@ -124,6 +127,31 @@ TEST(PageManagerTest, PersistAndReload) {
   EXPECT_EQ(*p0.Read(0), "persisted-0");
 }
 
+TEST(PageManagerTest, ClearedHeapPagesAreReusedEmpty) {
+  PageManager pm;
+  HeapFile dropped(&pm);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(dropped.Append("dropped-" + std::to_string(i)).ok());
+  }
+  const size_t pages = pm.page_count();
+  ASSERT_GT(pages, 1u);
+  dropped.Clear();
+  EXPECT_TRUE(dropped.pages().empty());
+  HeapFile fresh(&pm);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(fresh.Append("fresh-" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(pm.page_count(), pages);
+  // Only the new records are visible: reused pages start out empty.
+  uint64_t seen = 0;
+  fresh.Scan([&](const RecordId&, std::string_view bytes) {
+    EXPECT_EQ(bytes.substr(0, 6), "fresh-");
+    ++seen;
+    return true;
+  });
+  EXPECT_EQ(seen, 400u);
+}
+
 TEST(PageManagerTest, LoadRejectsMissingFile) {
   PageManager pm;
   EXPECT_EQ(pm.LoadFromFile("/nonexistent/path.bin").code(),
@@ -240,6 +268,67 @@ TEST_P(BPlusTreeProperty, MatchesMultimapUnderRandomWorkload) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
+
+TEST(BPlusTreeTest, AppendBuildsWhatInsertBuilds) {
+  BPlusTree<int64_t, int64_t> appended;
+  BPlusTree<int64_t, int64_t> inserted;
+  for (int64_t i = 0; i < 5000; ++i) {
+    appended.Append(i / 3, i);  // sorted, with duplicate runs
+    inserted.Insert(i / 3, i);
+  }
+  EXPECT_EQ(appended.size(), inserted.size());
+  EXPECT_EQ(appended.height(), inserted.height());
+  std::vector<std::pair<int64_t, int64_t>> a, b;
+  appended.ScanAll([&](const int64_t& k, const int64_t& v) {
+    a.emplace_back(k, v);
+    return true;
+  });
+  inserted.ScanAll([&](const int64_t& k, const int64_t& v) {
+    b.emplace_back(k, v);
+    return true;
+  });
+  EXPECT_EQ(a, b);
+  std::vector<int64_t> run;
+  appended.Lookup(700, [&](const int64_t&, const int64_t& v) {
+    run.push_back(v);
+    return true;
+  });
+  EXPECT_EQ(run, (std::vector<int64_t>{2100, 2101, 2102}));
+}
+
+TEST(BPlusTreeTest, FindLastReturnsTheNewestDuplicate) {
+  BPlusTree<int64_t, int64_t> tree;
+  EXPECT_EQ(tree.FindLast(1), nullptr);
+  std::mt19937_64 rng(7);
+  std::map<int64_t, int64_t> newest;
+  for (int64_t i = 0; i < 20000; ++i) {
+    const int64_t key = static_cast<int64_t>(rng() % 300);
+    tree.Insert(key, i);
+    newest[key] = i;
+  }
+  for (const auto& [key, value] : newest) {
+    const int64_t* found = tree.FindLast(key);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(*found, value) << "key " << key;
+  }
+  EXPECT_EQ(tree.FindLast(1000), nullptr);
+  // Erasing a key's newest entries leaves the next-newest, wherever the
+  // run's leaves ended up.
+  for (int64_t key = 0; key < 300; key += 7) {
+    std::vector<int64_t> values;
+    tree.Lookup(key, [&](const int64_t&, const int64_t& v) {
+      values.push_back(v);
+      return true;
+    });
+    while (values.size() > 1) {
+      tree.Erase(key, values.back());
+      values.pop_back();
+      const int64_t* found = tree.FindLast(key);
+      ASSERT_NE(found, nullptr);
+      EXPECT_EQ(*found, values.back());
+    }
+  }
+}
 
 TEST(BPlusTreeTest, CompositeKeysOrderLexicographically) {
   BPlusTree<std::pair<int64_t, int64_t>, int64_t> tree;
