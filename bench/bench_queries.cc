@@ -88,32 +88,6 @@ void BM_EndToEnd(benchmark::State& state) {
   state.SetLabel(q.description);
 }
 
-// Ablation: the cost-based planner against the fixed pre-planner executor
-// shape, on all six Table 3 queries. PlanForce::kCostBased plans once and
-// then hits the facade's plan cache (prepared-statement steady state —
-// the cache-hit cost IS in the timing); kFixed is the legacy shape.
-// Counters surface the estimate-vs-actual gap per query.
-void BM_PlannerAblation(benchmark::State& state) {
-  Systems& sys = SegSystems();
-  const BenchQuery& q = kTable3Queries[state.range(0)];
-  const bool planner_on = state.range(1) != 0;
-  const core::PlanForce force =
-      planner_on ? core::PlanForce::kCostBased : core::PlanForce::kFixed;
-  core::SqlXmlPlan plan = TranslatedPlan(sys, q);
-  core::PlanStats stats;
-  for (auto _ : state) {
-    stats = core::PlanStats();
-    auto r = sys.archis->Execute(plan, &stats, nullptr, force);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["rows_scanned"] = static_cast<double>(stats.rows_scanned);
-  state.counters["est_rows"] = stats.est_rows;
-  state.counters["actual_rows"] = static_cast<double>(stats.result_rows);
-  state.SetLabel(std::string(q.description) +
-                 (planner_on ? " [planner on]" : " [planner off]"));
-}
-
 // Ablation: the same plans executed against an un-indexed full-history scan
 // is covered by bench_clustering; here we add the id-sorted merge join vs
 // hash join ablation on a two-variable query (salary joined with title).
@@ -184,9 +158,6 @@ void BM_CachedSnapshot(benchmark::State& state) {
 BENCHMARK(BM_Tamino)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ArchIS)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EndToEnd)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PlannerAblation)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_JoinAblation)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CachedSnapshot)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -17,22 +17,19 @@
 #   6. flight-recorder trace: archis-stats runs the workload with the
 #      always-on recorder, dumps the Chrome trace JSON, and trace_check
 #      validates it structurally (snake_case names, phases, timestamps).
-#   7. planner-forced equivalence: the translated-vs-native equivalence
-#      suite re-runs with the physical planner pinned both ways
-#      (ARCHIS_FORCE_PLAN=cost, then =fixed), so cost-based plans and the
-#      legacy shape must both match native answers exactly.
-#   8. archisd smoke: boots the network daemon on ephemeral ports with a
+#   7. archisd smoke: boots the network daemon on ephemeral ports with a
 #      seeded workload, round-trips ping/query/update through
 #      archis-client, scrapes GET /metrics and POSTs a query over the
 #      HTTP shim, sends Q2-, Q4-, Q5- and Q6-shaped aggregate texts and
-#      requires /metrics to report archis_queries_native_total 0, then
-#      sends SIGTERM and requires a clean exit 0.
-#   9. ThreadSanitizer build + full ctest, with the debug-build lock-rank
+#      requires /metrics to report archis_queries_native_total 0 and
+#      per-stage latency (archis_stage_seconds) for the query stages and
+#      queue_wait, then sends SIGTERM and requires a clean exit 0.
+#   8. ThreadSanitizer build + full ctest, with the debug-build lock-rank
 #      assertions live: every test doubles as a validation of the lock
 #      hierarchy in src/common/lock_rank.h (DESIGN.md §7.4), and TSan
 #      catches data races. The flight-recorder seqlock tests run here
 #      too, so a data race in the ring protocol fails this step.
-#  10. If clang-tidy is available: .clang-tidy checks over src/.
+#   9. If clang-tidy is available: .clang-tidy checks over src/.
 #
 # Exits nonzero on the first failing step and prints a per-step timing
 # summary on exit (success or failure). Run from the repo root:
@@ -81,7 +78,7 @@ timing_summary() {
 }
 trap timing_summary EXIT
 
-step "[1/10] default build + tests"
+step "[1/9] default build + tests"
 cmake -B build-check -S . >/dev/null
 cmake --build build-check -j"$JOBS"
 ctest --test-dir build-check --output-on-failure -j"$JOBS"
@@ -91,7 +88,7 @@ echo "$GEN_OUT"
 [[ "$(grep -c 'updates_per_s=' <<<"$GEN_OUT")" -eq 2 ]] || {
   echo "BM_GenerateHistory did not complete both scales"; exit 1; }
 
-step "[2/10] clang thread-safety analysis (ARCHIS_ANALYZE=ON)"
+step "[2/9] clang thread-safety analysis (ARCHIS_ANALYZE=ON)"
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-analyze -S . \
     -DCMAKE_CXX_COMPILER=clang++ -DARCHIS_ANALYZE=ON >/dev/null
@@ -100,27 +97,23 @@ else
   echo "    clang++ not found; skipping (annotations are no-ops under GCC)"
 fi
 
-step "[3/10] archis-lint (domain invariants)"
+step "[3/9] archis-lint (domain invariants)"
 ./build-check/tools/archis-lint src tools
 
-step "[4/10] recovery fuzz (WAL crash points + checkpoint phases + concurrent writers)"
+step "[4/9] recovery fuzz (WAL crash points + checkpoint phases + concurrent writers)"
 ./build-check/tools/recovery_fuzz --runs "${FUZZ_RUNS:-8}"
 
-step "[5/10] metrics smoke (profile spans + exposition)"
+step "[5/9] metrics smoke (profile spans + exposition)"
 BUILD_DIR=build-check scripts/metrics_smoke.sh
 
-step "[6/10] flight-recorder trace (workload -> Chrome trace -> trace_check)"
+step "[6/9] flight-recorder trace (workload -> Chrome trace -> trace_check)"
 TRACE_TMP="$(mktemp /tmp/archis_trace.XXXXXX.json)"
 ./build-check/tools/archis-stats --workload --default-query --trace - \
   > "$TRACE_TMP"
 ./build-check/tools/trace_check "$TRACE_TMP" --min-events 50
 rm -f "$TRACE_TMP"
 
-step "[7/10] planner-forced equivalence (cost-based, then fixed)"
-ARCHIS_FORCE_PLAN=cost ./build-check/tests/equivalence_test
-ARCHIS_FORCE_PLAN=fixed ./build-check/tests/equivalence_test
-
-step "[8/10] archisd smoke (boot, wire + HTTP round trips, clean SIGTERM)"
+step "[7/9] archisd smoke (boot, wire + HTTP round trips, clean SIGTERM)"
 ARCHISD_DIR="$(mktemp -d /tmp/archisd_smoke.XXXXXX)"
 # `exec` so $! is archisd itself, not a shell wrapper.
 ( exec ./build-check/tools/archisd --data "$ARCHISD_DIR/data" \
@@ -177,6 +170,12 @@ fi
 grep -qx 'archis_queries_native_total 0' <<<"$ARCHISD_METRICS" || {
   echo "archisd answered a query by native fallback:"
   grep 'archis_queries_' <<<"$ARCHISD_METRICS"; exit 1; }
+for stage in parse translate plan segment_scan join native_eval queue_wait; do
+  grep -q "^archis_stage_seconds_count{stage=\"$stage\"} " \
+    <<<"$ARCHISD_METRICS" || {
+    echo "archisd /metrics lacks archis_stage_seconds{stage=\"$stage\"}"
+    exit 1; }
+done
 kill -TERM "$ARCHISD_PID"
 ARCHISD_EXIT=0
 wait "$ARCHISD_PID" || ARCHISD_EXIT=$?
@@ -185,12 +184,12 @@ wait "$ARCHISD_PID" || ARCHISD_EXIT=$?
   exit 1; }
 rm -rf "$ARCHISD_DIR"
 
-step "[9/10] ThreadSanitizer + lock-rank assertions (full ctest)"
+step "[8/9] ThreadSanitizer + lock-rank assertions (full ctest)"
 cmake -B build-tsan -S . -DARCHIS_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS"
 
-step "[10/10] clang-tidy"
+step "[9/9] clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B build-tidy -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   # shellcheck disable=SC2046

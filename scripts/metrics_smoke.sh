@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Metrics smoke test: drives tools/archis-stats through a durable employee
 # workload plus a profiled snapshot query, then asserts that
-#   - the trace profile contains the parse/translate/execute/segment-scan
-#     span tree,
+#   - the trace profile contains the parse/translate/execute/plan/
+#     segment_scan/join span tree,
 #   - the Prometheus exposition is well-formed and every load-bearing
-#     instrument (WAL fsync, block cache, page IO, segment usefulness)
-#     actually moved.
+#     instrument (WAL fsync, block cache, page IO, segment usefulness,
+#     the per-stage latency of translation) actually moved.
 #
 # Usage: BUILD_DIR=build scripts/metrics_smoke.sh
 set -euo pipefail
@@ -34,7 +34,7 @@ fail() {
 # 1. The profile renders the full span tree. (Herestrings, not
 #    `echo | grep -q`: under pipefail an early-exiting grep -q can EPIPE
 #    the echo and fail the check even though the pattern matched.)
-for span in query parse translate execute segment-scan; do
+for span in query parse translate execute plan segment_scan join; do
   grep -qE "^ *$span +[0-9.]+ ms" <<<"$OUT" \
     || fail "profile is missing span '$span'"
 done
@@ -55,6 +55,10 @@ for metric in \
   grep -qE "^$metric [1-9][0-9]*$" <<<"$OUT" \
     || fail "metric '$metric' absent or zero"
 done
+# Per-stage latency is scrapeable: the translate stage was observed.
+grep -qE '^archis_stage_seconds_count\{stage="translate"\} [1-9][0-9]*$' \
+    <<<"$OUT" \
+  || fail "archis_stage_seconds{stage=\"translate\"} absent or zero"
 
 # 3. The sliding-window families render their labeled gauges (rate plus
 #    percentiles over the trailing windows — DESIGN.md §14.5).

@@ -7,8 +7,8 @@
 
 #include "archis/planner.h"
 #include "common/flight_recorder.h"
+#include "common/instruments.h"
 #include "common/log.h"
-#include "common/metrics.h"
 #include "common/parse.h"
 #include "xml/serializer.h"
 #include "xquery/parser.h"
@@ -22,169 +22,24 @@ using minirel::Value;
 
 namespace {
 
-// Facade-level metric catalog (DESIGN.md §9): query path mix and latency,
-// change-capture throughput, transaction outcomes.
-metrics::Counter* QueriesTranslatedMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_queries_translated_total",
-      "Queries answered by the translated SQL/XML path");
-  return c;
-}
-
-metrics::Counter* QueriesNativeMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_queries_native_total",
-      "Queries answered by native evaluation over published H-documents");
-  return c;
-}
-
-metrics::Counter* QueryFailuresMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_query_failures_total",
-      "Queries that returned a non-OK status on every attempted path");
-  return c;
-}
-
-metrics::Histogram* QuerySecondsMetric() {
-  static metrics::Histogram* h = metrics::Registry::Global().GetHistogram(
-      "archis_query_seconds", "End-to-end ArchIS::Query latency",
-      metrics::DefaultLatencyBuckets());
-  return h;
-}
-
-metrics::Counter* TxnCommitsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_txn_commits_total",
-      "Committed change batches (explicit, ambient and autocommit)");
-  return c;
-}
-
-metrics::Counter* TxnAbortsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_txn_aborts_total", "Aborted (discarded) change batches");
-  return c;
-}
-
-metrics::Counter* TxnConflictsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_txn_conflicts_total",
-      "Commits rejected by first-committer-wins conflict detection");
-  return c;
-}
-
-metrics::Counter* ChangesCapturedMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_changes_captured_total",
-      "Change records committed into the H-tables (capture throughput)");
-  return c;
-}
-
-metrics::Counter* ConflictChangesMetric() {
-  // Conflict-aborted commits keep their CHANGE attribution instead of
-  // vanishing: same family as the committed counter, outcome-labeled.
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_changes_captured_total{outcome=\"conflict\"}",
-      "Change records committed into the H-tables (capture throughput)");
-  return c;
-}
-
-metrics::Histogram* CommitSecondsMetric(bool conflict) {
-  static metrics::Histogram* ok = metrics::Registry::Global().GetHistogram(
-      "archis_commit_seconds{outcome=\"ok\"}",
-      "Commit latency (Begin-to-durable) by outcome",
-      metrics::DefaultLatencyBuckets());
-  static metrics::Histogram* lost = metrics::Registry::Global().GetHistogram(
-      "archis_commit_seconds{outcome=\"conflict\"}",
-      "Commit latency (Begin-to-durable) by outcome",
-      metrics::DefaultLatencyBuckets());
-  return conflict ? lost : ok;
-}
-
-metrics::Counter* AbortReasonMetric(fr::AbortReason reason) {
-  // archis_txn_abort_total{reason=...}: the per-cause breakdown of the
-  // aggregate archis_txn_aborts_total counter.
-  static constexpr char kHelp[] =
-      "Transaction aborts broken down by reason";
-  static metrics::Counter* explicit_abort =
-      metrics::Registry::Global().GetCounter(
-          "archis_txn_abort_total{reason=\"explicit\"}", kHelp);
-  static metrics::Counter* conflict = metrics::Registry::Global().GetCounter(
-      "archis_txn_abort_total{reason=\"conflict\"}", kHelp);
-  static metrics::Counter* wrong_thread =
-      metrics::Registry::Global().GetCounter(
-          "archis_txn_abort_total{reason=\"wrong_thread\"}", kHelp);
-  static metrics::Counter* wal_poison =
-      metrics::Registry::Global().GetCounter(
-          "archis_txn_abort_total{reason=\"wal_poison\"}", kHelp);
+// Records one real abort (explicit, conflict or WAL poison): the
+// aggregate counter, its by-reason series and the txn_abort event move
+// together.
+void RecordAbort(uint64_t txn_id, fr::AbortReason reason) {
+  metrics::Get(metrics::kTxnAborts).Inc();
   switch (reason) {
-    case fr::AbortReason::kConflict:
-      return conflict;
-    case fr::AbortReason::kWrongThread:
-      return wrong_thread;
-    case fr::AbortReason::kWalPoison:
-      return wal_poison;
     case fr::AbortReason::kExplicit:
+      metrics::Get(metrics::kTxnAbortExplicit).Inc();
+      break;
+    case fr::AbortReason::kConflict:
+      metrics::Get(metrics::kTxnAbortConflict).Inc();
+      break;
+    case fr::AbortReason::kWalPoison:
+      metrics::Get(metrics::kTxnAbortWalPoison).Inc();
       break;
   }
-  return explicit_abort;
-}
-
-// Sliding-window views (DESIGN.md §14): rate + percentiles over the
-// trailing 1s/10s/60s, rendered as labeled gauges in the exposition.
-metrics::WindowedHistogram* QueryWindowMetric() {
-  static metrics::WindowedHistogram* w =
-      metrics::Registry::Global().GetWindowed(
-          "archis_query_window_seconds",
-          "Query latency over sliding 1s/10s/60s windows",
-          metrics::DefaultLatencyBuckets());
-  return w;
-}
-
-metrics::WindowedHistogram* ConflictWindowMetric() {
-  static metrics::WindowedHistogram* w =
-      metrics::Registry::Global().GetWindowed(
-          "archis_conflict_window",
-          "Commit conflicts over sliding 1s/10s/60s windows (rate)",
-          metrics::DefaultLatencyBuckets());
-  return w;
-}
-
-// Checkpoint / bounded recovery metrics (DESIGN.md §10, §13).
-metrics::Histogram* CheckpointSecondsMetric() {
-  static metrics::Histogram* h = metrics::Registry::Global().GetHistogram(
-      "archis_checkpoint_seconds",
-      "Latency of one checkpoint (capture + install + WAL reset)",
-      metrics::DefaultLatencyBuckets());
-  return h;
-}
-
-metrics::Counter* CheckpointsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_checkpoints_total", "Checkpoints completed (manual + auto)");
-  return c;
-}
-
-metrics::Counter* CheckpointDirtyRowsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_checkpoint_dirty_rows",
-      "Rows serialized into checkpoint manifests (every row for a base "
-      "manifest, rows dirtied since the last capture for a delta)");
-  return c;
-}
-
-metrics::Counter* WalRecoveredBytesMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_wal_recovered_bytes",
-      "WAL bytes replayed by recovery (suffix past the manifest only)");
-  return c;
-}
-
-metrics::Counter* ManifestFallbacksMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_checkpoint_manifest_fallbacks_total",
-      "Recoveries that found the newest manifest torn and used the "
-      "previous one");
-  return c;
+  fr::Record(fr::EventType::kTxnAbort, txn_id, 0,
+             static_cast<uint32_t>(reason));
 }
 
 }  // namespace
@@ -236,9 +91,8 @@ Status Transaction::CheckThread() {
     return Status::OK();
   }
   if (std::this_thread::get_id() != owner_) {
-    AbortReasonMetric(fr::AbortReason::kWrongThread)->Inc();
-    fr::Record(fr::EventType::kTxnAbort, txn_id_, 0,
-               static_cast<uint32_t>(fr::AbortReason::kWrongThread));
+    // A rejected call, not an abort: the transaction stays open for its
+    // owner, so nothing is recorded.
     return Status::InvalidArgument(
         "Transaction is single-thread-affine: only the owning thread may "
         "use it — move the handle to hand it to another thread");
@@ -320,10 +174,6 @@ ArchIS::ArchIS(ArchISOptions options, Date start_date)
       archiver_(&history_db_, /*track_dirty=*/wal_backed()) {
   fr::InstallCrashHandler();
   fr::RegisterCrashInfoSource(crash_source_.get());
-  // Export both query-path counters from the start, so a scrape can tell
-  // "no native fallback yet" (0) from "not instrumented".
-  QueriesTranslatedMetric();
-  QueriesNativeMetric();
 }
 
 ArchIS::~ArchIS() { fr::UnregisterCrashInfoSource(crash_source_.get()); }
@@ -343,7 +193,9 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
   // base snapshot, layer every delta, then replay only the commits past the
   // chain.
   CheckpointChain chain = LoadCheckpointChain(wal_path);
-  if (chain.fell_back) ManifestFallbacksMetric()->Inc();
+  if (chain.fell_back) {
+    metrics::Get(metrics::kCheckpointManifestFallbacks).Inc();
+  }
   ARCHIS_ASSIGN_OR_RETURN(WalRecovery recovery, Wal::Recover(wal_path));
   auto db = std::make_unique<ArchIS>(std::move(options), start_date);
   uint64_t replay_from_offset = 0;  // legacy (pre-v3) manifests
@@ -438,15 +290,9 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
   if (next_txn_id < chain_next_txn_id) next_txn_id = chain_next_txn_id;
   ARCHIS_ASSIGN_OR_RETURN(db->wal_, Wal::Open(wal_options, next_txn_id));
   db->last_recovery_replayed_bytes_ = replayed_bytes;
-  static metrics::Counter* recoveries = metrics::Registry::Global().GetCounter(
-      "archis_wal_recoveries_total", "WAL recovery passes run by Open");
-  static metrics::Counter* recovered_items =
-      metrics::Registry::Global().GetCounter(
-          "archis_wal_recovered_items_total",
-          "Committed transactions and DDL records replayed by recovery");
-  recoveries->Inc();
-  recovered_items->Inc(replayed_items);
-  WalRecoveredBytesMetric()->Inc(replayed_bytes);
+  metrics::Get(metrics::kWalRecoveries).Inc();
+  metrics::Get(metrics::kWalRecoveredItems).Inc(replayed_items);
+  metrics::Get(metrics::kWalRecoveredBytes).Inc(replayed_bytes);
   logging::Info("wal.recovered")
       .Kv("path", wal_path)
       .Kv("items", replayed_items)
@@ -898,14 +744,8 @@ Status ArchIS::CommitTxn(Transaction* txn) {
     return Status::OK();
   }
   const size_t nchanges = txn->changes_.size();
-  const auto commit_started = std::chrono::steady_clock::now();
-  auto commit_seconds = [&commit_started] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         commit_started)
-        .count();
-  };
+  metrics::Stage commit(metrics::StageId::kCommit);
   uint64_t ticket = 0;
-  uint64_t committed_seq = 0;
   {
     MutexLock lock(commit_mu_);
     // First committer wins: any key this transaction wrote that a later
@@ -913,26 +753,18 @@ Status ArchIS::CommitTxn(Transaction* txn) {
     for (const auto& [wkey, entry] : txn->overlay_) {
       auto it = key_last_writer_.find(wkey);
       if (it != key_last_writer_.end() && it->second > txn->begin_seq_) {
-        // UnregisterTxnLocked may clear key_last_writer_ (last open txn
-        // gone), invalidating `it` — read the winner's seq first.
-        const uint64_t winner_seq = it->second;
         if (wal_ != nullptr && txn->wal_begun_) {
           IgnoreStatus(wal_->EnqueueAbort(txn->txn_id_));
         }
         UnregisterTxnLocked(txn->txn_id_);
-        TxnConflictsMetric()->Inc();
-        TxnAbortsMetric()->Inc();
-        AbortReasonMetric(fr::AbortReason::kConflict)->Inc();
         // Conflict-aborted commits keep their latency and CHANGE-count
         // attribution (outcome=conflict) instead of vanishing.
-        CommitSecondsMetric(/*conflict=*/true)->Observe(commit_seconds());
-        ConflictChangesMetric()->Inc(nchanges);
-        ConflictWindowMetric()->Observe(0.0);
         const std::string display = DisplayWriteSetKey(wkey);
-        fr::Record(fr::EventType::kTxnConflict, txn->txn_id_, winner_seq, 0,
-                   display);
-        fr::Record(fr::EventType::kTxnAbort, txn->txn_id_, 0,
-                   static_cast<uint32_t>(fr::AbortReason::kConflict));
+        metrics::Stage(metrics::StageId::kCommitConflict, nullptr,
+                       commit.start())
+            .Close(txn->txn_id_, 0, display);
+        metrics::Get(metrics::kChangesCapturedConflict).Inc(nchanges);
+        RecordAbort(txn->txn_id_, fr::AbortReason::kConflict);
         return Status::Conflict(
             "write-write conflict on " + display +
             ": a concurrent transaction committed this key first");
@@ -952,10 +784,7 @@ Status ArchIS::CommitTxn(Transaction* txn) {
           txn->txn_id_, clock_, txn->stamp_at_commit_, seq);
       if (!enq.ok()) {
         UnregisterTxnLocked(txn->txn_id_);
-        TxnAbortsMetric()->Inc();
-        AbortReasonMetric(fr::AbortReason::kWalPoison)->Inc();
-        fr::Record(fr::EventType::kTxnAbort, txn->txn_id_, 0,
-                   static_cast<uint32_t>(fr::AbortReason::kWalPoison));
+        RecordAbort(txn->txn_id_, fr::AbortReason::kWalPoison);
         return enq.status();
       }
       ticket = *enq;
@@ -982,27 +811,20 @@ Status ArchIS::CommitTxn(Transaction* txn) {
         key_last_writer_[wkey] = seq;
       }
     }
-    committed_seq = seq;
     UnregisterTxnLocked(txn->txn_id_);
   }
   if (wal_ != nullptr) {
     Status durable = wal_->WaitDurable(ticket);
     if (!durable.ok()) {
-      TxnAbortsMetric()->Inc();
-      AbortReasonMetric(fr::AbortReason::kWalPoison)->Inc();
-      fr::Record(fr::EventType::kTxnAbort, txn->txn_id_, 0,
-                 static_cast<uint32_t>(fr::AbortReason::kWalPoison));
+      RecordAbort(txn->txn_id_, fr::AbortReason::kWalPoison);
       return durable;
     }
   }
   InvalidatePlanCache();
-  TxnCommitsMetric()->Inc();
-  ChangesCapturedMetric()->Inc(nchanges);
-  CommitSecondsMetric(/*conflict=*/false)->Observe(commit_seconds());
-  // Recorded only after WaitDurable succeeds: every txn_commit event in a
+  // Closed only after WaitDurable succeeds: every txn_commit event in a
   // crash dump must name a transaction the WAL will recover as committed.
-  fr::Record(fr::EventType::kTxnCommit, txn->txn_id_, committed_seq,
-             static_cast<uint32_t>(nchanges));
+  commit.Close(txn->txn_id_, static_cast<uint32_t>(nchanges));
+  metrics::Get(metrics::kChangesCaptured).Inc(nchanges);
   MaybeAutoCheckpoint();
   return Status::OK();
 }
@@ -1015,12 +837,10 @@ Status ArchIS::AbortTxn(Transaction* txn) {
     IgnoreStatus(wal_->EnqueueAbort(txn->txn_id_));
   }
   UnregisterTxnLocked(txn->txn_id_);
+  // Like an empty commit, an empty abort discarded nothing: not recorded.
   if (!txn->changes_.empty()) {
-    TxnAbortsMetric()->Inc();
-    AbortReasonMetric(fr::AbortReason::kExplicit)->Inc();
+    RecordAbort(txn->txn_id_, fr::AbortReason::kExplicit);
   }
-  fr::Record(fr::EventType::kTxnAbort, txn->txn_id_, 0,
-             static_cast<uint32_t>(fr::AbortReason::kExplicit));
   txn->changes_.clear();
   txn->overlay_.clear();
   return Status::OK();
@@ -1101,7 +921,7 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
         "Checkpoint requires a WAL-backed instance (in-memory instances "
         "have nothing to truncate)");
   }
-  const auto started = std::chrono::steady_clock::now();
+  metrics::Stage checkpoint(metrics::StageId::kCheckpoint);
   MutexLock ckpt_lock(checkpoint_mu_);
   CheckpointManifest manifest;
   std::vector<RelationDirty> drained;
@@ -1229,12 +1049,8 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
     }
   }
   wal_bytes_at_last_checkpoint_ = wal_->bytes_written();
-  CheckpointsMetric()->Inc();
-  CheckpointDirtyRowsMetric()->Inc(manifest_rows);
-  CheckpointSecondsMetric()->Observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count());
-  fr::Record(fr::EventType::kCheckpointPhase, manifest.seq, 0, 0, "complete");
+  checkpoint.Close(manifest.seq, 0, is_base ? "base" : "delta");
+  metrics::Get(metrics::kCheckpointDirtyRows).Inc(manifest_rows);
   logging::Info("checkpoint.complete")
       .Kv("seq", manifest.seq)
       .Kv("kind", is_base ? "base" : "delta")
@@ -1652,26 +1468,20 @@ Result<QueryResult> ArchIS::Query(const std::string& xquery,
   // one; the profile only reaches QueryResult when collect_profile is set.
   trace::Trace* trace =
       (options.collect_profile || slow_ms > 0) ? &tr : nullptr;
-  const auto started = std::chrono::steady_clock::now();
-  auto observe_latency = [&started](bool ok, uint64_t rows) {
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - started)
-                            .count();
-    QuerySecondsMetric()->Observe(secs);
-    QueryWindowMetric()->Observe(secs);
-    fr::Record(fr::EventType::kQueryExecute, rows,
-               static_cast<uint64_t>(secs * 1e9), ok ? 1u : 0u);
-    return secs;
-  };
+  // Adjacent stages share their boundary: each starts where the one
+  // before it closed, and the query closes where its last stage did.
+  metrics::Stage query(metrics::StageId::kQuery, trace);
   auto fail = [&](Status st) {
-    QueryFailuresMetric()->Inc();
-    observe_latency(/*ok=*/false, 0);
+    metrics::Get(metrics::kQueryFailures).Inc();
+    query.Close(/*rows=*/0, /*ok=*/0);
     return st;
   };
-  // Success tail shared by both paths: windowed + flight-recorder
-  // accounting, slow-query log, profile hand-off.
-  auto finish = [&](QueryResult* result, uint64_t rows) {
-    const double secs = observe_latency(/*ok=*/true, rows);
+  // Success tail shared by both paths: the query stage, slow-query log,
+  // profile hand-off.
+  auto finish = [&](QueryResult* result, uint64_t rows,
+                    metrics::Stage::Clock::time_point end) {
+    query.CloseAt(end, rows, /*ok=*/1);
+    const double secs = query.seconds();
     std::optional<trace::QueryProfile> profile;
     if (trace != nullptr) profile = tr.TakeProfile();
     if (slow_ms > 0 && secs * 1e3 >= slow_ms) {
@@ -1700,30 +1510,28 @@ Result<QueryResult> ArchIS::Query(const std::string& xquery,
         Status::DeadlineExceeded("query deadline passed before execution"));
   }
   QueryResult result;
+  metrics::Stage::Clock::time_point t = query.start();
   if (options.force_path != QueryForce::kNative) {
-    // Parse and translate under separate spans (the paper reports both
+    // Parse and translate are separate stages (the paper reports both
     // costs; Translate() keeps them fused for API compatibility).
-    Result<xquery::ExprPtr> ast = [&]() -> Result<xquery::ExprPtr> {
-      trace::ScopedSpan span(trace, "parse");
-      return xquery::ParseXQuery(xquery);
-    }();
+    metrics::Stage parse(metrics::StageId::kParse, trace, t);
+    Result<xquery::ExprPtr> ast = xquery::ParseXQuery(xquery);
+    t = parse.Close();
+    metrics::Stage translate(metrics::StageId::kTranslate, trace, t);
     Result<SqlXmlPlan> plan =
-        ast.ok() ? [&]() -> Result<SqlXmlPlan> {
-          trace::ScopedSpan span(trace, "translate");
-          return TranslateXQuery(*ast, translator_context());
-        }()
+        ast.ok() ? TranslateXQuery(*ast, translator_context())
                  : Result<SqlXmlPlan>(ast.status());
+    t = translate.Close();
     if (plan.ok()) {
       result.path = QueryPath::kTranslated;
-      Result<xml::XmlNodePtr> xml = [&]() -> Result<xml::XmlNodePtr> {
-        trace::ScopedSpan span(trace, "execute");
-        return Execute(*plan, &result.stats, trace, options.force_plan,
-                       options.deadline);
-      }();
+      metrics::Stage execute(metrics::StageId::kExecute, trace, t);
+      Result<xml::XmlNodePtr> xml =
+          Execute(*plan, &result.stats, trace, options.deadline);
       if (!xml.ok()) return fail(xml.status());
+      t = execute.Close();
       result.xml = std::move(*xml);
-      QueriesTranslatedMetric()->Inc();
-      finish(&result, result.stats.result_rows);
+      metrics::Get(metrics::kQueriesTranslated).Inc();
+      finish(&result, result.stats.result_rows, t);
       return result;
     }
     if (options.force_path == QueryForce::kTranslated ||
@@ -1738,11 +1546,10 @@ Result<QueryResult> ArchIS::Query(const std::string& xquery,
     return fail(
         Status::DeadlineExceeded("query deadline passed before native eval"));
   }
-  Result<xquery::Sequence> seq = [&]() -> Result<xquery::Sequence> {
-    trace::ScopedSpan span(trace, "native-eval");
-    return QueryNative(xquery);
-  }();
+  metrics::Stage native(metrics::StageId::kNativeEval, trace, t);
+  Result<xquery::Sequence> seq = QueryNative(xquery);
   if (!seq.ok()) return fail(seq.status());
+  t = native.Close();
   result.path = QueryPath::kNativeFallback;
   result.xml = xml::XmlNode::Element("results");
   for (const xquery::Item& item : *seq) {
@@ -1752,8 +1559,8 @@ Result<QueryResult> ArchIS::Query(const std::string& xquery,
       result.xml->AppendText(item.StringValue());
     }
   }
-  QueriesNativeMetric()->Inc();
-  finish(&result, seq->size());
+  metrics::Get(metrics::kQueriesNative).Inc();
+  finish(&result, seq->size(), t);
   return result;
 }
 
@@ -1763,30 +1570,8 @@ Result<SqlXmlPlan> ArchIS::Translate(const std::string& xquery) const {
 
 Result<xml::XmlNodePtr> ArchIS::Execute(
     const SqlXmlPlan& plan, PlanStats* stats, trace::Trace* trace,
-    PlanForce force_plan,
     std::optional<std::chrono::steady_clock::time_point> deadline) const {
-  static metrics::Counter* forced = metrics::Registry::Global().GetCounter(
-      "archis_planner_forced_total",
-      "Plan executions whose physical shape was pinned by "
-      "QueryOptions::force_plan");
-  static metrics::Counter* fallbacks = metrics::Registry::Global().GetCounter(
-      "archis_planner_fallbacks_total",
-      "Cost-based planning failures that fell back to the fixed shape");
-  static metrics::Counter* cache_hits = metrics::Registry::Global().GetCounter(
-      "archis_planner_cache_hits_total",
-      "Executions that reused a cached physical plan (same structural "
-      "key, no intervening mutation)");
-  static metrics::Counter* cache_misses =
-      metrics::Registry::Global().GetCounter(
-          "archis_planner_cache_misses_total",
-          "Executions that ran the cost-based planner (cold or stale "
-          "cache entry)");
-  if (force_plan != PlanForce::kAuto) forced->Inc();
-  if (force_plan == PlanForce::kFixed) {
-    // nullptr physical = the fixed legacy shape (DefaultPhysicalPlan).
-    return ExecutePlan(archiver_, plan, clock_, stats, trace,
-                       /*physical=*/nullptr, deadline);
-  }
+  metrics::Stage planning(metrics::StageId::kPlan, trace);
   // Plan cache: repeated executions of a structurally identical plan at
   // unchanged statistics (no mutation since planning) skip PlanQuery
   // entirely — prepared-statement behavior, so cheap point queries don't
@@ -1809,15 +1594,16 @@ Result<xml::XmlNodePtr> ArchIS::Execute(
   fr::Record(fr::EventType::kQueryPlan, epoch, 0,
              /*flags=*/physical != nullptr ? 1u : 0u);
   if (physical != nullptr) {
-    cache_hits->Inc();
+    metrics::Get(metrics::kPlannerCacheHits).Inc();
   } else {
-    cache_misses->Inc();
+    metrics::Get(metrics::kPlannerCacheMisses).Inc();
+    // Planning fails only on an unknown relation or attribute, which the
+    // executor would report identically; it counts as a failed execution.
     Result<PhysicalPlan> planned = PlanQuery(archiver_, plan);
     if (!planned.ok()) {
-      if (force_plan == PlanForce::kCostBased) return planned.status();
-      fallbacks->Inc();
-      return ExecutePlan(archiver_, plan, clock_, stats, trace,
-                         /*physical=*/nullptr, deadline);
+      metrics::Get(metrics::kExecPlans).Inc();
+      metrics::Get(metrics::kExecPlanFailures).Inc();
+      return planned.status();
     }
     physical = std::make_shared<const PhysicalPlan>(std::move(*planned));
     MutexLock l(plan_cache_mu_);
@@ -1828,8 +1614,11 @@ Result<xml::XmlNodePtr> ArchIS::Execute(
     if (plan_cache_.size() >= 256) plan_cache_.clear();
     plan_cache_[key] = CachedPlan{plan_epoch_, physical};
   }
-  return ExecutePlan(archiver_, plan, clock_, stats, trace, physical.get(),
-                     deadline);
+  // Describe() formats several floats; only pay for it when a profile is
+  // actually being collected.
+  if (planning.traced()) planning.Note("physical", physical->Describe());
+  return ExecutePlan(archiver_, plan, clock_, *physical, stats, trace,
+                     deadline, planning.Close());
 }
 
 std::string ArchIS::DumpMetrics() {

@@ -81,16 +81,9 @@ enum class QueryPath { kTranslated, kNativeFallback };
 /// Unsupported instead of falling back; kNative skips translation.
 enum class QueryForce { kAuto, kTranslated, kNative };
 
-/// Pins the physical planner for translated queries. kAuto runs the
-/// cost-based planner and falls back to the fixed shape if planning
-/// fails; kCostBased fails instead of falling back; kFixed bypasses the
-/// planner (the pre-planner executor shape — the ablation baseline).
-enum class PlanForce { kAuto, kCostBased, kFixed };
-
 /// Per-query options.
 struct QueryOptions {
   QueryForce force_path = QueryForce::kAuto;
-  PlanForce force_plan = PlanForce::kAuto;
   /// Collect a span-tree profile (parse -> translate -> execute ->
   /// segment scans) on QueryResult::profile. Off by default: profiling
   /// allocates per span, so it is opt-in per query.
@@ -311,14 +304,13 @@ class ArchIS {
   /// Translation only (the paper reports sub-0.1ms translation costs).
   Result<SqlXmlPlan> Translate(const std::string& xquery) const;
 
-  /// Executes a (possibly hand-built) plan against the H-tables. The
-  /// physical shape comes from the cost-based planner unless `force_plan`
-  /// says otherwise (see PlanForce).
-  /// `deadline` (absolute) cancels the execution at the next scan
+  /// Executes a (possibly hand-built) plan against the H-tables, with the
+  /// physical shape the cost-based planner chooses (cached per plan
+  /// shape). `deadline` (absolute) cancels the execution at the next scan
   /// boundary once passed (StatusCode::kDeadlineExceeded).
   Result<xml::XmlNodePtr> Execute(
       const SqlXmlPlan& plan, PlanStats* stats = nullptr,
-      trace::Trace* trace = nullptr, PlanForce force_plan = PlanForce::kAuto,
+      trace::Trace* trace = nullptr,
       std::optional<std::chrono::steady_clock::time_point> deadline =
           std::nullopt) const;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/metrics.h"
+#include "common/instruments.h"
 #include "minirel/executor.h"
 
 namespace archis::core {
@@ -21,41 +21,6 @@ constexpr double kProbeCost = 6.0;
 constexpr double kPageCost = 4.0;
 /// Default selectivity of one pushed-down value predicate.
 constexpr double kValueCondSelectivity = 0.33;
-
-metrics::Counter* PlansMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_planner_plans_total", "Physical plans produced by PlanQuery");
-  return c;
-}
-
-metrics::Counter* IdIndexMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_planner_id_index_paths_total",
-      "Plan variables routed to the id-index access path");
-  return c;
-}
-
-metrics::Counter* MergeScanMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_planner_segment_merge_paths_total",
-      "Plan variables routed to the temporal segment merge-scan path");
-  return c;
-}
-
-metrics::Counter* MergeOverIndexMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_planner_merge_beats_index_total",
-      "Id-restricted variables where the merge-scan was estimated cheaper "
-      "than the id index (the data-shape-driven plan flip)");
-  return c;
-}
-
-metrics::Counter* AggPushdownMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_planner_agg_pushdowns_total",
-      "Plans whose aggregate was pushed below the join/buffer pipeline");
-  return c;
-}
 
 Result<const SegmentedStore*> ResolveStore(const Archiver& archiver,
                                            const PlanVar& var) {
@@ -169,23 +134,12 @@ double IdIndexCost(const SegmentedStore& store, uint64_t* segments_touched) {
 
 }  // namespace
 
-PhysicalPlan DefaultPhysicalPlan(const SqlXmlPlan& plan) {
+Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
+                               const SqlXmlPlan& plan) {
   PhysicalPlan physical;
   physical.vars.resize(plan.vars.size());
   for (size_t v = 0; v < plan.vars.size(); ++v) {
-    physical.vars[v].path = plan.vars[v].id_eq.has_value()
-                                ? AccessPath::kIdIndex
-                                : AccessPath::kSegmentMerge;
     physical.fetch_order.push_back(v);
-  }
-  return physical;
-}
-
-Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
-                               const SqlXmlPlan& plan) {
-  PhysicalPlan physical = DefaultPhysicalPlan(plan);
-  physical.cost_based = true;
-  for (size_t v = 0; v < plan.vars.size(); ++v) {
     const PlanVar& var = plan.vars[v];
     ARCHIS_ASSIGN_OR_RETURN(const SegmentedStore* store,
                             ResolveStore(archiver, var));
@@ -204,15 +158,17 @@ Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
         vp.path = AccessPath::kSegmentMerge;
         vp.est_cost = merge_cost;
         vp.est_segments = merge_segs;
-        MergeOverIndexMetric()->Inc();
+        metrics::Get(metrics::kPlannerMergeBeatsIndex).Inc();
       }
     } else {
       vp.path = AccessPath::kSegmentMerge;
       vp.est_cost = merge_cost;
       vp.est_segments = merge_segs;
     }
-    (vp.path == AccessPath::kIdIndex ? IdIndexMetric() : MergeScanMetric())
-        ->Inc();
+    metrics::Get(vp.path == AccessPath::kIdIndex
+                     ? metrics::kPlannerIdIndexPaths
+                     : metrics::kPlannerSegmentMergePaths)
+        .Inc();
     physical.est_total_cost += vp.est_cost;
   }
 
@@ -261,21 +217,18 @@ Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
   if (plan.vars.size() == 1 && plan.aggregate != PlanAggregate::kNone &&
       plan.cross_conds.empty() && !plan.vars[0].predicate_only) {
     physical.stream_aggregate = true;
-    AggPushdownMetric()->Inc();
+    metrics::Get(metrics::kPlannerAggPushdowns).Inc();
   }
 
-  PlansMetric()->Inc();
+  metrics::Get(metrics::kPlannerPlans).Inc();
   return physical;
 }
 
 std::string PhysicalPlan::Describe() const {
-  std::string out = cost_based ? "cost-based" : "fixed";
   char buf[96];
-  if (cost_based) {
-    std::snprintf(buf, sizeof(buf), " cost=%.1f est_rows=%.1f",
-                  est_total_cost, est_result_rows);
-    out += buf;
-  }
+  std::snprintf(buf, sizeof(buf), "cost-based cost=%.1f est_rows=%.1f",
+                est_total_cost, est_result_rows);
+  std::string out = buf;
   for (size_t i = 0; i < fetch_order.size(); ++i) {
     const size_t v = fetch_order[i];
     std::snprintf(buf, sizeof(buf), " v%zu=%s", v,

@@ -28,12 +28,6 @@
 
 namespace archis::core {
 
-/// The fixed pre-planner shape: id-restricted variables probe the id
-/// index, everything else merge-scans; declaration-order fetch; no
-/// pushdown. Running it reproduces the legacy executor exactly — it is
-/// the planner-off baseline of the ablation benchmarks.
-PhysicalPlan DefaultPhysicalPlan(const SqlXmlPlan& plan);
-
 /// Chooses a physical plan for `plan` from the segment statistics of the
 /// stores it touches. Fails only when a plan variable references an
 /// unknown relation/attribute (the executor would fail identically).

@@ -6,8 +6,8 @@
 #include <queue>
 
 #include "common/flight_recorder.h"
+#include "common/instruments.h"
 #include "common/log.h"
-#include "common/metrics.h"
 #include "minirel/executor.h"
 
 namespace archis::core {
@@ -18,46 +18,6 @@ using minirel::Tuple;
 using minirel::Value;
 
 namespace {
-
-// Clustering observability (DESIGN.md §9): every freeze decision records
-// the usefulness ratio U = N_live / N_all it was taken at, so the paper's
-// usefulness-based clustering behaviour (TR-81 §6) is measurable on any
-// workload, not just in the umin benchmark.
-metrics::Counter* FreezesMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_segment_freezes_total",
-      "Live segments frozen (usefulness-based clustering events)");
-  return c;
-}
-
-metrics::Histogram* FreezeUsefulnessMetric() {
-  static metrics::Histogram* h = metrics::Registry::Global().GetHistogram(
-      "archis_segment_freeze_usefulness",
-      "Usefulness ratio U = N_live/N_all observed at freeze time",
-      metrics::LinearBuckets(0.05, 0.05, 20));
-  return h;
-}
-
-metrics::Gauge* FrozenSegmentsMetric() {
-  static metrics::Gauge* g = metrics::Registry::Global().GetGauge(
-      "archis_frozen_segments",
-      "Frozen segments currently held across all stores in this process");
-  return g;
-}
-
-metrics::Counter* FrozenTuplesMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_segment_frozen_tuples_total",
-      "Tuples moved from live to frozen segments");
-  return c;
-}
-
-metrics::Counter* SegmentScansMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_segment_scans_total",
-      "Segments (live or frozen) visited by store scans");
-  return c;
-}
 
 /// Identity of one version across segment copies: (id, tstart days).
 /// Frozen segments are stored in this order, and multi-source scans emit
@@ -148,7 +108,8 @@ Result<std::unique_ptr<SegmentedStore>> SegmentedStore::Create(
 }
 
 SegmentedStore::~SegmentedStore() {
-  FrozenSegmentsMetric()->Add(-static_cast<int64_t>(segments_.size()));
+  metrics::Get(metrics::kFrozenSegments)
+      .Add(-static_cast<int64_t>(segments_.size()));
 }
 
 Result<std::string> SegmentedStore::EncodeVersion(
@@ -501,10 +462,10 @@ Status SegmentedStore::Freeze(Date now) {
   live_total_ = carried;
   live_current_ = carried;
   live_start_ = now;
-  FreezesMetric()->Inc();
-  FreezeUsefulnessMetric()->Observe(usefulness_at_freeze);
-  FrozenSegmentsMetric()->Add(1);
-  FrozenTuplesMetric()->Inc(info.tuple_count);
+  metrics::Get(metrics::kSegmentFreezes).Inc();
+  metrics::Get(metrics::kSegmentFreezeUsefulness).Observe(usefulness_at_freeze);
+  metrics::Get(metrics::kFrozenSegments).Add(1);
+  metrics::Get(metrics::kSegmentFrozenTuples).Inc(info.tuple_count);
   fr::Record(fr::EventType::kSegmentFreeze, info.segno, info.tuple_count, 0,
              name_);
   logging::Debug("segment.freeze")
@@ -532,7 +493,7 @@ Status SegmentedStore::ScanFrozenSegment(
     const std::function<bool(const Tuple&)>& fn,
     StoreScanStats* stats) const {
   if (stats != nullptr) ++stats->segments_scanned;
-  SegmentScansMetric()->Inc();
+  metrics::Get(metrics::kSegmentScans).Inc();
   size_t idx = static_cast<size_t>(segno - 1);
   if (idx < compressed_.size() && compressed_[idx] != nullptr) {
     compress::BlobReadStats bstats;
@@ -567,7 +528,7 @@ Status SegmentedStore::ScanLive(std::optional<int64_t> id_filter,
                                 const std::function<bool(const Tuple&)>& fn,
                                 StoreScanStats* stats) const {
   if (stats != nullptr) ++stats->segments_scanned;
-  SegmentScansMetric()->Inc();
+  metrics::Get(metrics::kSegmentScans).Inc();
   auto visit = [&](const storage::RecordId&, const Tuple& row) {
     return fn(row);
   };

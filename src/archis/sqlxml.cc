@@ -7,7 +7,7 @@
 #include <set>
 
 #include "archis/planner.h"
-#include "common/metrics.h"
+#include "common/instruments.h"
 #include "common/str_util.h"
 #include "temporal/aggregate.h"
 #include "temporal/now.h"
@@ -100,31 +100,27 @@ bool ValueCondHolds(const Value& v, const ValueCond& cond) {
 /// `vp` is the planner's access-path decision for this variable: kIdIndex
 /// probes the id index and post-filters time; kSegmentMerge runs the
 /// temporally pruned merge-scan and post-filters any id restriction.
+/// `span` is the caller's segment_scan stage, annotated when traced.
 Result<std::vector<HRow>> FetchVar(const Archiver& archiver,
                                    const PlanVar& var, const VarPlan& vp,
-                                   Date current_date, bool cost_based,
-                                   PlanStats* stats,
-                                   trace::Trace* trace,
+                                   Date current_date, PlanStats* stats,
+                                   metrics::Stage* span,
                                    const ExecDeadline& deadline) {
-  trace::ScopedSpan span(
-      trace, "segment-scan");
   // Scan-boundary deadline check: a multi-variable plan whose earlier
   // scans consumed the budget stops before touching the next store.
   if (DeadlinePassed(deadline)) return DeadlineError();
   const bool use_id_index =
       vp.path == AccessPath::kIdIndex && var.id_eq.has_value();
-  if (trace != nullptr) {
+  if (span->traced()) {
     // Note values concatenate/format strings; only pay when a profile is
     // actually being collected.
-    span.Note("table", var.attribute.empty() ? var.relation + "_id"
-                                             : var.relation + "_" +
-                                                   var.attribute);
-    span.Note("path", use_id_index ? "id-index" : "segment-merge");
-    if (cost_based) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.1f", vp.est_rows);
-      span.Note("est_rows", std::string(buf));
-    }
+    span->Note("table", var.attribute.empty() ? var.relation + "_id"
+                                              : var.relation + "_" +
+                                                    var.attribute);
+    span->Note("path", use_id_index ? "id-index" : "segment-merge");
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.1f", vp.est_rows);
+    span->Note("est_rows", std::string(buf));
   }
   ARCHIS_ASSIGN_OR_RETURN(HTableSet* set, archiver.htables(var.relation));
   SegmentedStore* store = nullptr;
@@ -211,12 +207,12 @@ Result<std::vector<HRow>> FetchVar(const Archiver& archiver,
     stats->block_cache_hits += sstats.block_cache_hits;
     stats->block_cache_misses += sstats.block_cache_misses;
   }
-  span.Note("rows", static_cast<uint64_t>(rows.size()));
-  span.Note("tuples_scanned", sstats.tuples_scanned);
-  span.Note("segments", sstats.segments_scanned);
+  span->Note("rows", static_cast<uint64_t>(rows.size()));
+  span->Note("tuples_scanned", sstats.tuples_scanned);
+  span->Note("segments", sstats.segments_scanned);
   if (sstats.blocks_decompressed + sstats.block_cache_hits > 0) {
-    span.Note("blocks_decompressed", sstats.blocks_decompressed);
-    span.Note("cache_hits", sstats.block_cache_hits);
+    span->Note("blocks_decompressed", sstats.blocks_decompressed);
+    span->Note("cache_hits", sstats.block_cache_hits);
   }
   ARCHIS_RETURN_NOT_OK(st);
   if (deadline_hit) return DeadlineError();
@@ -562,7 +558,8 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
                                         Date current_date, PlanStats* stats,
                                         trace::Trace* trace,
                                         const PhysicalPlan& physical,
-                                        const ExecDeadline& deadline) {
+                                        const ExecDeadline& deadline,
+                                        metrics::Stage::Clock::time_point t) {
   if (plan.vars.empty()) {
     return Status::InvalidArgument("plan has no variables");
   }
@@ -572,31 +569,26 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
         "physical plan does not match the logical plan");
   }
   if (stats != nullptr) {
-    stats->cost_based_plan = physical.cost_based;
     stats->est_cost = physical.est_total_cost;
     stats->est_rows = physical.est_result_rows;
   }
-  if (trace != nullptr) {
-    // Describe() formats several floats; only pay for it when a profile
-    // is actually being collected.
-    trace::ScopedSpan plan_span(trace, "plan");
-    plan_span.Note("physical", physical.Describe());
-  }
 
-  // Fetch phase, in the planner's order. A variable that fetches empty
-  // empties the whole join (its join group's partial is empty, and the
-  // cross-product gate below requires every partial non-empty), so a
-  // cost-based plan stops fetching at the first empty input. The fixed
-  // legacy shape keeps the eager behaviour.
+  // Fetch phase, in the planner's order; each scan starts where the one
+  // before it ended. A variable that fetches empty empties the whole join
+  // (its join group's partial is empty, and the cross-product gate below
+  // requires every partial non-empty), so fetching stops at the first
+  // empty input.
   std::vector<std::vector<HRow>> inputs(plan.vars.size());
   for (size_t ord : physical.fetch_order) {
+    metrics::Stage scan(metrics::StageId::kSegmentScan, trace, t);
     ARCHIS_ASSIGN_OR_RETURN(
         std::vector<HRow> rows,
         FetchVar(archiver, plan.vars[ord], physical.vars[ord], current_date,
-                 physical.cost_based, stats, trace, deadline));
+                 stats, &scan, deadline));
+    t = scan.Close();
     const bool empty = rows.empty();
     inputs[ord] = std::move(rows);
-    if (physical.cost_based && empty) {
+    if (empty) {
       if (trace != nullptr) {
         trace->NoteCurrent("early_exit", "empty-input v" + std::to_string(ord));
       }
@@ -623,8 +615,7 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
   // merge; groups combine by cross product filtered by the cross conditions
   // (Algorithm 1 only generates id joins between variables rooted in the
   // same document variable).
-  std::optional<trace::ScopedSpan> join_span;
-  if (trace != nullptr) join_span.emplace(trace, "join");
+  metrics::Stage join(metrics::StageId::kJoin, trace, t);
   std::map<size_t, std::vector<size_t>> group_members;
   for (size_t v = 0; v < plan.vars.size(); ++v) {
     size_t gid = plan.join_on_id ? plan.vars[v].join_group : v;
@@ -723,10 +714,8 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
     }
     joined = std::move(unique);
   }
-  if (join_span.has_value()) {
-    join_span->Note("rows_joined", static_cast<uint64_t>(joined.size()));
-    join_span.reset();
-  }
+  join.Note("rows_joined", static_cast<uint64_t>(joined.size()));
+  join.Close();
 
   // Aggregates over the joined rows (the non-pushdown shape: multi
   // variable, cross conditions, or planner off): one fact per iteration
@@ -762,40 +751,14 @@ Result<xml::XmlNodePtr> ExecutePlanImpl(const Archiver& archiver,
 
 Result<xml::XmlNodePtr> ExecutePlan(
     const Archiver& archiver, const SqlXmlPlan& plan, Date current_date,
-    PlanStats* stats, trace::Trace* trace, const PhysicalPlan* physical,
-    std::optional<std::chrono::steady_clock::time_point> deadline) {
-  static metrics::Counter* rows_scanned =
-      metrics::Registry::Global().GetCounter(
-          "archis_exec_rows_scanned_total",
-          "H-table rows scanned by the SQL/XML executor");
-  static metrics::Counter* rows_joined =
-      metrics::Registry::Global().GetCounter(
-          "archis_exec_rows_joined_total",
-          "Rows produced by the executor's id-equijoin phase");
-  static metrics::Counter* segments_scanned =
-      metrics::Registry::Global().GetCounter(
-          "archis_exec_segments_scanned_total",
-          "Segments visited by SQL/XML plan scans");
-  static metrics::Counter* plans =
-      metrics::Registry::Global().GetCounter(
-          "archis_exec_plans_total", "SQL/XML plans executed");
-  static metrics::Counter* plan_failures =
-      metrics::Registry::Global().GetCounter(
-          "archis_exec_plan_failures_total",
-          "SQL/XML plan executions that returned a non-OK status");
-
-  // A caller without a planner decision runs the fixed legacy shape.
-  std::optional<PhysicalPlan> fallback;
-  if (physical == nullptr) {
-    fallback = DefaultPhysicalPlan(plan);
-    physical = &*fallback;
-  }
-
+    const PhysicalPlan& physical, PlanStats* stats, trace::Trace* trace,
+    std::optional<std::chrono::steady_clock::time_point> deadline,
+    std::chrono::steady_clock::time_point start) {
   // Run with a local PlanStats so the partial work of a failing plan is
   // still published (registry + caller), then merge into the caller's.
   PlanStats local;
   Result<xml::XmlNodePtr> result = ExecutePlanImpl(
-      archiver, plan, current_date, &local, trace, *physical, deadline);
+      archiver, plan, current_date, &local, trace, physical, deadline, start);
   if (stats != nullptr) {
     stats->rows_scanned += local.rows_scanned;
     stats->rows_joined += local.rows_joined;
@@ -804,7 +767,6 @@ Result<xml::XmlNodePtr> ExecutePlan(
     stats->blocks_pruned_by_time += local.blocks_pruned_by_time;
     stats->block_cache_hits += local.block_cache_hits;
     stats->block_cache_misses += local.block_cache_misses;
-    stats->cost_based_plan = local.cost_based_plan;
     stats->est_cost = local.est_cost;
     stats->est_rows = local.est_rows;
     stats->result_rows += local.result_rows;
@@ -816,11 +778,11 @@ Result<xml::XmlNodePtr> ExecutePlan(
     trace->NoteCurrent("est_rows", std::string(buf));
     trace->NoteCurrent("actual_rows", local.result_rows);
   }
-  rows_scanned->Inc(local.rows_scanned);
-  rows_joined->Inc(local.rows_joined);
-  segments_scanned->Inc(local.segments_scanned);
-  plans->Inc();
-  if (!result.ok()) plan_failures->Inc();
+  metrics::Get(metrics::kExecRowsScanned).Inc(local.rows_scanned);
+  metrics::Get(metrics::kExecRowsJoined).Inc(local.rows_joined);
+  metrics::Get(metrics::kExecSegmentsScanned).Inc(local.segments_scanned);
+  metrics::Get(metrics::kExecPlans).Inc();
+  if (!result.ok()) metrics::Get(metrics::kExecPlanFailures).Inc();
   return result;
 }
 

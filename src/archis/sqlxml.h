@@ -165,8 +165,8 @@ struct VarPlan {
 };
 
 /// A complete physical plan for one SqlXmlPlan. Constructed ONLY by
-/// archis/planner.* (PlanQuery / DefaultPhysicalPlan — the archis-lint
-/// `plan-ownership` rule pins this); the executor consumes it read-only.
+/// archis/planner.* (PlanQuery — the archis-lint `plan-ownership` rule
+/// pins this); the executor consumes it read-only.
 struct PhysicalPlan {
   std::vector<VarPlan> vars;        ///< parallel to SqlXmlPlan::vars
   /// Variable fetch order, cheapest (fewest estimated rows) first; a
@@ -176,8 +176,6 @@ struct PhysicalPlan {
   /// Compute the scalar/temporal aggregate while scanning, skipping the
   /// join/buffer pipeline (single-variable plans only).
   bool stream_aggregate = false;
-  /// False for the fixed legacy shape (planner off).
-  bool cost_based = false;
   double est_total_cost = 0;
   double est_result_rows = 0;
 
@@ -196,7 +194,6 @@ struct PlanStats {
   uint64_t block_cache_hits = 0;       ///< decompressed-block cache hits
   uint64_t block_cache_misses = 0;
   // Planner surface: estimate vs outcome for the run (DESIGN.md §11).
-  bool cost_based_plan = false;  ///< whether a cost-based physical plan ran
   double est_cost = 0;           ///< planner cost estimate (cost units)
   double est_rows = 0;           ///< planner output-row estimate
   uint64_t result_rows = 0;      ///< actual joined output rows
@@ -207,12 +204,12 @@ struct PlanStats {
 ///
 /// `stats` receives the executor counters; on a non-OK return it still
 /// holds the partial work done up to the failure, so failed queries stay
-/// attributable. A non-null `trace` gets one segment-scan span per plan
-/// variable plus a join span, nested under the caller's execute span.
+/// attributable. Each plan variable's fetch is one segment_scan stage and
+/// the join one join stage (common/instruments.h); the first scan starts
+/// at `start`, where the caller's plan stage ended. A non-null `trace`
+/// gets their spans, nested under the caller's execute span.
 ///
-/// `physical` is the planner's decision (archis/planner.h); nullptr runs
-/// the fixed legacy shape (DefaultPhysicalPlan), which reproduces the
-/// pre-planner executor exactly.
+/// `physical` is the planner's decision for `plan` (archis/planner.h).
 ///
 /// `deadline` (absolute, steady clock) cancels the run with
 /// StatusCode::kDeadlineExceeded: checked before each variable's scan,
@@ -221,10 +218,9 @@ struct PlanStats {
 /// would scan millions of rows observes the deadline promptly.
 Result<xml::XmlNodePtr> ExecutePlan(
     const Archiver& archiver, const SqlXmlPlan& plan, Date current_date,
-    PlanStats* stats = nullptr, trace::Trace* trace = nullptr,
-    const PhysicalPlan* physical = nullptr,
-    std::optional<std::chrono::steady_clock::time_point> deadline =
-        std::nullopt);
+    const PhysicalPlan& physical, PlanStats* stats, trace::Trace* trace,
+    std::optional<std::chrono::steady_clock::time_point> deadline,
+    std::chrono::steady_clock::time_point start);
 
 }  // namespace archis::core
 

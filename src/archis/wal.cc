@@ -1,71 +1,15 @@
 #include "archis/wal.h"
 
-#include <chrono>
 #include <map>
 
 #include "common/coding.h"
 #include "common/flight_recorder.h"
+#include "common/instruments.h"
 #include "common/log.h"
-#include "common/metrics.h"
 
 namespace archis::core {
 
 namespace {
-
-// Group-commit observability (DESIGN.md §9): fsync latency, how much each
-// sync batch coalesces, and how often committers ride a leader's sync
-// instead of issuing their own.
-metrics::Histogram* WalFsyncSecondsMetric() {
-  static metrics::Histogram* h = metrics::Registry::Global().GetHistogram(
-      "archis_wal_fsync_seconds",
-      "Latency of one WAL leader append+fsync batch",
-      metrics::DefaultLatencyBuckets());
-  return h;
-}
-
-metrics::Histogram* WalBatchBytesMetric() {
-  static metrics::Histogram* h = metrics::Registry::Global().GetHistogram(
-      "archis_wal_sync_batch_bytes",
-      "Bytes coalesced into one WAL append+fsync batch",
-      metrics::DefaultSizeBuckets());
-  return h;
-}
-
-metrics::Counter* WalCommitsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_wal_commits_total", "Durable WAL commits acknowledged");
-  return c;
-}
-
-metrics::Counter* WalSyncsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_wal_syncs_total", "WAL leader append+fsync batches issued");
-  return c;
-}
-
-metrics::Counter* WalBytesMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_wal_bytes_written_total", "Framed bytes appended to the WAL");
-  return c;
-}
-
-metrics::Counter* WalFollowerWaitsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_wal_follower_waits_total",
-      "Times a committer waited on another thread's in-flight sync "
-      "instead of leading its own");
-  return c;
-}
-
-metrics::WindowedHistogram* FsyncWindowMetric() {
-  static metrics::WindowedHistogram* w =
-      metrics::Registry::Global().GetWindowed(
-          "archis_fsync_window_seconds",
-          "Sliding-window WAL fsync latency (rate, p50/p95/p99 over "
-          "1s/10s/60s)",
-          metrics::DefaultLatencyBuckets());
-  return w;
-}
 
 using coding::AppendI64;
 using coding::AppendLengthPrefixed;
@@ -416,7 +360,7 @@ Status Wal::WaitDurableInternal(uint64_t ticket, bool count_commit) {
     if (durable_seq_ >= ticket) {
       if (count_commit) ++commits_;
       mu_.Unlock();
-      if (count_commit) WalCommitsMetric()->Inc();
+      if (count_commit) metrics::Get(metrics::kWalCommits).Inc();
       return Status::OK();
     }
     if (!dead_.ok()) {
@@ -438,27 +382,19 @@ Status Wal::WaitDurableInternal(uint64_t ticket, bool count_commit) {
       const uint64_t batch_frames = batch_seq - durable_seq_;
       mu_.Unlock();
       fr::Record(fr::EventType::kWalLeaderHandoff, batch_frames);
-      const auto sync_start = std::chrono::steady_clock::now();
+      metrics::Stage fsync(metrics::StageId::kWalFsync);
       Status io = file_->Append(batch);
       if (io.ok()) io = file_->Sync();
-      const double sync_secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        sync_start)
-              .count();
       mu_.Lock();
       sync_in_progress_ = false;
       bytes_ = file_->bytes_written();
       if (io.ok()) {
         durable_seq_ = batch_seq;
         ++syncs_;
-        WalFsyncSecondsMetric()->Observe(sync_secs);
-        FsyncWindowMetric()->Observe(sync_secs);
-        WalBatchBytesMetric()->Observe(static_cast<double>(batch.size()));
-        WalSyncsMetric()->Inc();
-        WalBytesMetric()->Inc(batch.size());
-        fr::Record(fr::EventType::kWalFsync, batch.size(),
-                   static_cast<uint64_t>(sync_secs * 1e9),
-                   static_cast<uint32_t>(batch_frames));
+        fsync.Close(batch.size(), static_cast<uint32_t>(batch_frames));
+        metrics::Get(metrics::kWalSyncBatchBytes)
+            .Observe(static_cast<double>(batch.size()));
+        metrics::Get(metrics::kWalBytesWritten).Inc(batch.size());
       } else {
         dead_ = io;  // the log is crashed; every committer sees the error
         logging::Error("wal.dead")
@@ -467,7 +403,7 @@ Status Wal::WaitDurableInternal(uint64_t ticket, bool count_commit) {
       }
       cv_.NotifyAll();
     } else {
-      WalFollowerWaitsMetric()->Inc();
+      metrics::Get(metrics::kWalFollowerWaits).Inc();
       cv_.Wait(mu_, [this, ticket]() ARCHIS_REQUIRES(mu_) {
         return durable_seq_ >= ticket || !sync_in_progress_ || !dead_.ok();
       });

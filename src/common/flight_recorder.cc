@@ -14,6 +14,7 @@
 #include <memory>
 #include <new>
 
+#include "common/instruments.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/parse.h"
@@ -140,8 +141,13 @@ const char* EventTypeName(EventType type) {
 }
 
 bool EventHasDuration(EventType type) {
-  return type == EventType::kWalFsync || type == EventType::kQueryExecute ||
-         type == EventType::kSlowQuery || type == EventType::kRequestEnd;
+  if (type == EventType::kSlowQuery) return true;
+  for (size_t i = 0; i < metrics::kNumStages; ++i) {
+    if (metrics::Info(static_cast<metrics::StageId>(i)).event == type) {
+      return true;
+    }
+  }
+  return false;
 }
 
 const char* AbortReasonName(AbortReason reason) {
@@ -150,8 +156,6 @@ const char* AbortReasonName(AbortReason reason) {
       return "explicit";
     case AbortReason::kConflict:
       return "conflict";
-    case AbortReason::kWrongThread:
-      return "wrong_thread";
     case AbortReason::kWalPoison:
       return "wal_poison";
   }

@@ -57,6 +57,7 @@ namespace archis::fr {
   X(kWalFsync, "wal_fsync")                  \
   X(kWalLeaderHandoff, "wal_leader_handoff") \
   X(kCheckpointPhase, "checkpoint_phase")    \
+  X(kCheckpoint, "checkpoint")               \
   X(kQueryPlan, "query_plan")                \
   X(kQueryExecute, "query_execute")          \
   X(kBlockCacheEvict, "block_cache_evict")   \
@@ -78,18 +79,20 @@ enum class EventType : uint16_t {
 const char* EventTypeName(EventType type);
 
 /// Whether `b` carries a duration in nanoseconds (rendered as a Chrome
-/// "X" complete event instead of an instant).
+/// "X" complete event instead of an instant): slow_query and every event
+/// a metrics::Stage emits (common/instruments.h).
 bool EventHasDuration(EventType type);
 
 /// One decoded event. `a` and `b` are type-specific operands:
 ///   txn_begin            a=txn_id
-///   txn_commit           a=txn_id     b=commit_seq   flags=changes
+///   txn_commit           a=txn_id     b=dur_ns       flags=changes
 ///   txn_abort            a=txn_id                    flags=AbortReason
-///   txn_conflict         a=txn_id     b=winner_seq   detail=key
+///   txn_conflict         a=txn_id     b=dur_ns       detail=key
 ///   wal_append           a=txn_id     b=bytes
 ///   wal_fsync            a=batch_bytes b=dur_ns      flags=batch_txns
 ///   wal_leader_handoff   a=batch_txns
 ///   checkpoint_phase     a=manifest_seq              detail=phase
+///   checkpoint           a=manifest_seq b=dur_ns     detail=base|delta
 ///   query_plan           a=plan_epoch                flags=1 cache hit
 ///   query_execute        a=rows       b=dur_ns       flags=1 ok
 ///   block_cache_evict    a=block      b=bytes_freed
@@ -113,7 +116,6 @@ struct Event {
 enum class AbortReason : uint32_t {
   kExplicit = 0,
   kConflict = 1,
-  kWrongThread = 2,
   kWalPoison = 3,
 };
 const char* AbortReasonName(AbortReason reason);

@@ -16,11 +16,15 @@ void SetEnabled(bool on) {
 
 // -- Histogram -----------------------------------------------------------------
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {}
+Histogram::Histogram(std::vector<double> bounds, bool windowed)
+    : bounds_(std::move(bounds)),
+      buckets_(bounds_.size() + 1),
+      window_(windowed ? std::make_unique<WindowedHistogram>(bounds_)
+                       : nullptr) {}
 
 void Histogram::Observe(double v) {
   if (!Enabled()) return;
+  if (window_ != nullptr) window_->Observe(v);
   size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), v) -
              bounds_.begin();
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
@@ -71,6 +75,7 @@ void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
+  if (window_ != nullptr) window_->Reset();
 }
 
 std::string Histogram::Summary() const {
@@ -197,82 +202,52 @@ std::vector<double> DefaultSizeBuckets() {
 
 // -- Registry ------------------------------------------------------------------
 
-Registry& Registry::Global() {
-  static Registry* g = new Registry();
-  return *g;
+Registry::Entry* Registry::FindOrAdd(const std::string& name, Kind kind,
+                                     const std::string& help) {
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    Entry e;
+    e.kind = kind;
+    e.help = help;
+    it = entries_.emplace(name, std::move(e)).first;
+  }
+  return it->second.kind == kind ? &it->second : nullptr;
 }
 
 Counter* Registry::GetCounter(const std::string& name,
                               const std::string& help) {
   MutexLock lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    Entry e;
-    e.kind = Kind::kCounter;
-    e.help = help;
-    e.counter = std::make_unique<Counter>();
-    it = entries_.emplace(name, std::move(e)).first;
-  }
-  if (it->second.kind != Kind::kCounter) {
-    static Counter* mismatch = new Counter();
-    return mismatch;
-  }
-  return it->second.counter.get();
+  Entry* e = FindOrAdd(name, Kind::kCounter, help);
+  if (e == nullptr) return nullptr;
+  if (e->counter == nullptr) e->counter = std::make_unique<Counter>();
+  return e->counter.get();
 }
 
 Gauge* Registry::GetGauge(const std::string& name, const std::string& help) {
   MutexLock lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    Entry e;
-    e.kind = Kind::kGauge;
-    e.help = help;
-    e.gauge = std::make_unique<Gauge>();
-    it = entries_.emplace(name, std::move(e)).first;
-  }
-  if (it->second.kind != Kind::kGauge) {
-    static Gauge* mismatch = new Gauge();
-    return mismatch;
-  }
-  return it->second.gauge.get();
+  Entry* e = FindOrAdd(name, Kind::kGauge, help);
+  if (e == nullptr) return nullptr;
+  if (e->gauge == nullptr) e->gauge = std::make_unique<Gauge>();
+  return e->gauge.get();
 }
 
 Histogram* Registry::GetHistogram(const std::string& name,
                                   const std::string& help,
-                                  std::vector<double> bounds) {
+                                  std::vector<double> bounds,
+                                  const std::string& window_name) {
   MutexLock lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    Entry e;
-    e.kind = Kind::kHistogram;
-    e.help = help;
-    e.histogram = std::make_unique<Histogram>(std::move(bounds));
-    it = entries_.emplace(name, std::move(e)).first;
+  Entry* e = FindOrAdd(name, Kind::kHistogram, help);
+  if (e == nullptr) return nullptr;
+  if (e->histogram == nullptr) {
+    e->histogram = std::make_unique<Histogram>(std::move(bounds),
+                                               !window_name.empty());
+    if (!window_name.empty()) {
+      Entry* w = FindOrAdd(window_name, Kind::kWindowed,
+                           help + " (sliding 1s/10s/60s windows)");
+      if (w != nullptr) w->windowed = e->histogram->window();
+    }
   }
-  if (it->second.kind != Kind::kHistogram) {
-    static Histogram* mismatch = new Histogram({1.0});
-    return mismatch;
-  }
-  return it->second.histogram.get();
-}
-
-WindowedHistogram* Registry::GetWindowed(const std::string& name,
-                                         const std::string& help,
-                                         std::vector<double> bounds) {
-  MutexLock lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    Entry e;
-    e.kind = Kind::kWindowed;
-    e.help = help;
-    e.windowed = std::make_unique<WindowedHistogram>(std::move(bounds));
-    it = entries_.emplace(name, std::move(e)).first;
-  }
-  if (it->second.kind != Kind::kWindowed) {
-    static WindowedHistogram* mismatch = new WindowedHistogram({1.0});
-    return mismatch;
-  }
-  return it->second.windowed.get();
+  return e->histogram.get();
 }
 
 namespace {
@@ -376,7 +351,7 @@ void Registry::ResetValues() {
       case Kind::kCounter: e.counter->Reset(); break;
       case Kind::kGauge: e.gauge->Reset(); break;
       case Kind::kHistogram: e.histogram->Reset(); break;
-      case Kind::kWindowed: e.windowed->Reset(); break;
+      case Kind::kWindowed: break;  // reset with its histogram
     }
   }
 }

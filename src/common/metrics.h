@@ -11,9 +11,9 @@
 // Cost model: an enabled Counter::Inc is one relaxed atomic load (the
 // global enable flag) plus one relaxed fetch_add; a disabled one is just
 // the load. Histogram::Observe adds a bucket search over a small fixed
-// bound table. Instruments are created once (get-or-create by name, stable
-// addresses) and cached in function-local statics at the call sites, so
-// the registry lock is off every hot path.
+// bound table. The process's instruments are declared once in the catalog
+// (common/instruments.h), created with the global registry and reached by
+// catalog id, so the registry lock is off every hot path.
 //
 // Thread safety: all instrument mutations are lock-free atomics; creation
 // and TextFormat() take the registry mutex.
@@ -81,42 +81,6 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// Fixed-bucket histogram: cumulative counts per upper bound plus an
-/// implicit +Inf bucket, a running sum and a total count. Percentiles are
-/// estimated by linear interpolation inside the covering bucket (the
-/// standard Prometheus histogram_quantile estimate); observations above
-/// the largest finite bound clamp to it.
-class Histogram {
- public:
-  /// `bounds` are strictly increasing finite upper bounds.
-  explicit Histogram(std::vector<double> bounds);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void Observe(double v);
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const;
-  /// p in [0, 1]; returns 0 on an empty histogram.
-  double Percentile(double p) const;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Count in bucket `i` (i == bounds().size() is the +Inf bucket).
-  uint64_t bucket_count(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  void Reset();
-
-  /// "count=12 sum=0.034 p50=1.2e-03 p95=4.1e-03 p99=8.0e-03" — the human
-  /// summary archis-stats prints next to the exposition.
-  std::string Summary() const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// Shared percentile estimate over a cumulative-bucket layout: linear
 /// interpolation inside the covering bucket, clamped to the largest
 /// finite bound (`buckets` has bounds.size() + 1 entries, the last being
@@ -177,6 +141,46 @@ class WindowedHistogram {
   std::atomic<uint64_t (*)()> clock_override_{nullptr};
 };
 
+/// Fixed-bucket histogram: cumulative counts per upper bound plus an
+/// implicit +Inf bucket, a running sum and a total count. Percentiles are
+/// estimated by linear interpolation inside the covering bucket (the
+/// standard Prometheus histogram_quantile estimate); observations above
+/// the largest finite bound clamp to it. A windowed histogram also feeds
+/// its WindowedHistogram from the same Observe call.
+class Histogram {
+ public:
+  /// `bounds` are strictly increasing finite upper bounds.
+  explicit Histogram(std::vector<double> bounds, bool windowed = false);
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+
+  void Observe(double v);
+  /// The sliding-window view, or nullptr for an unwindowed histogram.
+  WindowedHistogram* window() const { return window_.get(); }
+  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  double sum() const;
+  /// p in [0, 1]; returns 0 on an empty histogram.
+  double Percentile(double p) const;
+
+  const std::vector<double>& bounds() const { return bounds_; }
+  /// Count in bucket `i` (i == bounds().size() is the +Inf bucket).
+  uint64_t bucket_count(size_t i) const {
+    return buckets_[i].load(std::memory_order_relaxed);
+  }
+  void Reset();
+
+  /// "count=12 sum=0.034 p50=1.2e-03 p95=4.1e-03 p99=8.0e-03" — the human
+  /// summary archis-stats prints next to the exposition.
+  std::string Summary() const;
+
+ private:
+  std::vector<double> bounds_;
+  std::vector<std::atomic<uint64_t>> buckets_;  // bounds_.size() + 1
+  std::atomic<uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::unique_ptr<WindowedHistogram> window_;
+};
+
 /// Exponential bucket bounds: start, start*factor, ... (n bounds).
 std::vector<double> ExponentialBuckets(double start, double factor, int n);
 /// Linear bucket bounds: start, start+step, ... (n bounds).
@@ -187,10 +191,10 @@ std::vector<double> DefaultLatencyBuckets();
 std::vector<double> DefaultSizeBuckets();
 
 /// Name-keyed instrument registry. Get-or-create returns stable pointers;
-/// call sites cache them in function-local statics. Asking for an existing
-/// name with a different instrument type returns a detached dummy (never
-/// rendered) instead of crashing — the lint/test layer catches the
-/// conflict via TextFormat().
+/// asking for an existing name as a different instrument kind returns
+/// nullptr. Registry::Global() is built from the instrument catalog
+/// (common/instruments.h), so a lookup by a catalog name returns the
+/// catalog's live instrument.
 ///
 /// Names may carry a Prometheus label suffix (`x_total{reason="conflict"}`):
 /// each labeled variant is its own instrument, and TextFormat emits the
@@ -202,16 +206,17 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// The process-wide registry every ArchIS layer publishes into.
+  /// The process-wide registry every ArchIS layer publishes into, holding
+  /// every catalog instrument (defined in instruments.cc).
   static Registry& Global();
 
   Counter* GetCounter(const std::string& name, const std::string& help);
   Gauge* GetGauge(const std::string& name, const std::string& help);
+  /// A non-empty `window_name` gives a newly created histogram a sliding
+  /// window, rendered as its own family under that name.
   Histogram* GetHistogram(const std::string& name, const std::string& help,
-                          std::vector<double> bounds);
-  WindowedHistogram* GetWindowed(const std::string& name,
-                                 const std::string& help,
-                                 std::vector<double> bounds);
+                          std::vector<double> bounds,
+                          const std::string& window_name = "");
 
   /// Prometheus text exposition (# HELP / # TYPE, `_bucket{le="..."}` /
   /// `_sum` / `_count` for histograms), instruments sorted by name.
@@ -235,8 +240,10 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<WindowedHistogram> windowed;
+    const WindowedHistogram* windowed = nullptr;  ///< owned by a histogram
   };
+  Entry* FindOrAdd(const std::string& name, Kind kind,
+                   const std::string& help) ARCHIS_REQUIRES(mu_);
 
   std::string FormatLocked() const ARCHIS_REQUIRES(mu_);
 

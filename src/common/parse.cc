@@ -44,6 +44,17 @@ Result<int64_t> ParseInt64(std::string_view text) {
   return static_cast<int64_t>(v);
 }
 
+Result<int64_t> ParseInt64InRange(std::string_view text, int64_t min,
+                                  int64_t max) {
+  ARCHIS_ASSIGN_OR_RETURN(int64_t v, ParseInt64(text));
+  if (v < min || v > max) {
+    return Status::ParseError(Quoted(text) + " is outside [" +
+                              std::to_string(min) + ", " +
+                              std::to_string(max) + "]");
+  }
+  return v;
+}
+
 Result<double> ParseDouble(std::string_view text) {
   if (text.empty()) {
     return Status::ParseError("empty string is not a number");

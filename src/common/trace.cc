@@ -13,20 +13,47 @@ const Span* FindSpan(const Span& root, const std::string& name) {
   return nullptr;
 }
 
-Trace::Trace() : start_(std::chrono::steady_clock::now()) {
-  root_.name = "query";
-  open_.push_back(&root_);
+namespace {
+
+/// Nanoseconds from `from` to `to`; 0 when `to` is not later.
+uint64_t NsBetween(Trace::Clock::time_point from,
+                   Trace::Clock::time_point to) {
+  return to > from ? static_cast<uint64_t>(
+                         std::chrono::nanoseconds(to - from).count())
+                   : 0;
 }
 
-uint64_t Trace::ElapsedNs() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
+}  // namespace
+
+Span* Trace::OpenSpan(const char* name, Clock::time_point start) {
+  if (!rooted_) {
+    rooted_ = true;
+    start_ = start;
+    root_.name = name;
+    open_.push_back(&root_);
+    return &root_;
+  }
+  if (open_.empty()) return nullptr;
+  Span* parent = open_.back();
+  parent->children.push_back(Span{});
+  Span* span = &parent->children.back();
+  span->name = name;
+  span->start_ns = NsBetween(start_, start);
+  open_.push_back(span);
+  return span;
+}
+
+void Trace::CloseSpan(Span* span, Clock::time_point end) {
+  // Clamp to 1ns so a closed span always reports a non-zero duration.
+  span->duration_ns = std::max<uint64_t>(
+      NsBetween(start_ + std::chrono::nanoseconds(span->start_ns), end), 1);
+  if (!open_.empty() && open_.back() == span) open_.pop_back();
 }
 
 QueryProfile Trace::TakeProfile() {
-  root_.duration_ns = std::max<uint64_t>(ElapsedNs(), 1);
+  if (!open_.empty() && open_.front() == &root_) {
+    CloseSpan(&root_, Clock::now());
+  }
   QueryProfile profile;
   profile.root = std::move(root_);
   root_ = Span{};
@@ -41,33 +68,6 @@ void Trace::NoteCurrent(const std::string& key, std::string value) {
 
 void Trace::NoteCurrent(const std::string& key, uint64_t value) {
   NoteCurrent(key, std::to_string(value));
-}
-
-ScopedSpan::ScopedSpan(Trace* t, std::string name) : trace_(t) {
-  if (trace_ == nullptr || trace_->open_.empty()) return;
-  Span* parent = trace_->open_.back();
-  parent->children.push_back(Span{});
-  span_ = &parent->children.back();
-  span_->name = std::move(name);
-  span_->start_ns = trace_->ElapsedNs();
-  trace_->open_.push_back(span_);
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (span_ == nullptr) return;
-  // Clamp to 1ns so a closed span always reports a non-zero duration.
-  span_->duration_ns =
-      std::max<uint64_t>(trace_->ElapsedNs() - span_->start_ns, 1);
-  trace_->open_.pop_back();
-}
-
-void ScopedSpan::Note(const std::string& key, std::string value) {
-  if (span_ == nullptr) return;
-  span_->notes.emplace_back(key, std::move(value));
-}
-
-void ScopedSpan::Note(const std::string& key, uint64_t value) {
-  Note(key, std::to_string(value));
 }
 
 namespace {

@@ -1,17 +1,17 @@
-// Per-query RAII trace spans and the EXPLAIN-style profile renderer.
+// Per-query span trees and the EXPLAIN-style profile renderer.
 //
-// A Trace owns a span tree built by properly nested ScopedSpan guards on
-// the query thread: the facade opens parse / translate / execute spans,
-// the plan executor opens one segment-scan span per plan variable, and
+// A Trace owns a span tree built by properly nested metrics::Stage guards
+// (common/instruments.h) on the query thread: the query stage is the
+// root, the facade opens parse / translate / execute under it, the plan
+// executor opens plan, one segment_scan per plan variable and join, and
 // every span can carry key=value notes (row counts, cache hits, the table
 // scanned). When QueryOptions::collect_profile is set the tree is
 // surfaced on QueryResult as a QueryProfile whose Render() is the
 // human-readable EXPLAIN output.
 //
-// A null Trace* makes every ScopedSpan a no-op, so instrumented code paths
-// pay nothing when no profile was requested. Spans are built on one thread
-// (the query thread); work fanned out to scan-pool workers is reported as
-// notes/counters on the enclosing span, not as child spans.
+// A null Trace* opens no spans, so instrumented code paths pay nothing for
+// the tree when no profile was requested. Spans are built on one thread
+// (the query thread).
 #ifndef ARCHIS_COMMON_TRACE_H_
 #define ARCHIS_COMMON_TRACE_H_
 
@@ -43,57 +43,46 @@ struct QueryProfile {
   /// EXPLAIN-style indented tree, one span per line:
   ///   query                       2.314 ms
   ///     execute                   2.201 ms
-  ///       segment-scan            1.806 ms  table=employees_salary rows=42
+  ///       segment_scan            1.806 ms  table=employees_salary rows=42
   std::string Render() const;
 };
-
-class ScopedSpan;
 
 /// Span-tree builder for one query. Not thread-safe: one Trace is driven
 /// by one query thread.
 class Trace {
  public:
-  Trace();
+  using Clock = std::chrono::steady_clock;
+
+  Trace() = default;
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
-  /// Closes the root span and hands the finished tree out.
+  /// Opens a span at `start`: the first span opened is the root, later
+  /// ones nest under the innermost open span. Returns nullptr once the
+  /// root has closed. Called by metrics::Stage.
+  Span* OpenSpan(const char* name, Clock::time_point start);
+  /// Closes `span`, the innermost open span, at `end`.
+  void CloseSpan(Span* span, Clock::time_point end);
+
+  /// Closes the root span if it is still open and hands the finished
+  /// tree out.
   QueryProfile TakeProfile();
 
   /// Attaches a key=value annotation to the innermost open span. Lets a
   /// callee annotate its caller's span (e.g. the plan executor putting
   /// estimated-vs-actual rows on the facade's execute span) without
-  /// owning a ScopedSpan of its own.
+  /// owning a Stage of its own.
   void NoteCurrent(const std::string& key, std::string value);
   void NoteCurrent(const std::string& key, uint64_t value);
 
  private:
-  friend class ScopedSpan;
-  uint64_t ElapsedNs() const;
-
-  std::chrono::steady_clock::time_point start_;
+  Clock::time_point start_{};
+  bool rooted_ = false;
   Span root_;
   /// Open-span stack; back() is the innermost open span. Pointers stay
   /// valid because RAII nesting means a parent's children vector only
   /// grows while none of its existing children is open.
   std::vector<Span*> open_;
-};
-
-/// RAII guard for one span. Constructing on a null Trace is a no-op.
-class ScopedSpan {
- public:
-  ScopedSpan(Trace* t, std::string name);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Attaches a key=value annotation to this span.
-  void Note(const std::string& key, std::string value);
-  void Note(const std::string& key, uint64_t value);
-
- private:
-  Trace* trace_;
-  Span* span_ = nullptr;
 };
 
 }  // namespace archis::trace

@@ -4,50 +4,9 @@
 #include <cstring>
 
 #include "common/flight_recorder.h"
-#include "common/metrics.h"
+#include "common/instruments.h"
 
 namespace archis::compress {
-
-namespace {
-
-// Registry mirrors of the per-scan BlobReadStats, so cache effectiveness
-// is visible process-wide (DESIGN.md §9) and not only on plumbed scans.
-metrics::Counter* CacheHitsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_block_cache_hits_total",
-      "Decompressed-block LRU cache hits across all frozen segments");
-  return c;
-}
-
-metrics::Counter* CacheMissesMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_block_cache_misses_total",
-      "Decompressed-block LRU cache misses across all frozen segments");
-  return c;
-}
-
-metrics::Counter* BlocksDecompressedMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_blocks_decompressed_total",
-      "BlockZIP blocks inflated (cache misses + uncached fetches)");
-  return c;
-}
-
-metrics::Counter* BytesDecompressedMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_block_decompressed_bytes_total",
-      "Raw bytes produced by BlockZIP inflation");
-  return c;
-}
-
-metrics::Counter* BlocksPrunedMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_blocks_pruned_by_time_total",
-      "Blocks skipped by the temporal zone map before decompression");
-  return c;
-}
-
-}  // namespace
 
 Status BlobStore::Build(
     const std::vector<std::pair<int64_t, std::string>>& records,
@@ -125,8 +84,8 @@ Result<BlobStore::BlockPayloads> BlobStore::FetchBlock(
       ++stats->blocks_decompressed;
       stats->bytes_decompressed += blocks_[b].raw_bytes;
     }
-    BlocksDecompressedMetric()->Inc();
-    BytesDecompressedMetric()->Inc(blocks_[b].raw_bytes);
+    metrics::Get(metrics::kBlocksDecompressed).Inc();
+    metrics::Get(metrics::kBlockDecompressedBytes).Inc(blocks_[b].raw_bytes);
     return std::make_shared<const std::vector<std::string>>(
         std::move(payloads));
   }
@@ -137,7 +96,7 @@ Result<BlobStore::BlockPayloads> BlobStore::FetchBlock(
     if (it != shard.entries.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.second);
       if (stats != nullptr) ++stats->block_cache_hits;
-      CacheHitsMetric()->Inc();
+      metrics::Get(metrics::kBlockCacheHits).Inc();
       return it->second.first;
     }
   }
@@ -150,9 +109,9 @@ Result<BlobStore::BlockPayloads> BlobStore::FetchBlock(
     ++stats->blocks_decompressed;
     stats->bytes_decompressed += blocks_[b].raw_bytes;
   }
-  CacheMissesMetric()->Inc();
-  BlocksDecompressedMetric()->Inc();
-  BytesDecompressedMetric()->Inc(blocks_[b].raw_bytes);
+  metrics::Get(metrics::kBlockCacheMisses).Inc();
+  metrics::Get(metrics::kBlocksDecompressed).Inc();
+  metrics::Get(metrics::kBlockDecompressedBytes).Inc(blocks_[b].raw_bytes);
   auto entry = std::make_shared<const std::vector<std::string>>(
       std::move(payloads));
   const uint64_t charge = blocks_[b].raw_bytes;
@@ -185,7 +144,7 @@ Status BlobStore::ScanRangeInterval(
     if (window.has_value() && (meta_[b].max_tend < window->tstart.days() ||
                                meta_[b].min_tstart > window->tend.days())) {
       if (stats != nullptr) ++stats->blocks_pruned_by_time;
-      BlocksPrunedMetric()->Inc();
+      metrics::Get(metrics::kBlocksPrunedByTime).Inc();
       continue;
     }
     ARCHIS_ASSIGN_OR_RETURN(BlockPayloads payloads, FetchBlock(b, stats));

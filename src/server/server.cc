@@ -26,8 +26,8 @@
 #include "archis/archis.h"
 #include "common/date.h"
 #include "common/flight_recorder.h"
+#include "common/instruments.h"
 #include "common/log.h"
-#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/parse.h"
 #include "common/thread_annotations.h"
@@ -38,96 +38,6 @@ namespace archis::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// -- Metrics (DESIGN.md §9 / §15) -------------------------------------------
-
-metrics::Counter* RequestsCounter(const char* type) {
-  // One labeled series per request kind; the set is small and fixed.
-  static metrics::Counter* ping = metrics::Registry::Global().GetCounter(
-      "archis_server_requests_total{type=\"ping\"}",
-      "Requests received by archisd, by type");
-  static metrics::Counter* query = metrics::Registry::Global().GetCounter(
-      "archis_server_requests_total{type=\"query\"}",
-      "Requests received by archisd, by type");
-  static metrics::Counter* update = metrics::Registry::Global().GetCounter(
-      "archis_server_requests_total{type=\"update\"}",
-      "Requests received by archisd, by type");
-  static metrics::Counter* http_query = metrics::Registry::Global().GetCounter(
-      "archis_server_requests_total{type=\"http_query\"}",
-      "Requests received by archisd, by type");
-  static metrics::Counter* http_metrics =
-      metrics::Registry::Global().GetCounter(
-          "archis_server_requests_total{type=\"http_metrics\"}",
-          "Requests received by archisd, by type");
-  if (std::strcmp(type, "ping") == 0) return ping;
-  if (std::strcmp(type, "query") == 0) return query;
-  if (std::strcmp(type, "update") == 0) return update;
-  if (std::strcmp(type, "http_query") == 0) return http_query;
-  return http_metrics;
-}
-
-metrics::Counter* ShedCounter() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_server_shed_total",
-      "Requests shed by admission control (queue full or connection limit)");
-  return c;
-}
-
-metrics::Counter* DeadlineCounter() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_server_deadline_exceeded_total",
-      "Requests answered with DeadlineExceeded (stale in queue or cancelled "
-      "mid-execution)");
-  return c;
-}
-
-metrics::Counter* ProtocolErrorCounter() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_server_protocol_errors_total",
-      "Malformed frames received (oversized length prefix, unknown type, "
-      "truncated payload)");
-  return c;
-}
-
-metrics::Counter* ConnectionsTotal() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_server_connections_total", "Connections accepted by archisd");
-  return c;
-}
-
-metrics::Gauge* ConnectionsGauge() {
-  static metrics::Gauge* g = metrics::Registry::Global().GetGauge(
-      "archis_server_connections", "Connections currently open");
-  return g;
-}
-
-metrics::Gauge* QueueDepthGauge() {
-  static metrics::Gauge* g = metrics::Registry::Global().GetGauge(
-      "archis_server_queue_depth", "Requests admitted and waiting for a worker");
-  return g;
-}
-
-metrics::Gauge* InFlightGauge() {
-  static metrics::Gauge* g = metrics::Registry::Global().GetGauge(
-      "archis_server_in_flight", "Requests admitted and not yet answered");
-  return g;
-}
-
-metrics::Histogram* RequestSeconds() {
-  static metrics::Histogram* h = metrics::Registry::Global().GetHistogram(
-      "archis_server_request_seconds",
-      "End-to-end server request latency (admission to response)",
-      metrics::DefaultLatencyBuckets());
-  return h;
-}
-
-metrics::WindowedHistogram* RequestWindow() {
-  static metrics::WindowedHistogram* w = metrics::Registry::Global().GetWindowed(
-      "archis_server_request_window",
-      "Windowed server request latency (admission to response)",
-      metrics::DefaultLatencyBuckets());
-  return w;
-}
 
 // -- Request queue (the admission valve) ------------------------------------
 
@@ -140,6 +50,7 @@ struct PendingRequest {
   FrameType type = FrameType::kPing;
   std::string body;  ///< XQuery text or update script
   std::optional<Clock::time_point> deadline;
+  Clock::time_point admitted;  ///< when Submit queued it
   uint64_t seq = 0;
   const char* kind = "query";
   std::promise<Response> promise;
@@ -161,7 +72,7 @@ class RequestQueue {
       if (items_.size() >= capacity_) return PushOutcome::kFull;
       items_.push_back(std::move(req));
     }
-    QueueDepthGauge()->Add(1);
+    metrics::Get(metrics::kServerQueueDepth).Add(1);
     cv_.NotifyOne();
     return PushOutcome::kAdmitted;
   }
@@ -178,7 +89,7 @@ class RequestQueue {
       req = std::move(items_.front());
       items_.pop_front();
     }
-    QueueDepthGauge()->Add(-1);
+    metrics::Get(metrics::kServerQueueDepth).Add(-1);
     return req;
   }
 
@@ -467,8 +378,8 @@ struct ArchisServer::Impl {
 
   void SpawnSession(int fd, bool http) {
     const uint64_t id = next_session.fetch_add(1, std::memory_order_relaxed);
-    ConnectionsTotal()->Inc();
-    ConnectionsGauge()->Add(1);
+    metrics::Get(metrics::kServerConnectionsTotal).Inc();
+    metrics::Get(metrics::kServerConnections).Add(1);
     MutexLock l(mu);
     session_fds[id] = fd;
     sessions[id] = std::thread([this, id, fd, http] {
@@ -478,7 +389,7 @@ struct ArchisServer::Impl {
         BinarySession(fd);
       }
       ::close(fd);
-      ConnectionsGauge()->Add(-1);
+      metrics::Get(metrics::kServerConnections).Add(-1);
       MutexLock inner(mu);
       session_fds.erase(id);
       finished.push_back(id);
@@ -501,12 +412,13 @@ struct ArchisServer::Impl {
     req->deadline = deadline;
     req->seq = next_seq.fetch_add(1, std::memory_order_relaxed);
     req->kind = kind;
+    req->admitted = Clock::now();
     std::future<Response> future = req->promise.get_future();
     switch (queue.TryPush(req)) {
       case PushOutcome::kAdmitted:
         break;
       case PushOutcome::kFull:
-        ShedCounter()->Inc();
+        metrics::Get(metrics::kServerShed).Inc();
         return {WireStatus::kOverloaded,
                 "admission queue full (capacity " +
                     std::to_string(opts.queue_capacity) + "); retry later"};
@@ -515,9 +427,9 @@ struct ArchisServer::Impl {
     }
     // The worker pool always resolves admitted requests, including during
     // shutdown (Stop closes the queue, then workers drain it).
-    InFlightGauge()->Add(1);
+    metrics::Get(metrics::kServerInFlight).Add(1);
     Response resp = future.get();
-    InFlightGauge()->Add(-1);
+    metrics::Get(metrics::kServerInFlight).Add(-1);
     return resp;
   }
 
@@ -530,28 +442,22 @@ struct ArchisServer::Impl {
 
   void WorkerLoop() {
     while (std::shared_ptr<PendingRequest> req = queue.Pop()) {
+      // The request stage spans admission to response; queue_wait is its
+      // admission-to-pickup part.
+      metrics::Stage request(metrics::StageId::kRequest, nullptr,
+                             req->admitted);
+      metrics::Stage(metrics::StageId::kQueueWait, nullptr, req->admitted)
+          .Close();
       if (opts.test_delay_ms > 0) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(opts.test_delay_ms));
       }
-      const auto start = Clock::now();
       fr::Record(fr::EventType::kRequestBegin, req->seq, 0, 0, req->kind);
       Response resp = ExecuteRequest(*req);
-      const auto dur = Clock::now() - start;
-      const double secs =
-          std::chrono::duration_cast<std::chrono::duration<double>>(dur)
-              .count();
-      RequestSeconds()->Observe(secs);
-      RequestWindow()->Observe(secs);
       if (resp.status == WireStatus::kDeadlineExceeded) {
-        DeadlineCounter()->Inc();
+        metrics::Get(metrics::kServerDeadlineExceeded).Inc();
       }
-      fr::Record(
-          fr::EventType::kRequestEnd, req->seq,
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(dur)
-                  .count()),
-          static_cast<uint32_t>(resp.status), req->kind);
+      request.Close(req->seq, static_cast<uint32_t>(resp.status), req->kind);
       req->promise.set_value(std::move(resp));
     }
   }
@@ -587,27 +493,27 @@ struct ArchisServer::Impl {
         if (frame.status().code() == StatusCode::kInvalidArgument) {
           // Oversized length prefix: tell the peer, then drop the
           // connection — the stream is unrecoverable past a bad prefix.
-          ProtocolErrorCounter()->Inc();
+          metrics::Get(metrics::kServerProtocolErrors).Inc();
           IgnoreStatus(
               WriteFrame(fd, static_cast<uint8_t>(WireStatus::kInvalidArgument),
                          frame.status().message()));
         } else if (frame.status().code() != StatusCode::kAborted) {
-          ProtocolErrorCounter()->Inc();
+          metrics::Get(metrics::kServerProtocolErrors).Inc();
         }
         return;
       }
       Response resp;
       switch (static_cast<FrameType>(frame->type)) {
         case FrameType::kPing:
-          RequestsCounter("ping")->Inc();
+          metrics::Get(metrics::kServerRequestsPing).Inc();
           resp = {WireStatus::kOk, "pong"};
           break;
         case FrameType::kQuery: {
-          RequestsCounter("query")->Inc();
+          metrics::Get(metrics::kServerRequestsQuery).Inc();
           Result<std::pair<uint32_t, std::string>> q =
               DecodeQueryPayload(frame->payload);
           if (!q.ok()) {
-            ProtocolErrorCounter()->Inc();
+            metrics::Get(metrics::kServerProtocolErrors).Inc();
             resp = {WireStatus::kInvalidArgument, q.status().message()};
             break;
           }
@@ -616,14 +522,14 @@ struct ArchisServer::Impl {
           break;
         }
         case FrameType::kUpdateBatch:
-          RequestsCounter("update")->Inc();
+          metrics::Get(metrics::kServerRequestsUpdate).Inc();
           resp = Submit(FrameType::kUpdateBatch, std::move(frame->payload),
                         DeadlineFor(0), "update");
           break;
         default:
           // Garbage type byte: the stream is desynchronized; answer and
           // close rather than guessing at framing.
-          ProtocolErrorCounter()->Inc();
+          metrics::Get(metrics::kServerProtocolErrors).Inc();
           IgnoreStatus(WriteFrame(
               fd, static_cast<uint8_t>(WireStatus::kInvalidArgument),
               "unknown frame type " + std::to_string(frame->type)));
@@ -699,12 +605,12 @@ struct ArchisServer::Impl {
     }
 
     if (method == "GET" && path == "/metrics") {
-      RequestsCounter("http_metrics")->Inc();
+      metrics::Get(metrics::kServerRequestsHttpMetrics).Inc();
       WriteHttp(fd, WireStatus::kOk, core::ArchIS::DumpMetrics());
       return;
     }
     if (method == "POST" && path == "/query") {
-      RequestsCounter("http_query")->Inc();
+      metrics::Get(metrics::kServerRequestsHttpQuery).Inc();
       Response resp =
           Submit(FrameType::kQuery, std::move(body), DeadlineFor(0), "query");
       WriteHttp(fd, resp.status, resp.payload);
@@ -753,7 +659,7 @@ struct ArchisServer::Impl {
       }
       if (LiveSessions() >= opts.max_connections) {
         // Connection-level admission control: answer, count, close.
-        ShedCounter()->Inc();
+        metrics::Get(metrics::kServerShed).Inc();
         if (http) {
           WriteHttp(fd, WireStatus::kOverloaded, "too many connections");
         } else {

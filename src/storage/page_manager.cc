@@ -3,38 +3,12 @@
 #include <cassert>
 #include <cstdio>
 
-#include "common/metrics.h"
+#include "common/instruments.h"
 
 namespace archis::storage {
 
-namespace {
-
-// Process-wide mirrors of the per-instance IoStats (metric catalog:
-// DESIGN.md §9). Pointers are cached so the registry lock stays off the
-// page path.
-metrics::Counter* PageReadsMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_page_reads_total", "Pages read through PageManager::ReadPage");
-  return c;
-}
-
-metrics::Counter* PageWritesMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_page_writes_total",
-      "Pages pinned for write through PageManager::WritePage");
-  return c;
-}
-
-metrics::Counter* PagesAllocatedMetric() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "archis_pages_allocated_total", "Pages allocated across all stores");
-  return c;
-}
-
-}  // namespace
-
 PageId PageManager::Allocate() {
-  PagesAllocatedMetric()->Inc();
+  metrics::Get(metrics::kPagesAllocated).Inc();
   MutexLock lock(mu_);
   pages_allocated_.fetch_add(1, std::memory_order_relaxed);
   if (!free_.empty()) {
@@ -55,7 +29,7 @@ void PageManager::Free(PageId id) {
 
 const Page& PageManager::ReadPage(PageId id) const {
   page_reads_.fetch_add(1, std::memory_order_relaxed);
-  PageReadsMetric()->Inc();
+  metrics::Get(metrics::kPageReads).Inc();
   MutexLock lock(mu_);
   assert(id < pages_.size());
   // The unique_ptr pointee is stable, so the reference stays valid after
@@ -65,7 +39,7 @@ const Page& PageManager::ReadPage(PageId id) const {
 
 Page& PageManager::WritePage(PageId id) {
   page_writes_.fetch_add(1, std::memory_order_relaxed);
-  PageWritesMetric()->Inc();
+  metrics::Get(metrics::kPageWrites).Inc();
   MutexLock lock(mu_);
   assert(id < pages_.size());
   return *pages_[id];

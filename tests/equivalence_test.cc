@@ -6,8 +6,6 @@
 // Algorithm 1.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "workload/employee_workload.h"
@@ -19,20 +17,6 @@ namespace {
 using workload::EmployeeWorkload;
 using workload::WorkloadConfig;
 
-/// Physical-plan pin for the whole suite, from ARCHIS_FORCE_PLAN:
-/// "fixed" runs every translated query on the pre-planner executor shape,
-/// "cost" makes planner failures hard errors. scripts/check.sh runs the
-/// suite under both values, so a planner bug cannot hide behind the
-/// kAuto fallback.
-PlanForce ForcedPlan() {
-  const char* v = std::getenv("ARCHIS_FORCE_PLAN");
-  if (v == nullptr) return PlanForce::kAuto;
-  if (std::strcmp(v, "fixed") == 0) return PlanForce::kFixed;
-  if (std::strcmp(v, "cost") == 0) return PlanForce::kCostBased;
-  ADD_FAILURE() << "unknown ARCHIS_FORCE_PLAN value: " << v;
-  return PlanForce::kAuto;
-}
-
 /// Runs `query` on both paths and returns the translated answer,
 /// serialized. The translated side is pinned with QueryForce::kTranslated,
 /// so a translator coverage regression fails loudly instead of silently
@@ -40,8 +24,7 @@ PlanForce ForcedPlan() {
 /// (tend attributes and number formatting included).
 std::string RunBoth(ArchIS* db, const std::string& query) {
   auto translated =
-      db->Query(query, QueryOptions{.force_path = QueryForce::kTranslated,
-                                    .force_plan = ForcedPlan()});
+      db->Query(query, QueryOptions{.force_path = QueryForce::kTranslated});
   EXPECT_TRUE(translated.ok()) << translated.status().ToString() << "\n"
                                << query;
   if (!translated.ok()) return "";
@@ -239,8 +222,7 @@ TEST(TranslationEquivalenceMisc, CurrentTenseQueryAgrees) {
       "let $m := $e/title[tend(.)=current-date()] "
       "where not empty($m) return $e/id";
   auto result =
-      db->Query(q, QueryOptions{.force_path = QueryForce::kTranslated,
-                                .force_plan = ForcedPlan()});
+      db->Query(q, QueryOptions{.force_path = QueryForce::kTranslated});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->path, QueryPath::kTranslated);
   // kNative skips the translator entirely and evaluates over the
@@ -260,7 +242,7 @@ TEST(TranslationEquivalenceMisc, TavgAgreesWithNative) {
   const std::string q =
       "let $s := doc(\"employees.xml\")/employees/employee/salary "
       "return tavg($s)";
-  auto result = db->Query(q, QueryOptions{.force_plan = ForcedPlan()});
+  auto result = db->Query(q);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->path, QueryPath::kTranslated);
   auto native = db->QueryNative(q);
@@ -326,7 +308,7 @@ TEST_F(PaperScale, Table3TextsTranslateAndMatchNative) {
   };
   for (const std::string& text : texts) {
     // The automatic path must pick translation for every Table-3 text.
-    auto result = db->Query(text, QueryOptions{.force_plan = ForcedPlan()});
+    auto result = db->Query(text);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->path, QueryPath::kTranslated) << text;
     EXPECT_EQ(xml::Serialize(result->xml), RunBoth(db, text));

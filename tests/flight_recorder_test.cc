@@ -392,7 +392,7 @@ TEST_F(FlightRecorderTest, TransactionLifecycleEventsFlow) {
         break;
       case fr::EventType::kTxnCommit:
         commit = true;
-        EXPECT_GT(ev.b, 0u);      // commit_seq
+        EXPECT_GT(ev.b, 0u);      // commit latency, ns
         EXPECT_EQ(ev.flags, 1u);  // one change captured
         break;
       case fr::EventType::kTxnAbort:
@@ -407,6 +407,41 @@ TEST_F(FlightRecorderTest, TransactionLifecycleEventsFlow) {
   EXPECT_TRUE(begin);
   EXPECT_TRUE(commit);
   EXPECT_TRUE(abort_seen);
+}
+
+TEST_F(FlightRecorderTest, WrongThreadCallIsNotAnAbort) {
+  // A call from a thread that does not own the handle is rejected, but
+  // the transaction stays open and its owner commits it: no txn_abort.
+  ArchIS db(ArchISOptions{}, Date::FromYmd(2000, 1, 1));
+  RelationSpec spec;
+  spec.name = "t";
+  spec.schema = minirel::Schema({{"id", minirel::DataType::kInt64},
+                                 {"v", minirel::DataType::kInt64}});
+  spec.key_columns = {"id"};
+  spec.doc_name = "t.xml";
+  ASSERT_TRUE(db.CreateRelation(spec).ok());
+  fr::ResetForTest();
+  auto txn = db.Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(
+      txn->Insert("t", {minirel::Value(int64_t{1}), minirel::Value(int64_t{2})})
+          .ok());
+  std::thread intruder([&txn] {
+    EXPECT_EQ(txn->Insert("t", {minirel::Value(int64_t{3}),
+                                minirel::Value(int64_t{4})})
+                  .code(),
+              StatusCode::kInvalidArgument);
+  });
+  intruder.join();
+  ASSERT_TRUE(txn->Commit().ok());
+  const uint64_t txn_id = txn->id();
+  bool committed = false;
+  for (const fr::Event& ev : fr::Snapshot()) {
+    if (ev.a != txn_id) continue;
+    EXPECT_NE(ev.type, fr::EventType::kTxnAbort);
+    if (ev.type == fr::EventType::kTxnCommit) committed = true;
+  }
+  EXPECT_TRUE(committed);
 }
 
 }  // namespace

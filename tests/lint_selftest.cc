@@ -289,6 +289,13 @@ TEST(RawLogging, SuppressionComment) {
 TEST(PlanOwnership, FiresOnBraceConstruction) {
   EXPECT_TRUE(FiredRule("src/archis/seeded.cc",
                         "auto p = PhysicalPlan{};\n", "plan-ownership"));
+  // The message names the planner's one entry point.
+  const std::vector<Finding> findings =
+      LintSource("src/archis/seeded.cc", "auto p = PhysicalPlan{};\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("from PlanQuery()"), std::string::npos);
+  EXPECT_EQ(findings[0].message.find("DefaultPhysicalPlan"),
+            std::string::npos);
 }
 
 TEST(PlanOwnership, FiresOnLocalDeclaration) {
@@ -303,8 +310,8 @@ TEST(PlanOwnership, AllowsReferencesAndFunctionDeclarations) {
       "src/archis/seeded.cc",
       "void Run(const PhysicalPlan& p);\n"
       "const PhysicalPlan* chosen = nullptr;\n"
-      "PhysicalPlan DefaultPhysicalPlan(const SqlXmlPlan& plan);\n"
-      "std::optional<PhysicalPlan> fallback;\n",
+      "Result<PhysicalPlan> PlanQuery(const SqlXmlPlan& plan);\n"
+      "std::shared_ptr<const PhysicalPlan> cached;\n",
       "plan-ownership"));
 }
 

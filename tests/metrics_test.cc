@@ -1,7 +1,7 @@
 // Tests for the observability layer: the metrics registry (counters,
-// gauges, histograms, exposition), the per-query trace spans, the
-// structured logger, and the end-to-end wiring through ArchIS::Query /
-// ArchIS::DumpMetrics on a real workload.
+// gauges, histograms, exposition), the instrument catalog and its Stage,
+// the per-query trace spans, the structured logger, and the end-to-end
+// wiring through ArchIS::Query / ArchIS::DumpMetrics on a real workload.
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "archis/archis.h"
+#include "common/flight_recorder.h"
+#include "common/instruments.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -290,15 +292,13 @@ TEST(RegistryTest, GetOrCreateReturnsStablePointers) {
   EXPECT_EQ(b->value(), 5u);
 }
 
-TEST(RegistryTest, TypeMismatchReturnsDetachedDummy) {
+TEST(RegistryTest, TypeMismatchReturnsNull) {
   metrics::Registry reg;
   reg.GetCounter("x_total", "a counter");
-  metrics::Gauge* dummy = reg.GetGauge("x_total", "now a gauge?");
-  ASSERT_NE(dummy, nullptr);
-  dummy->Set(123);  // must not crash, must not render
+  EXPECT_EQ(reg.GetGauge("x_total", "now a gauge?"), nullptr);
+  EXPECT_EQ(reg.GetHistogram("x_total", "or a histogram?", {1.0}), nullptr);
   const std::string text = reg.TextFormat();
   EXPECT_NE(text.find("# TYPE x_total counter"), std::string::npos);
-  EXPECT_EQ(text.find("123"), std::string::npos);
 }
 
 TEST(RegistryTest, TextFormatIsWellFormedExposition) {
@@ -380,11 +380,16 @@ TEST(RegistryTest, LabeledHistogramMergesLabelsIntoSampleLines) {
 }
 
 TEST(RegistryTest, WindowedHistogramRendersWindowAndStatLabels) {
+  // The window is fed by its histogram's own Observe.
   metrics::Registry reg;
-  auto* w = reg.GetWindowed("q_window_seconds", "windowed latency", {1.0});
+  metrics::Histogram* h =
+      reg.GetHistogram("q_seconds", "latency", {1.0}, "q_window_seconds");
+  metrics::WindowedHistogram* w = h->window();
+  ASSERT_NE(w, nullptr);
   g_fake_secs.store(6000);
   w->SetClockForTest(&FakeClock);
-  w->Observe(0.5);
+  h->Observe(0.5);
+  EXPECT_EQ(h->count(), 1u);
   const std::string text = reg.TextFormat();
   EXPECT_EQ(CountOccurrences(text, "# TYPE q_window_seconds gauge"), 1);
   for (const char* win : {"1s", "10s", "60s"}) {
@@ -425,29 +430,35 @@ TEST(RegistryTest, ResetValuesKeepsRegistrations) {
 // Trace
 
 TEST(TraceTest, NullTraceSpansAreNoOps) {
-  trace::ScopedSpan span(nullptr, "never");
-  span.Note("k", "v");  // must not crash
+  metrics::Stage stage(metrics::StageId::kParse, nullptr);
+  EXPECT_FALSE(stage.traced());
+  stage.Note("k", "v");  // must not crash
 }
 
 TEST(TraceTest, BuildsNestedTreeWithNotesAndDurations) {
   trace::Trace tr;
   {
-    trace::ScopedSpan parse(&tr, "parse");
-  }
-  {
-    trace::ScopedSpan exec(&tr, "execute");
+    metrics::Stage query(metrics::StageId::kQuery, &tr);
     {
-      trace::ScopedSpan scan(&tr, "segment-scan");
+      metrics::Stage parse(metrics::StageId::kParse, &tr);
+      parse.Close();
+    }
+    metrics::Stage exec(metrics::StageId::kExecute, &tr);
+    {
+      metrics::Stage scan(metrics::StageId::kSegmentScan, &tr);
       scan.Note("table", "employees_salary");
       scan.Note("rows", uint64_t{42});
+      scan.Close();
     }
+    exec.Close();
+    query.Close();
   }
   trace::QueryProfile profile = tr.TakeProfile();
   EXPECT_EQ(profile.root.name, "query");
   ASSERT_EQ(profile.root.children.size(), 2u);
   EXPECT_GE(profile.root.duration_ns, 1u);
 
-  const trace::Span* scan = trace::FindSpan(profile.root, "segment-scan");
+  const trace::Span* scan = trace::FindSpan(profile.root, "segment_scan");
   ASSERT_NE(scan, nullptr);
   EXPECT_GE(scan->duration_ns, 1u);
   ASSERT_EQ(scan->notes.size(), 2u);
@@ -457,9 +468,90 @@ TEST(TraceTest, BuildsNestedTreeWithNotesAndDurations) {
 
   const std::string rendered = profile.Render();
   EXPECT_NE(rendered.find("query"), std::string::npos);
-  EXPECT_NE(rendered.find("segment-scan"), std::string::npos);
+  EXPECT_NE(rendered.find("segment_scan"), std::string::npos);
   EXPECT_NE(rendered.find("table=employees_salary"), std::string::npos);
   EXPECT_NE(rendered.find("ms"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Stage
+
+TEST(StageTest, CloseFeedsHistogramWindowCounterAndEvent) {
+  metrics::Histogram& hist = metrics::Get(metrics::kCommitSecondsOk);
+  metrics::Counter& commits = metrics::Get(metrics::kTxnCommits);
+  const uint64_t hist_before = hist.count();
+  const uint64_t commits_before = commits.value();
+  fr::ResetForTest();
+  metrics::Stage stage(metrics::StageId::kCommit);
+  stage.Close(/*a=*/77, /*flags=*/3);
+  EXPECT_EQ(hist.count(), hist_before + 1);
+  EXPECT_EQ(commits.value(), commits_before + 1);
+  const std::vector<fr::Event> events = fr::Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].type, fr::EventType::kTxnCommit);
+  EXPECT_EQ(events[0].a, 77u);
+  EXPECT_EQ(events[0].flags, 3u);
+  EXPECT_GE(static_cast<double>(events[0].b), stage.seconds() * 1e9 - 1);
+  EXPECT_TRUE(fr::EventHasDuration(fr::EventType::kTxnCommit));
+
+  // A windowed family's window moves with the same Close.
+  metrics::Histogram& query = metrics::Get(metrics::kQuerySeconds);
+  ASSERT_NE(query.window(), nullptr);
+  const uint64_t window_before = query.window()->Stats(60).count;
+  metrics::Stage(metrics::StageId::kQuery).Close();
+  EXPECT_EQ(query.window()->Stats(60).count, window_before + 1);
+}
+
+TEST(StageTest, AdjacentStagesShareTheirBoundary) {
+  metrics::Stage first(metrics::StageId::kParse);
+  const auto boundary = first.Close();
+  metrics::Stage second(metrics::StageId::kTranslate, nullptr, boundary);
+  EXPECT_EQ(second.start(), boundary);
+  const auto end = second.Close();
+  metrics::Stage outer(metrics::StageId::kExecute, nullptr, first.start());
+  EXPECT_EQ(outer.CloseAt(end), end);
+  EXPECT_NEAR(outer.seconds(), first.seconds() + second.seconds(), 1e-9);
+}
+
+TEST(StageTest, AbandonedStageRecordsNothing) {
+  metrics::Histogram& hist = metrics::Get(metrics::kCommitSecondsOk);
+  const uint64_t before = hist.count();
+  fr::ResetForTest();
+  trace::Trace tr;
+  {
+    metrics::Stage root(metrics::StageId::kQuery, &tr);
+    { metrics::Stage abandoned(metrics::StageId::kCommit, &tr); }
+    root.Close();
+  }
+  EXPECT_EQ(hist.count(), before);
+  for (const fr::Event& ev : fr::Snapshot()) {
+    EXPECT_NE(ev.type, fr::EventType::kTxnCommit);
+  }
+  // The abandoned stage's span is still closed under its parent.
+  const trace::QueryProfile profile = tr.TakeProfile();
+  const trace::Span* span = trace::FindSpan(profile.root, "commit");
+  ASSERT_NE(span, nullptr);
+  EXPECT_GE(span->duration_ns, 1u);
+}
+
+TEST(StageTest, UntimedStageReadsNoClock) {
+  // Metrics off, no trace and no flight-recorder event: nothing to time.
+  metrics::SetEnabled(false);
+  metrics::Stage stage(metrics::StageId::kParse);
+  EXPECT_EQ(stage.start(), metrics::Stage::Clock::time_point{});
+  EXPECT_EQ(stage.Close(), metrics::Stage::Clock::time_point{});
+  metrics::SetEnabled(true);
+}
+
+TEST(StageTest, StageLatencyIsScrapeablePerStage) {
+  const std::string text = metrics::Registry::Global().TextFormat();
+  for (const char* stage : {"parse", "translate", "plan", "segment_scan",
+                            "join", "native_eval", "queue_wait"}) {
+    EXPECT_NE(text.find(std::string("archis_stage_seconds_count{stage=\"") +
+                        stage + "\"}"),
+              std::string::npos)
+        << stage;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -566,13 +658,15 @@ TEST(ObservabilityIntegrationTest, ProfiledQueryAndMetricsExposition) {
   ASSERT_TRUE(result->profile.has_value());
 
   const trace::Span& root = result->profile->root;
-  for (const char* name : {"parse", "translate", "execute", "segment-scan"}) {
+  for (const char* name :
+       {"parse", "translate", "execute", "plan", "segment_scan", "join"}) {
     const trace::Span* span = trace::FindSpan(root, name);
     ASSERT_NE(span, nullptr) << "missing span " << name;
     EXPECT_GE(span->duration_ns, 1u) << name;
   }
   // The scan span carries its executor notes.
-  const trace::Span* scan = trace::FindSpan(root, "segment-scan");
+  EXPECT_EQ(root.name, "query");
+  const trace::Span* scan = trace::FindSpan(root, "segment_scan");
   bool has_rows_note = false;
   for (const auto& [k, v] : scan->notes) has_rows_note |= (k == "rows");
   EXPECT_TRUE(has_rows_note);
@@ -643,56 +737,89 @@ TEST(ObservabilityIntegrationTest, QueryFailureCountsAndLatencyObserved) {
 }
 
 TEST(ObservabilityIntegrationTest, AbortReasonBreakdownCounters) {
-  ArchISOptions options;
-  ArchIS db(options, Date::FromYmd(1990, 1, 1));
+  // Every real abort moves the aggregate counter and exactly one reason
+  // series, so after one abort of each reason the two views agree.
   core::RelationSpec spec;
   spec.name = "t";
   spec.schema = minirel::Schema({{"id", minirel::DataType::kInt64},
                                  {"v", minirel::DataType::kInt64}});
   spec.key_columns = {"id"};
   spec.doc_name = "t.xml";
-  ASSERT_TRUE(db.CreateRelation(spec).ok());
-
-  const std::string kExplicit = "archis_txn_abort_total{reason=\"explicit\"}";
-  const std::string kWrongThread =
-      "archis_txn_abort_total{reason=\"wrong_thread\"}";
-  const uint64_t explicit_before = GlobalCounterValue(kExplicit);
-  const uint64_t wrong_thread_before = GlobalCounterValue(kWrongThread);
+  auto row = [](int64_t id, int64_t v) {
+    return minirel::Tuple{minirel::Value(id), minirel::Value(v)};
+  };
+  const char* const kReasons[] = {
+      "archis_txn_abort_total{reason=\"explicit\"}",
+      "archis_txn_abort_total{reason=\"conflict\"}",
+      "archis_txn_abort_total{reason=\"wal_poison\"}"};
+  auto labeled_sum = [&] {
+    uint64_t sum = 0;
+    for (const char* name : kReasons) sum += GlobalCounterValue(name);
+    return sum;
+  };
   const uint64_t aggregate_before =
       GlobalCounterValue("archis_txn_aborts_total");
+  const uint64_t labeled_before = labeled_sum();
+  std::vector<uint64_t> reason_before;
+  for (const char* name : kReasons) {
+    reason_before.push_back(GlobalCounterValue(name));
+  }
 
-  // Explicit abort of a transaction that buffered changes.
-  auto txn = db.Begin();
-  ASSERT_TRUE(txn.ok());
-  ASSERT_TRUE(
-      txn->Insert("t", {minirel::Value(int64_t{1}), minirel::Value(int64_t{2})})
-          .ok());
-  ASSERT_TRUE(txn->Abort().ok());
-  EXPECT_EQ(GlobalCounterValue(kExplicit), explicit_before + 1);
-  EXPECT_EQ(GlobalCounterValue("archis_txn_aborts_total"),
-            aggregate_before + 1);
+  ArchIS db(ArchISOptions{}, Date::FromYmd(1990, 1, 1));
+  ASSERT_TRUE(db.CreateRelation(spec).ok());
+  ASSERT_TRUE(db.Insert("t", row(1, 1)).ok());
+  // Explicit: a transaction that buffered changes is rolled back.
+  {
+    auto txn = db.Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(txn->Insert("t", row(2, 2)).ok());
+    ASSERT_TRUE(txn->Abort().ok());
+  }
+  // Conflict: two transactions update one key; the second commit loses.
+  {
+    auto first = db.Begin();
+    auto second = db.Begin();
+    ASSERT_TRUE(first.ok() && second.ok());
+    ASSERT_TRUE(first->Update("t", {minirel::Value(int64_t{1})}, row(1, 10))
+                    .ok());
+    ASSERT_TRUE(second->Update("t", {minirel::Value(int64_t{1})}, row(1, 20))
+                    .ok());
+    ASSERT_TRUE(first->Commit().ok());
+    EXPECT_EQ(second->Commit().code(), StatusCode::kConflict);
+  }
+  // WAL poison: the log's first write fails, so the commit cannot become
+  // durable.
+  const std::string wal =
+      std::string(::testing::TempDir()) + "/abort_reasons.wal";
+  std::remove(wal.c_str());
+  {
+    ArchISOptions opts;
+    opts.wal.path = wal;
+    auto created = ArchIS::Open(opts, Date::FromYmd(1990, 1, 1));
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE((*created)->CreateRelation(spec).ok());
+  }
+  {
+    ArchISOptions opts;
+    opts.wal.path = wal;
+    opts.wal.fail_after_bytes = 1;
+    auto poisoned = ArchIS::Open(opts, Date::FromYmd(1990, 1, 1));
+    ASSERT_TRUE(poisoned.ok()) << poisoned.status().ToString();
+    EXPECT_FALSE((*poisoned)->Insert("t", row(3, 3)).ok());
+  }
+  std::remove(wal.c_str());
 
-  // Wrong-thread use: the handle is thread-affine; touching it from a
-  // second thread lands in the wrong_thread bucket.
-  auto affine = db.Begin();
-  ASSERT_TRUE(affine.ok());
-  ASSERT_TRUE(affine
-                  ->Insert("t", {minirel::Value(int64_t{2}),
-                                 minirel::Value(int64_t{3})})
-                  .ok());
-  std::thread intruder([&affine] {
-    const Status s = affine->Insert(
-        "t", {minirel::Value(int64_t{3}), minirel::Value(int64_t{4})});
-    EXPECT_FALSE(s.ok());
-  });
-  intruder.join();
-  EXPECT_EQ(GlobalCounterValue(kWrongThread), wrong_thread_before + 1);
-  ASSERT_TRUE(affine->Abort().ok());
-
-  // Both labeled variants render under one family header.
+  for (size_t i = 0; i < std::size(kReasons); ++i) {
+    EXPECT_EQ(GlobalCounterValue(kReasons[i]), reason_before[i] + 1)
+        << kReasons[i];
+  }
+  EXPECT_EQ(GlobalCounterValue("archis_txn_aborts_total") - aggregate_before,
+            labeled_sum() - labeled_before);
+  // Every labeled series renders under one family header.
   const std::string text = ArchIS::DumpMetrics();
-  EXPECT_NE(text.find(kExplicit), std::string::npos);
-  EXPECT_NE(text.find(kWrongThread), std::string::npos);
+  for (const char* name : kReasons) {
+    EXPECT_NE(text.find(name), std::string::npos) << name;
+  }
 }
 
 }  // namespace

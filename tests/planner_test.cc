@@ -1,7 +1,8 @@
 // Cost-based planner tests (DESIGN.md §11): statistics maintenance and
 // durability (freeze, BlockZIP, checkpoint, recovery), plan-choice goldens
 // including the data-shape-driven access-path flip, estimated-vs-actual
-// surfacing in the query profile, and the PlanForce escape hatch.
+// surfacing in the query profile, and planned answers checked against
+// expected values and the native path.
 //
 // Also locks in the auto-checkpoint + crash recovery mode of the
 // recovery_fuzz sweep as a deterministic regression matrix.
@@ -274,7 +275,6 @@ TEST(PlannerTest, SingleObjectLookupPicksIdIndexOnWideData) {
   // One 400-tuple segment: probing the id index beats merging the whole
   // covering segment.
   EXPECT_EQ(physical->vars[0].path, AccessPath::kIdIndex);
-  EXPECT_TRUE(physical->cost_based);
   EXPECT_GT(physical->est_total_cost, 0.0);
 }
 
@@ -294,12 +294,12 @@ TEST(PlannerTest, SameQueryFlipsToMergeScanOnDeepData) {
   ASSERT_TRUE(physical.ok()) << physical.status().ToString();
   EXPECT_EQ(physical->vars[0].path, AccessPath::kSegmentMerge);
   EXPECT_EQ(flips->value(), flips_before + 1);
-  // And the flipped plan still answers identically to the fixed shape.
-  auto chosen = db->Execute(plan, nullptr, nullptr, PlanForce::kCostBased);
-  auto fixed = db->Execute(plan, nullptr, nullptr, PlanForce::kFixed);
+  // And the flipped plan still answers correctly: employee 1's salary on
+  // 2000-06-01 is the one inserted on 2000-01-01.
+  auto chosen = db->Execute(plan);
   ASSERT_TRUE(chosen.ok());
-  ASSERT_TRUE(fixed.ok());
-  EXPECT_EQ(xml::Serialize(*chosen), xml::Serialize(*fixed));
+  ASSERT_EQ((*chosen)->ChildElements().size(), 1u);
+  EXPECT_EQ((*chosen)->StringValue(), "100");
 }
 
 TEST(PlannerTest, PlanCacheReusesUntilMutationInvalidates) {
@@ -315,20 +315,20 @@ TEST(PlannerTest, PlanCacheReusesUntilMutationInvalidates) {
   SqlXmlPlan plan = SalaryPlan(/*id=*/3, /*snapshot=*/D(2000, 6, 1));
   const uint64_t h0 = hits->value();
   const uint64_t m0 = misses->value();
-  ASSERT_TRUE(db->Execute(plan, nullptr, nullptr, PlanForce::kCostBased).ok());
+  ASSERT_TRUE(db->Execute(plan).ok());
   EXPECT_EQ(misses->value(), m0 + 1);  // cold: planned
   EXPECT_EQ(hits->value(), h0);
-  ASSERT_TRUE(db->Execute(plan, nullptr, nullptr, PlanForce::kCostBased).ok());
+  ASSERT_TRUE(db->Execute(plan).ok());
   EXPECT_EQ(misses->value(), m0 + 1);  // warm: reused
   EXPECT_EQ(hits->value(), h0 + 1);
   // A different constant is a different structural key — no false hit.
   SqlXmlPlan other = SalaryPlan(/*id=*/4, /*snapshot=*/D(2000, 6, 1));
-  ASSERT_TRUE(db->Execute(other, nullptr, nullptr, PlanForce::kCostBased).ok());
+  ASSERT_TRUE(db->Execute(other).ok());
   EXPECT_EQ(misses->value(), m0 + 2);
   // Any statistics-changing mutation bumps the epoch: the cached entry
   // goes stale and the same plan replans against the new statistics.
   ASSERT_TRUE(db->FreezeAll().ok());
-  ASSERT_TRUE(db->Execute(plan, nullptr, nullptr, PlanForce::kCostBased).ok());
+  ASSERT_TRUE(db->Execute(plan).ok());
   EXPECT_EQ(misses->value(), m0 + 3);
   EXPECT_EQ(hits->value(), h0 + 1);
 }
@@ -364,7 +364,7 @@ TEST(PlannerTest, PlanCacheKeyCoversSemiJoinOffsetAndAggregateFields) {
 
   std::string base_key;
   AppendPlanCacheKey(base, &base_key);
-  ASSERT_TRUE(db->Execute(base, nullptr, nullptr, PlanForce::kCostBased).ok());
+  ASSERT_TRUE(db->Execute(base).ok());
   for (size_t i = 0; i < variants.size(); ++i) {
     std::string key;
     AppendPlanCacheKey(variants[i], &key);
@@ -372,7 +372,7 @@ TEST(PlannerTest, PlanCacheKeyCoversSemiJoinOffsetAndAggregateFields) {
     // A distinct key is a distinct cache entry: the variant plans afresh.
     const uint64_t m0 = misses->value();
     ASSERT_TRUE(
-        db->Execute(variants[i], nullptr, nullptr, PlanForce::kCostBased).ok());
+        db->Execute(variants[i]).ok());
     EXPECT_EQ(misses->value(), m0 + 1) << "variant " << i;
   }
   // The predicate-only flag changes the physical plan itself: a lone
@@ -417,41 +417,39 @@ TEST(PlannerTest, SingleVariableAggregatePushesDownBelowTheJoin) {
   auto physical = PlanQuery(db->archiver(), plan);
   ASSERT_TRUE(physical.ok()) << physical.status().ToString();
   EXPECT_TRUE(physical->stream_aggregate);
-  // Pushed-down and buffered pipelines must agree on the answer.
-  auto pushed = db->Execute(plan, nullptr, nullptr, PlanForce::kCostBased);
-  auto fixed = db->Execute(plan, nullptr, nullptr, PlanForce::kFixed);
+  auto pushed = db->Execute(plan);
   ASSERT_TRUE(pushed.ok());
-  ASSERT_TRUE(fixed.ok());
-  EXPECT_EQ(xml::Serialize(*pushed), xml::Serialize(*fixed));
-  // Rendered as native count() is: the bare number inside <results>.
+  // Rendered as native count() is: the bare number inside <results>; 50
+  // employees with two salary versions each.
   EXPECT_EQ((*pushed)->ChildElements().size(), 0u);
-  EXPECT_EQ(xml::Serialize(*pushed),
-            "<results>" + (*pushed)->StringValue() + "</results>");
-  EXPECT_NE((*pushed)->StringValue(), "0");
+  EXPECT_EQ(xml::Serialize(*pushed), "<results>100</results>");
+  QueryOptions native_only;
+  native_only.force_path = QueryForce::kNative;
+  auto native =
+      db->Query("count(doc(\"emps.xml\")/emps/emp/salary)", native_only);
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
+  EXPECT_EQ(xml::Serialize(native->xml), xml::Serialize(*pushed));
 }
 
 // ---------------------------------------------------------------------------
-// Surfacing: PlanForce, PlanStats, EXPLAIN profile
+// Surfacing: PlanStats, EXPLAIN profile
 // ---------------------------------------------------------------------------
 
-TEST(PlannerSurfacingTest, ForcePlanPinsEitherShapeWithIdenticalAnswers) {
+TEST(PlannerSurfacingTest, PlannedQueryMatchesNativeAnswer) {
   auto db = BuildDeepShape(/*ids=*/4, /*periods=*/6);
   const std::string q =
       "for $s in doc(\"emps.xml\")/emps/emp/salary return $s";
-  QueryOptions cost;
-  cost.force_plan = PlanForce::kCostBased;
-  QueryOptions fixed;
-  fixed.force_plan = PlanForce::kFixed;
-  auto a = db->Query(q, cost);
-  auto b = db->Query(q, fixed);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  ASSERT_EQ(a->path, QueryPath::kTranslated);
-  EXPECT_EQ(xml::Serialize(a->xml), xml::Serialize(b->xml));
-  EXPECT_TRUE(a->stats.cost_based_plan);
-  EXPECT_FALSE(b->stats.cost_based_plan);
-  EXPECT_GT(a->stats.est_cost, 0.0);
-  EXPECT_EQ(a->stats.result_rows, b->stats.result_rows);
+  QueryOptions native_only;
+  native_only.force_path = QueryForce::kNative;
+  auto planned = db->Query(q);
+  auto native = db->Query(q, native_only);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
+  ASSERT_EQ(planned->path, QueryPath::kTranslated);
+  EXPECT_EQ(xml::Serialize(planned->xml), xml::Serialize(native->xml));
+  EXPECT_GT(planned->stats.est_cost, 0.0);
+  EXPECT_EQ(planned->stats.result_rows,
+            native->xml->ChildElements().size());
 }
 
 TEST(PlannerSurfacingTest, ProfileReportsEstimatedVsActualRows) {

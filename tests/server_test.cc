@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "archis/archis.h"
+#include "common/instruments.h"
 #include "common/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -316,8 +317,7 @@ TEST(ServerTest, ExecutorObservesDeadlineMidPlan) {
     core::PlanStats stats;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::microseconds(us);
-    auto result = db->Execute(*plan, &stats, nullptr,
-                              core::PlanForce::kAuto, deadline);
+    auto result = db->Execute(*plan, &stats, nullptr, deadline);
     if (!result.ok()) {
       ASSERT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
       cancelled = true;
@@ -344,6 +344,48 @@ TEST(ServerTest, RequestStaleInQueueAnsweredDeadlineExceeded) {
   // Without a deadline the same query still succeeds.
   auto fine = client.Query(kNamesQuery);
   EXPECT_TRUE(fine.ok()) << fine.status().ToString();
+}
+
+/// Observations of `h` above `seconds` (whole buckets past that bound).
+uint64_t CountAbove(const metrics::Histogram& h, double seconds) {
+  uint64_t n = 0;
+  for (size_t i = 1; i <= h.bounds().size(); ++i) {
+    if (h.bounds()[i - 1] >= seconds) n += h.bucket_count(i);
+  }
+  return n;
+}
+
+TEST(ServerTest, QueueWaitIsPartOfRequestLatency) {
+  // One worker that stalls 50 ms per request: of three queries sent at
+  // once, the last is admitted while the first still runs and waits for
+  // both others, so its queue_wait exceeds 50 ms — and every request's
+  // latency, measured from admission, covers its stall.
+  auto db = MakeDb();
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.test_delay_ms = 50;
+  auto server = MustStart(db.get(), opts);
+  const metrics::Histogram& wait = *metrics::Registry::Global().GetHistogram(
+      "archis_stage_seconds{stage=\"queue_wait\"}", "", {});
+  const metrics::Histogram& request =
+      metrics::Get(metrics::kServerRequestSeconds);
+  const uint64_t waits_before = wait.count();
+  const uint64_t long_waits_before = CountAbove(wait, 0.05);
+  const uint64_t long_requests_before = CountAbove(request, 0.05);
+
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.emplace_back([&] {
+      ArchisClient client(ClientFor(*server));
+      auto result = client.Query(kNamesQuery);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(wait.count(), waits_before + 3);
+  EXPECT_GE(CountAbove(wait, 0.05), long_waits_before + 1);
+  EXPECT_EQ(CountAbove(request, 0.05), long_requests_before + 3);
 }
 
 // -- Admission control -------------------------------------------------------

@@ -8,10 +8,12 @@
 // Prints the response payload to stdout; protocol/server errors go to
 // stderr with exit code 1 (3 for Overloaded, 4 for DeadlineExceeded, so
 // scripts can distinguish admission outcomes).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <type_traits>
 
+#include "common/parse.h"
 #include "server/client.h"
 
 namespace {
@@ -36,16 +38,28 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: the next argument, a whole integer in
+    // [lo, hi]. Anything else is a usage error.
+    auto number = [&](int64_t lo, int64_t hi, auto* out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      const archis::Result<int64_t> n = archis::ParseInt64InRange(v, lo, hi);
+      if (!n.ok()) {
+        std::fprintf(stderr, "archis-client: %s: %s\n", arg.c_str(),
+                     n.status().message().c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return true;
+    };
     const char* v = nullptr;
     if (arg == "--port") {
-      if ((v = next()) == nullptr) return Usage();
-      opts.port = std::atoi(v);
+      if (!number(1, 65535, &opts.port)) return Usage();
     } else if (arg == "--host") {
       if ((v = next()) == nullptr) return Usage();
       opts.host = v;
     } else if (arg == "--deadline-ms") {
-      if ((v = next()) == nullptr) return Usage();
-      deadline_ms = static_cast<uint32_t>(std::atol(v));
+      if (!number(0, UINT32_MAX, &deadline_ms)) return Usage();
     } else if (command.empty()) {
       command = arg;
     } else if (operand.empty()) {

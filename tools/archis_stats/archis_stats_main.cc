@@ -32,10 +32,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "archis/archis.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "workload/employee_workload.h"
 #include "xml/serializer.h"
 
@@ -126,6 +128,20 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: the next argument, a whole integer in
+    // [lo, hi]. Anything else is a usage error.
+    auto number = [&](int64_t lo, int64_t hi, auto* out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      const archis::Result<int64_t> n = archis::ParseInt64InRange(v, lo, hi);
+      if (!n.ok()) {
+        std::fprintf(stderr, "archis-stats: %s: %s\n", arg.c_str(),
+                     n.status().message().c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return true;
+    };
     if (arg == "--workload") {
       workload = true;
     } else if (arg == "--profile") {
@@ -143,25 +159,17 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       query = v;
     } else if (arg == "--repeat") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      repeat = std::atoi(v);
+      if (!number(1, 1 << 20, &repeat)) return Usage();
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return Usage();
       trace_path = v;
     } else if (arg == "--watch") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      watch = std::atoi(v);
+      if (!number(0, 86400, &watch)) return Usage();
     } else if (arg == "--employees") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      employees = std::atoi(v);
+      if (!number(1, 1 << 20, &employees)) return Usage();
     } else if (arg == "--years") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      years = std::atoi(v);
+      if (!number(1, 200, &years)) return Usage();
     } else {
       return Usage();
     }
@@ -220,7 +228,7 @@ int main(int argc, char** argv) {
 
   if (!query.empty()) {
     // Cold run warms the block cache; the profiled warm run then shows
-    // cache hits in its segment-scan spans.
+    // cache hits in its segment_scan spans.
     QueryOptions qopts;
     for (int r = 0; r < repeat; ++r) {
       if (auto cold = db.Query(query, qopts); !cold.ok()) {

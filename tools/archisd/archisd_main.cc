@@ -18,14 +18,16 @@
 // SIGTERM / SIGINT trigger a graceful shutdown: stop accepting, drain
 // every admitted request, exit 0.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "archis/archis.h"
+#include "common/parse.h"
 #include "server/server.h"
 #include "workload/employee_workload.h"
 
@@ -75,40 +77,47 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: the next argument, a whole integer in
+    // [lo, hi]. Anything else is a usage error.
+    auto number = [&](int64_t lo, int64_t hi, auto* out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      const archis::Result<int64_t> n = archis::ParseInt64InRange(v, lo, hi);
+      if (!n.ok()) {
+        std::fprintf(stderr, "archisd: %s: %s\n", arg.c_str(),
+                     n.status().message().c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return true;
+    };
     const char* v = nullptr;
     if (arg == "--data") {
       if ((v = next()) == nullptr) return Usage();
       data_dir = v;
     } else if (arg == "--port") {
-      if ((v = next()) == nullptr) return Usage();
-      server_opts.port = std::atoi(v);
+      if (!number(0, 65535, &server_opts.port)) return Usage();
     } else if (arg == "--http-port") {
-      if ((v = next()) == nullptr) return Usage();
-      server_opts.http_port = std::atoi(v);
+      if (!number(0, 65535, &server_opts.http_port)) return Usage();
     } else if (arg == "--host") {
       if ((v = next()) == nullptr) return Usage();
       server_opts.host = v;
     } else if (arg == "--workers") {
-      if ((v = next()) == nullptr) return Usage();
-      server_opts.workers = std::atoi(v);
+      if (!number(1, 256, &server_opts.workers)) return Usage();
     } else if (arg == "--queue-depth") {
-      if ((v = next()) == nullptr) return Usage();
-      server_opts.queue_capacity = static_cast<size_t>(std::atol(v));
+      if (!number(1, 1 << 20, &server_opts.queue_capacity)) return Usage();
     } else if (arg == "--deadline-ms") {
-      if ((v = next()) == nullptr) return Usage();
-      server_opts.default_deadline_ms =
-          static_cast<uint32_t>(std::atol(v));
+      if (!number(0, UINT32_MAX, &server_opts.default_deadline_ms)) {
+        return Usage();
+      }
     } else if (arg == "--max-connections") {
-      if ((v = next()) == nullptr) return Usage();
-      server_opts.max_connections = static_cast<size_t>(std::atol(v));
+      if (!number(1, 1 << 20, &server_opts.max_connections)) return Usage();
     } else if (arg == "--seed-workload") {
       seed_workload = true;
     } else if (arg == "--employees") {
-      if ((v = next()) == nullptr) return Usage();
-      employees = std::atoi(v);
+      if (!number(1, 1 << 20, &employees)) return Usage();
     } else if (arg == "--years") {
-      if ((v = next()) == nullptr) return Usage();
-      years = std::atoi(v);
+      if (!number(1, 200, &years)) return Usage();
     } else if (arg == "--port-file") {
       if ((v = next()) == nullptr) return Usage();
       port_file = v;

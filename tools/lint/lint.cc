@@ -414,9 +414,8 @@ void CheckPlanOwnership(const RuleContext& ctx) {
     if (constructs) {
       ctx.Report("plan-ownership", start,
                  "PhysicalPlan constructed outside the planner; obtain one "
-                 "from PlanQuery() / DefaultPhysicalPlan() "
-                 "(archis/planner.h) — the planner is the sole producer of "
-                 "physical plans");
+                 "from PlanQuery() (archis/planner.h) — the cost-based "
+                 "planner is the sole producer of physical plans");
     }
   }
 }

@@ -48,6 +48,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "archis/archis.h"
@@ -55,6 +56,7 @@
 #include "archis/wal.h"
 #include "common/flight_recorder.h"
 #include "common/json.h"
+#include "common/parse.h"
 #include "workload/scripted_dml.h"
 
 namespace {
@@ -536,26 +538,41 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--runs") {
-      if (const char* v = next()) args.runs = std::atoi(v);
-    } else if (arg == "--seed") {
-      if (const char* v = next()) {
-        args.seed = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+    // A numeric flag's value: the next argument, a whole integer in
+    // [lo, hi].
+    auto number = [&](int64_t lo, int64_t hi, auto* out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      const archis::Result<int64_t> n = archis::ParseInt64InRange(v, lo, hi);
+      if (!n.ok()) {
+        std::fprintf(stderr, "recovery_fuzz: %s: %s\n", arg.c_str(),
+                     n.status().message().c_str());
+        return false;
       }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return true;
+    };
+    bool ok = true;
+    if (arg == "--runs") {
+      ok = number(1, 1 << 20, &args.runs);
+    } else if (arg == "--seed") {
+      ok = number(0, UINT32_MAX, &args.seed);
     } else if (arg == "--transactions") {
-      if (const char* v = next()) args.transactions = std::atoi(v);
+      ok = number(1, 1 << 20, &args.transactions);
     } else if (arg == "--dir") {
-      if (const char* v = next()) args.dir = v;
+      const char* v = next();
+      ok = v != nullptr;
+      if (ok) args.dir = v;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: %s [--runs N] [--seed S] [--transactions T] "
                    "[--dir PATH]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (args.runs < 1 || args.transactions < 1) {
-    return Fail("args", "--runs and --transactions must be >= 1");
   }
 
   namespace fs = std::filesystem;

@@ -15,6 +15,7 @@
 // Exit 0 on success; 1 with one diagnostic line per violation otherwise.
 // scripts/check.sh runs it over a fresh workload trace so a malformed
 // emitter fails tier-1 verification.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include <string>
 
 #include "common/json.h"
+#include "common/parse.h"
 
 namespace {
 
@@ -85,10 +87,18 @@ void CheckEvent(size_t i, const Value& ev) {
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
-  long min_events = 1;
+  int64_t min_events = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--min-events") == 0 && i + 1 < argc) {
-      min_events = std::atol(argv[++i]);
+      const archis::Result<int64_t> n =
+          archis::ParseInt64InRange(argv[++i], 0, INT64_MAX);
+      if (!n.ok()) {
+        std::fprintf(stderr, "trace_check: --min-events: %s\n",
+                     n.status().message().c_str());
+        std::fprintf(stderr, "usage: trace_check FILE [--min-events N]\n");
+        return 2;
+      }
+      min_events = *n;
     } else if (path == nullptr) {
       path = argv[i];
     } else {
@@ -149,9 +159,9 @@ int main(int argc, char** argv) {
 
   const auto& items = events->items();
   for (size_t i = 0; i < items.size(); ++i) CheckEvent(i, items[i]);
-  if (static_cast<long>(items.size()) < min_events) {
-    std::fprintf(stderr, "trace_check: %s: %zu events, expected >= %ld\n",
-                 path, items.size(), min_events);
+  if (static_cast<int64_t>(items.size()) < min_events) {
+    std::fprintf(stderr, "trace_check: %s: %zu events, expected >= %lld\n",
+                 path, items.size(), static_cast<long long>(min_events));
     ++g_errors;
   }
 
