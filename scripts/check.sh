@@ -23,7 +23,10 @@
 #      HTTP shim, sends Q2-, Q4-, Q5- and Q6-shaped aggregate texts and
 #      requires /metrics to report archis_queries_native_total 0 and
 #      per-stage latency (archis_stage_seconds) for the query stages and
-#      queue_wait, then sends SIGTERM and requires a clean exit 0.
+#      queue_wait, then sends SIGTERM and requires a clean exit 0. A
+#      restart round boots archisd again on the same --data without the
+#      seed, requires the row committed over the wire to come back through
+#      recovery, and requires a second clean SIGTERM.
 #   8. ThreadSanitizer build + full ctest, with the debug-build lock-rank
 #      assertions live: every test doubles as a validation of the lock
 #      hierarchy in src/common/lock_rank.h (DESIGN.md §7.4), and TSan
@@ -113,7 +116,7 @@ TRACE_TMP="$(mktemp /tmp/archis_trace.XXXXXX.json)"
 ./build-check/tools/trace_check "$TRACE_TMP" --min-events 50
 rm -f "$TRACE_TMP"
 
-step "[7/9] archisd smoke (boot, wire + HTTP round trips, clean SIGTERM)"
+step "[7/9] archisd smoke (boot, wire + HTTP round trips, clean SIGTERM, restart)"
 ARCHISD_DIR="$(mktemp -d /tmp/archisd_smoke.XXXXXX)"
 # `exec` so $! is archisd itself, not a shell wrapper.
 ( exec ./build-check/tools/archisd --data "$ARCHISD_DIR/data" \
@@ -136,8 +139,10 @@ read -r ARCHISD_PORT ARCHISD_HTTP < "$ARCHISD_DIR/ports"
   'insert employees|990001|Smoke Person|50000|Engineer|D1' \
   | grep -q 'committed 1'
 if command -v curl >/dev/null 2>&1; then
-  curl -sf "http://127.0.0.1:$ARCHISD_HTTP/metrics" \
-    | grep -q 'archis_server_requests_total'
+  # Captured first: `grep -q` exits at the first match, and under pipefail
+  # curl's write error on the closed pipe (exit 23) would fail the step.
+  grep -q 'archis_server_requests_total' \
+    <<<"$(curl -sf "http://127.0.0.1:$ARCHISD_HTTP/metrics")"
   curl -sf -X POST --data-binary \
     'for $e in doc("employees.xml")/employees/employee[id=990001]/name return $e' \
     "http://127.0.0.1:$ARCHISD_HTTP/query" | grep -q 'Smoke Person'
@@ -176,12 +181,38 @@ for stage in parse translate plan segment_scan join native_eval queue_wait; do
     echo "archisd /metrics lacks archis_stage_seconds{stage=\"$stage\"}"
     exit 1; }
 done
-kill -TERM "$ARCHISD_PID"
-ARCHISD_EXIT=0
-wait "$ARCHISD_PID" || ARCHISD_EXIT=$?
-[[ "$ARCHISD_EXIT" -eq 0 ]] || {
-  echo "archisd exited $ARCHISD_EXIT on SIGTERM"; cat "$ARCHISD_DIR/log"
+# Stops archisd with SIGTERM and requires a clean exit 0.
+stop_archisd() {
+  kill -TERM "$ARCHISD_PID"
+  ARCHISD_EXIT=0
+  wait "$ARCHISD_PID" || ARCHISD_EXIT=$?
+  [[ "$ARCHISD_EXIT" -eq 0 ]] || {
+    echo "archisd exited $ARCHISD_EXIT on SIGTERM"; cat "$ARCHISD_DIR/log"
+    exit 1; }
+}
+stop_archisd
+# Restart round: boot again on the same --data without --seed-workload, so
+# the store comes back only through checkpoint + WAL recovery, and the
+# wire-committed row must still be there.
+rm -f "$ARCHISD_DIR/ports"
+( exec ./build-check/tools/archisd --data "$ARCHISD_DIR/data" \
+    --port 0 --http-port 0 --port-file "$ARCHISD_DIR/ports" ) \
+  > "$ARCHISD_DIR/log" 2>&1 &
+ARCHISD_PID=$!
+for _ in $(seq 1 100); do
+  [[ -s "$ARCHISD_DIR/ports" ]] && break
+  sleep 0.1
+done
+[[ -s "$ARCHISD_DIR/ports" ]] || {
+  echo "restarted archisd never wrote its port file"; cat "$ARCHISD_DIR/log"
   exit 1; }
+read -r ARCHISD_PORT ARCHISD_HTTP < "$ARCHISD_DIR/ports"
+./build-check/tools/archis-client --port "$ARCHISD_PORT" query \
+  'for $e in doc("employees.xml")/employees/employee[id=990001]/name return $e' \
+  | grep -q 'Smoke Person' || {
+  echo "restarted archisd lost the committed row"; cat "$ARCHISD_DIR/log"
+  exit 1; }
+stop_archisd
 rm -rf "$ARCHISD_DIR"
 
 step "[8/9] ThreadSanitizer + lock-rank assertions (full ctest)"

@@ -198,8 +198,8 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
   }
   ARCHIS_ASSIGN_OR_RETURN(WalRecovery recovery, Wal::Recover(wal_path));
   auto db = std::make_unique<ArchIS>(std::move(options), start_date);
-  uint64_t replay_from_offset = 0;  // legacy (pre-v3) manifests
-  uint64_t absorbed_seq = 0;        // v3 manifests filter by commit sequence
+  // Commits the manifest chain absorbed; replay skips them.
+  uint64_t absorbed_seq = 0;
   bool filter_by_seq = false;
   uint64_t chain_next_txn_id = 0;
   if (!chain.manifests.empty()) {
@@ -221,20 +221,11 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
     if (db->clock_ < Date(last.clock_days)) {
       db->clock_ = Date(last.clock_days);
     }
-    if (last.version >= 3) {
-      // Fuzzy manifests absorb a commit-sequence prefix, not a log prefix:
-      // a commit whose frames straddle the capture point replays by its
-      // sequence number regardless of where its bytes sit.
-      filter_by_seq = true;
-      absorbed_seq = last.absorbed_commit_seq;
-    } else if (!recovery.has_checkpoint_marker ||
-               recovery.checkpoint_seq < last.seq) {
-      // Legacy quiesced manifests measured a log offset. A marker of the
-      // manifest's own seq means the log *is* this checkpoint's suffix
-      // (offsets restarted at 0); an older / absent marker means the log
-      // layout is still the one the manifest measured.
-      replay_from_offset = last.wal_offset;
-    }
+    // Fuzzy manifests absorb a commit-sequence prefix, not a log prefix:
+    // a commit whose frames straddle the capture point replays by its
+    // sequence number regardless of where its bytes sit.
+    filter_by_seq = true;
+    absorbed_seq = last.absorbed_commit_seq;
   } else if (recovery.has_checkpoint_marker) {
     return Status::Corruption(
         "WAL was truncated by checkpoint " +
@@ -257,10 +248,7 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
   uint64_t first_replayed_offset = recovery.valid_bytes;
   for (size_t i = 0; i < recovery.items.size(); ++i) {
     const WalReplayItem& item = recovery.items[i];
-    if (filter_by_seq ? item_commit_seq(item) <= absorbed_seq
-                      : recovery.item_offsets[i] < replay_from_offset) {
-      continue;
-    }
+    if (filter_by_seq && item_commit_seq(item) <= absorbed_seq) continue;
     if (replayed_items == 0) first_replayed_offset = recovery.item_offsets[i];
     ++replayed_items;
     if (const auto* create = std::get_if<WalCreateRelation>(&item)) {
@@ -770,6 +758,22 @@ Status ArchIS::CommitTxn(Transaction* txn) {
             ": a concurrent transaction committed this key first");
       }
     }
+    // A relation dropped since this transaction wrote to it has no current
+    // table to apply to. Refuse before the COMMIT frame is enqueued: a
+    // logged commit that cannot apply fails every later recovery too.
+    if (txn->begin_drops_ != relations_dropped_) {
+      for (const Transaction::PendingChange& p : txn->changes_) {
+        if (current_db_.catalog().GetTable(p.change.relation).ok()) continue;
+        if (wal_ != nullptr && txn->wal_begun_) {
+          IgnoreStatus(wal_->EnqueueAbort(txn->txn_id_));
+        }
+        UnregisterTxnLocked(txn->txn_id_);
+        RecordAbort(txn->txn_id_, fr::AbortReason::kConflict);
+        return Status::Conflict("relation '" + p.change.relation +
+                                "' was dropped after this transaction "
+                                "wrote to it");
+      }
+    }
     // One transaction, one transaction-time instant: the clock at commit.
     if (txn->stamp_at_commit_) {
       for (Transaction::PendingChange& p : txn->changes_) {
@@ -944,7 +948,6 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
     fr::Record(fr::EventType::kCheckpointPhase, manifest.seq, 0, 0, "capture");
     manifest.clock_days = clock_.days();
     manifest.next_txn_id = wal_->PeekNextTxnId();
-    manifest.wal_offset = wal_->end_offset();
     manifest.base = is_base;
     manifest.prev_seq = is_base ? 0 : checkpoint_seq_;
     manifest.absorbed_commit_seq = commit_seq_;
@@ -1095,7 +1098,6 @@ Result<CheckpointRelation> ArchIS::CaptureRelation(
         rel.store_rows.back().push_back(row);
         return true;
       }));
-  rel.store_stats.push_back(set->key_store()->statistics().Encode());
   for (const std::string& attr : set->attribute_names()) {
     ARCHIS_ASSIGN_OR_RETURN(SegmentedStore * store,
                             set->attribute_store(attr));
@@ -1104,7 +1106,6 @@ Result<CheckpointRelation> ArchIS::CaptureRelation(
       rel.store_rows.back().push_back(row);
       return true;
     }));
-    rel.store_stats.push_back(store->statistics().Encode());
   }
   if (!rel.dropped) {
     ARCHIS_ASSIGN_OR_RETURN(Table * table,
@@ -1195,7 +1196,6 @@ Result<CheckpointRelation> ArchIS::CaptureRelationDelta(
         return true;
       }));
     }
-    rel.store_stats.push_back(stores[s]->statistics().Encode());
   }
   // Current-table delta: for every key written since the last capture,
   // either its current row (upsert) or a delete marker.
@@ -1267,27 +1267,13 @@ Status ArchIS::RestoreFromCheckpoint(const CheckpointManifest& manifest) {
           std::to_string(rel.store_rows.size()) + " stores, schema needs " +
           std::to_string(1 + set->attribute_names().size()));
     }
-    // Install the checkpointed statistics snapshot over the rebuild's
-    // (identical for deterministic stats, but the manifest is the record).
-    const bool has_stats = rel.store_stats.size() == rel.store_rows.size();
     ARCHIS_RETURN_NOT_OK(
         set->key_store()->LoadCheckpointRows(rel.store_rows[0]));
-    if (has_stats) {
-      ARCHIS_ASSIGN_OR_RETURN(StoreStatistics stats,
-                              StoreStatistics::Decode(rel.store_stats[0]));
-      set->key_store()->RestoreStatistics(std::move(stats));
-    }
     for (size_t a = 0; a < set->attribute_names().size(); ++a) {
       ARCHIS_ASSIGN_OR_RETURN(
           SegmentedStore * store,
           set->attribute_store(set->attribute_names()[a]));
       ARCHIS_RETURN_NOT_OK(store->LoadCheckpointRows(rel.store_rows[1 + a]));
-      if (has_stats) {
-        ARCHIS_ASSIGN_OR_RETURN(
-            StoreStatistics stats,
-            StoreStatistics::Decode(rel.store_stats[1 + a]));
-        store->RestoreStatistics(std::move(stats));
-      }
     }
     if (rel.dropped) {
       ARCHIS_RETURN_NOT_OK(DropRelationInternal(
@@ -1321,7 +1307,6 @@ Status ArchIS::ApplyCheckpointDelta(const CheckpointManifest& manifest) {
           std::to_string(rel.store_rows.size()) + " stores, schema needs " +
           std::to_string(1 + set->attribute_names().size()));
     }
-    const bool has_stats = rel.store_stats.size() == rel.store_rows.size();
     std::vector<SegmentedStore*> stores;
     stores.push_back(set->key_store());
     for (const std::string& attr : set->attribute_names()) {
@@ -1332,11 +1317,6 @@ Status ArchIS::ApplyCheckpointDelta(const CheckpointManifest& manifest) {
     for (size_t s = 0; s < stores.size(); ++s) {
       for (const Tuple& row : rel.store_rows[s]) {
         ARCHIS_RETURN_NOT_OK(stores[s]->UpsertCheckpointRow(row));
-      }
-      if (has_stats) {
-        ARCHIS_ASSIGN_OR_RETURN(StoreStatistics stats,
-                                StoreStatistics::Decode(rel.store_stats[s]));
-        stores[s]->RestoreStatistics(std::move(stats));
       }
     }
     if (!rel.dropped) {

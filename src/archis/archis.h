@@ -480,8 +480,8 @@ class ArchIS {
   Status RestoreFromCheckpoint(const CheckpointManifest& manifest);
 
   /// Applies one incremental delta manifest on top of the restored base:
-  /// upserts store rows by version identity, merges surrogates, installs
-  /// the statistics snapshots and patches the current tables.
+  /// upserts store rows by version identity, merges surrogates and
+  /// patches the current tables.
   Status ApplyCheckpointDelta(const CheckpointManifest& manifest);
 
   /// Clears every dirty marker (stores, surrogates, current keys) after a

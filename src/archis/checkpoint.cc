@@ -29,13 +29,9 @@ using storage::AppendFrame;
 
 // "CKP1", little-endian.
 constexpr uint32_t kMagic = 0x31504B43;
-// Version 2 added per-store statistics blobs after the current rows;
-// version 3 added the incremental chain (base/delta kind, prev_seq,
-// absorbed commit sequence, active-transaction table, per-relation full
-// flag and current-key deletes). Older manifests still decode, with the
-// pre-incremental defaults (full base, offset-based replay).
-constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 1;
+// Only the current format version decodes; an older manifest is
+// Corruption (DESIGN.md §10.1 records the format break).
+constexpr uint32_t kVersion = 4;
 
 enum class RecordType : uint8_t { kHeader = 1, kRelation = 2, kFooter = 3 };
 
@@ -96,18 +92,6 @@ Result<std::string> EncodeRelation(const CheckpointRelation& rel) {
   ARCHIS_ASSIGN_OR_RETURN(std::string current,
                           EncodeRows(rel.current_rows, rel.spec.schema));
   payload.append(current);
-  // v2: per-store statistics snapshots (may be absent when a caller built
-  // the relation by hand; recovery then rebuilds from the rows).
-  if (!rel.store_stats.empty() &&
-      rel.store_stats.size() != rel.store_rows.size()) {
-    return Status::Internal("checkpoint: stats count mismatch for '" +
-                            rel.spec.name + "'");
-  }
-  AppendU32(static_cast<uint32_t>(rel.store_stats.size()), &payload);
-  for (const std::string& stats : rel.store_stats) {
-    AppendLengthPrefixed(stats, &payload);
-  }
-  // v3: delta support — full flag and deleted current keys.
   payload.push_back(rel.full ? 1 : 0);
   AppendU32(static_cast<uint32_t>(rel.current_deletes.size()), &payload);
   for (const std::string& key : rel.current_deletes) {
@@ -116,8 +100,7 @@ Result<std::string> EncodeRelation(const CheckpointRelation& rel) {
   return payload;
 }
 
-Result<CheckpointRelation> DecodeRelation(uint32_t version,
-                                          std::string_view payload,
+Result<CheckpointRelation> DecodeRelation(std::string_view payload,
                                           size_t* pos) {
   CheckpointRelation rel;
   ARCHIS_ASSIGN_OR_RETURN(rel.spec, DecodeRelationSpec(payload, pos));
@@ -151,32 +134,15 @@ Result<CheckpointRelation> DecodeRelation(uint32_t version,
   }
   ARCHIS_ASSIGN_OR_RETURN(rel.current_rows,
                           DecodeRows(rel.spec.schema, payload, pos));
-  if (version >= 2) {
-    ARCHIS_ASSIGN_OR_RETURN(uint32_t nstats, ReadU32(payload, pos));
-    if (nstats != 0 && nstats != nstores) {
-      return Status::Corruption(
-          "checkpoint relation '" + rel.spec.name + "' has " +
-          std::to_string(nstats) + " stats blobs for " +
-          std::to_string(nstores) + " stores");
-    }
-    for (uint32_t s = 0; s < nstats; ++s) {
-      ARCHIS_ASSIGN_OR_RETURN(std::string stats,
-                              ReadLengthPrefixed(payload, pos));
-      rel.store_stats.push_back(std::move(stats));
-    }
+  if (*pos >= payload.size()) {
+    return Status::Corruption("checkpoint relation truncated (full flag)");
   }
-  if (version >= 3) {
-    if (*pos >= payload.size()) {
-      return Status::Corruption("checkpoint relation truncated (full flag)");
-    }
-    rel.full = payload[*pos] != 0;
-    ++*pos;
-    ARCHIS_ASSIGN_OR_RETURN(uint32_t ndeletes, ReadU32(payload, pos));
-    for (uint32_t i = 0; i < ndeletes; ++i) {
-      ARCHIS_ASSIGN_OR_RETURN(std::string key,
-                              ReadLengthPrefixed(payload, pos));
-      rel.current_deletes.push_back(std::move(key));
-    }
+  rel.full = payload[*pos] != 0;
+  ++*pos;
+  ARCHIS_ASSIGN_OR_RETURN(uint32_t ndeletes, ReadU32(payload, pos));
+  for (uint32_t i = 0; i < ndeletes; ++i) {
+    ARCHIS_ASSIGN_OR_RETURN(std::string key, ReadLengthPrefixed(payload, pos));
+    rel.current_deletes.push_back(std::move(key));
   }
   return rel;
 }
@@ -189,29 +155,24 @@ Result<CheckpointManifest> DecodeHeader(std::string_view payload,
   if (magic != kMagic) {
     return Status::Corruption("checkpoint manifest bad magic");
   }
-  if (version < kMinVersion || version > kVersion) {
+  if (version != kVersion) {
     return Status::Corruption("checkpoint manifest version " +
                               std::to_string(version) + " unsupported");
   }
-  manifest.version = version;
   ARCHIS_ASSIGN_OR_RETURN(manifest.seq, ReadU64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(manifest.clock_days, ReadI64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(manifest.next_txn_id, ReadU64(payload, pos));
-  ARCHIS_ASSIGN_OR_RETURN(manifest.wal_offset, ReadU64(payload, pos));
-  if (version >= 3) {
-    if (*pos >= payload.size()) {
-      return Status::Corruption("checkpoint header truncated (kind)");
-    }
-    manifest.base = payload[*pos] != 0;
-    ++*pos;
-    ARCHIS_ASSIGN_OR_RETURN(manifest.prev_seq, ReadU64(payload, pos));
-    ARCHIS_ASSIGN_OR_RETURN(manifest.absorbed_commit_seq,
-                            ReadU64(payload, pos));
-    ARCHIS_ASSIGN_OR_RETURN(uint32_t nactive, ReadU32(payload, pos));
-    for (uint32_t i = 0; i < nactive; ++i) {
-      ARCHIS_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, pos));
-      manifest.active_txn_ids.push_back(id);
-    }
+  if (*pos >= payload.size()) {
+    return Status::Corruption("checkpoint header truncated (kind)");
+  }
+  manifest.base = payload[*pos] != 0;
+  ++*pos;
+  ARCHIS_ASSIGN_OR_RETURN(manifest.prev_seq, ReadU64(payload, pos));
+  ARCHIS_ASSIGN_OR_RETURN(manifest.absorbed_commit_seq, ReadU64(payload, pos));
+  ARCHIS_ASSIGN_OR_RETURN(uint32_t nactive, ReadU32(payload, pos));
+  for (uint32_t i = 0; i < nactive; ++i) {
+    ARCHIS_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, pos));
+    manifest.active_txn_ids.push_back(id);
   }
   return manifest;
 }
@@ -298,7 +259,6 @@ Result<std::string> EncodeCheckpointManifest(
   AppendU64(manifest.seq, &header);
   AppendI64(manifest.clock_days, &header);
   AppendU64(manifest.next_txn_id, &header);
-  AppendU64(manifest.wal_offset, &header);
   header.push_back(manifest.base ? 1 : 0);
   AppendU64(manifest.prev_seq, &header);
   AppendU64(manifest.absorbed_commit_seq, &header);
@@ -351,9 +311,8 @@ Result<CheckpointChain> ReadCheckpointChain(const std::string& path) {
         if (!in_progress) {
           return Status::Corruption("checkpoint relation outside a manifest");
         }
-        ARCHIS_ASSIGN_OR_RETURN(
-            CheckpointRelation rel,
-            DecodeRelation(current.version, payload, &pos));
+        ARCHIS_ASSIGN_OR_RETURN(CheckpointRelation rel,
+                                DecodeRelation(payload, &pos));
         current.relations.push_back(std::move(rel));
         break;
       }

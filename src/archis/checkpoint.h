@@ -3,8 +3,8 @@
 //
 // A checkpoint persists durable state — relation catalog, H-table store
 // rows, surrogate-id assignments, current-table rows, clock and txn-id
-// counter — into CRC-framed manifests next to the WAL. Since v3 the
-// manifest file is a *chain*: a full base manifest followed by incremental
+// counter — into CRC-framed manifests next to the WAL. The manifest file
+// is a *chain*: a full base manifest followed by incremental
 // deltas, each carrying only the state dirtied since the previous
 // manifest plus the commit-sequence low-water mark and the table of
 // transactions still open at capture time. Recovery loads the chain
@@ -17,10 +17,10 @@
 //
 //   chain    := manifest+
 //   manifest := HEADER relation* FOOTER
-//   HEADER   := magic, version, seq, clock, next_txn_id, wal_offset,
-//               base?, prev_seq, absorbed_commit_seq, active_txn_ids
+//   HEADER   := magic, version, seq, clock, next_txn_id, base?, prev_seq,
+//               absorbed_commit_seq, active_txn_ids
 //   relation := spec, interval, dropped?, surrogates, store rows,
-//               current rows, stats, full?, current deletes
+//               current rows, full?, current deletes
 //   FOOTER   := seq          (absence of the footer = torn manifest)
 //
 // A base manifest is installed atomically (write-temp + fsync + rename,
@@ -78,13 +78,8 @@ struct CheckpointRelation {
   /// Current-table rows (empty for dropped relations). In a delta: only
   /// rows whose key was written since the previous manifest (upserts).
   std::vector<minirel::Tuple> current_rows;
-  /// Encoded StoreStatistics per store (parallel to store_rows), so
-  /// recovery installs the checkpointed planner estimates byte-for-byte.
-  /// Empty when decoded from a version-1 manifest — the restore rebuild
-  /// (LoadCheckpointRows -> LoadVersion) covers that case.
-  std::vector<std::string> store_stats;
   /// Whether this entry carries the relation's complete state (base
-  /// manifests) or only the dirty subset (deltas). Pre-v3 decodes as true.
+  /// manifests) or only the dirty subset (deltas).
   bool full = true;
   /// Delta only: current-table keys deleted since the previous manifest,
   /// as schema-free EncodeTuple blobs of the key values.
@@ -93,17 +88,10 @@ struct CheckpointRelation {
 
 /// Everything one checkpoint persists (one link of the chain).
 struct CheckpointManifest {
-  /// Format version this manifest was decoded from (writers always emit
-  /// the current version). Pre-v3 manifests replay the WAL by byte
-  /// offset; v3+ replays by commit sequence.
-  uint32_t version = 3;
   /// Monotonic checkpoint sequence number (matches the WAL marker).
   uint64_t seq = 0;
   int64_t clock_days = 0;
   uint64_t next_txn_id = 1;
-  /// WAL end offset at checkpoint time (legacy replay filter; v3 keeps
-  /// writing it for diagnostics but recovery filters by commit_seq).
-  uint64_t wal_offset = 0;
   /// Chain linkage: a base starts a chain; a delta extends the manifest
   /// whose seq equals prev_seq.
   bool base = true;

@@ -38,24 +38,70 @@ std::optional<TimeInterval> VarWindow(const PlanVar& var) {
   return var.overlap;
 }
 
+/// Calls `fn(seg)` for every source a merge-scan of `var` reads: the
+/// covering frozen segments (the segment-interval table prunes the rest,
+/// Eq. 3/4) and, as `seg == nullptr`, the live segment.
+template <typename Fn>
+void ForEachScannedSource(const SegmentedStore& store, const PlanVar& var,
+                          Fn fn) {
+  const std::vector<SegmentInfo>& segs = store.segments();
+  std::optional<TimeInterval> window = VarWindow(var);
+  if (var.snapshot.has_value() && *var.snapshot < store.live_start()) {
+    // ScanSnapshot picks the newest covering segment only.
+    const SegmentInfo* covering = nullptr;
+    for (const SegmentInfo& seg : segs) {
+      if (seg.interval.Overlaps(*window)) covering = &seg;
+    }
+    if (covering != nullptr) fn(covering);
+    return;
+  }
+  if (!var.snapshot.has_value()) {
+    for (const SegmentInfo& seg : segs) {
+      if (!window.has_value() || seg.interval.Overlaps(*window)) fn(&seg);
+    }
+  }
+  if (!window.has_value() || window->tend >= store.live_start()) fn(nullptr);
+}
+
+/// Distinct ids of the store, as far as the segment table tells: the
+/// largest frozen segment's exact count or the live segment's open
+/// versions.
+double DistinctIds(const SegmentedStore& store) {
+  uint64_t ids = store.live_current();
+  for (const SegmentInfo& seg : store.segments()) {
+    ids = std::max(ids, seg.distinct_ids);
+  }
+  return static_cast<double>(std::max<uint64_t>(ids, 1));
+}
+
 /// Estimated rows the variable's fetch yields after every pushed-down
 /// condition — path-independent (both paths post-filter to the same set).
+/// Read off the segment table: each scanned source contributes its tuples,
+/// or at a snapshot instant one version per id; an id restriction keeps
+/// one id's share. In the live segment every open version is a distinct
+/// id, so open versions are counted exactly.
 double EstimateVarRows(const SegmentedStore& store, const PlanVar& var) {
-  const StoreStatistics& stats = store.statistics();
-  if (stats.versions_total == 0) return 0.0;
-  const auto total = static_cast<double>(stats.versions_total);
-  std::optional<TimeInterval> window = VarWindow(var);
-  double rows = window ? stats.EstimateOverlapping(*window) : total;
-  if (var.id_eq.has_value()) {
-    // One object's share: versions-per-id scaled by the temporal fraction
-    // the window keeps.
-    rows = stats.VersionsPerId() * (rows / total);
+  double rows = 0;
+  if (var.current_only) {
+    rows = static_cast<double>(store.live_current());
+    if (var.id_eq.has_value()) rows = std::min(rows, 1.0);
+  } else {
+    ForEachScannedSource(store, var, [&](const SegmentInfo* seg) {
+      const auto tuples = static_cast<double>(
+          seg != nullptr ? seg->tuple_count : store.live_total());
+      const auto ids = static_cast<double>(
+          seg != nullptr ? seg->distinct_ids : store.live_current());
+      if (var.snapshot.has_value()) {
+        rows += var.id_eq.has_value() ? std::min(ids, 1.0) : ids;
+      } else {
+        rows += var.id_eq.has_value() ? tuples / std::max(ids, 1.0) : tuples;
+      }
+    });
   }
-  if (var.current_only) rows *= stats.LiveRatio();
   for (size_t i = 0; i < var.value_conds.size(); ++i) {
     rows *= kValueCondSelectivity;
   }
-  return std::max(rows, 0.0);
+  return rows;
 }
 
 /// Cost of the temporal merge-scan path: covering segments contribute
@@ -65,45 +111,23 @@ double EstimateVarRows(const SegmentedStore& store, const PlanVar& var) {
 double MergeScanCost(const SegmentedStore& store, const PlanVar& var,
                      uint64_t* segments_touched) {
   std::optional<TimeInterval> window = VarWindow(var);
+  const std::vector<SegmentInfo>& segs = store.segments();
   double cost = 0;
   uint64_t nseg = 0;
-  const std::vector<SegmentInfo>& segs = store.segments();
-  auto charge = [&](size_t idx) {
-    const SegmentInfo& seg = segs[idx];
+  ForEachScannedSource(store, var, [&](const SegmentInfo* seg) {
+    ++nseg;
+    if (seg == nullptr) {
+      cost += static_cast<double>(store.live_total()) * kTupleCost +
+              static_cast<double>(store.LiveTableStats().pages) * kPageCost;
+      return;
+    }
     const double blocks =
-        seg.compressed
-            ? static_cast<double>(store.BlocksOverlapping(idx, window))
-            : 0.0;
-    cost += static_cast<double>(seg.tuple_count) * kTupleCost +
+        seg->compressed ? static_cast<double>(store.BlocksOverlapping(
+                              static_cast<size_t>(seg - segs.data()), window))
+                        : 0.0;
+    cost += static_cast<double>(seg->tuple_count) * kTupleCost +
             blocks * kBlockCost;
-    ++nseg;
-  };
-  auto charge_live = [&] {
-    cost += static_cast<double>(store.live_total()) * kTupleCost +
-            static_cast<double>(store.LiveTableStats().pages) * kPageCost;
-    ++nseg;
-  };
-  if (var.snapshot.has_value() && *var.snapshot < store.live_start()) {
-    // ScanSnapshot picks the newest covering segment only.
-    std::optional<size_t> covering;
-    for (size_t i = 0; i < segs.size(); ++i) {
-      if (segs[i].interval.Overlaps(
-              MakeInterval(*var.snapshot, *var.snapshot))) {
-        covering = i;
-      }
-    }
-    if (covering.has_value()) charge(*covering);
-  } else if (var.snapshot.has_value()) {
-    charge_live();
-  } else if (window.has_value()) {
-    for (size_t i = 0; i < segs.size(); ++i) {
-      if (segs[i].interval.Overlaps(*window)) charge(i);
-    }
-    if (window->tend >= store.live_start()) charge_live();
-  } else {
-    for (size_t i = 0; i < segs.size(); ++i) charge(i);
-    charge_live();
-  }
+  });
   if (segments_touched != nullptr) *segments_touched = nseg;
   return cost;
 }
@@ -121,11 +145,12 @@ double IdIndexCost(const SegmentedStore& store, uint64_t* segments_touched) {
     cost += kProbeCost + rows_per_id * kTupleCost +
             (seg.blocks > 0 ? kBlockCost : 0.0);
   }
-  // Live segment: index probe plus the object's live versions.
-  const uint64_t live_ids =
-      std::max<uint64_t>(store.statistics().distinct_ids.Estimate(), 1);
-  cost += kProbeCost + static_cast<double>(store.live_total()) /
-                           static_cast<double>(live_ids) * kTupleCost;
+  // Live segment: index probe plus the object's live versions (every open
+  // version there is a distinct id).
+  cost += kProbeCost +
+          static_cast<double>(store.live_total()) /
+              static_cast<double>(std::max<uint64_t>(store.live_current(), 1)) *
+              kTupleCost;
   if (segments_touched != nullptr) {
     *segments_touched = store.segments().size() + 1;
   }
@@ -138,11 +163,13 @@ Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
                                const SqlXmlPlan& plan) {
   PhysicalPlan physical;
   physical.vars.resize(plan.vars.size());
+  std::vector<const SegmentedStore*> stores(plan.vars.size());
   for (size_t v = 0; v < plan.vars.size(); ++v) {
     physical.fetch_order.push_back(v);
     const PlanVar& var = plan.vars[v];
     ARCHIS_ASSIGN_OR_RETURN(const SegmentedStore* store,
                             ResolveStore(archiver, var));
+    stores[v] = store;
     VarPlan& vp = physical.vars[v];
     vp.est_rows = EstimateVarRows(*store, var);
     uint64_t merge_segs = 0;
@@ -181,25 +208,16 @@ Result<PhysicalPlan> PlanQuery(const Archiver& archiver,
                    });
 
   // Output-cardinality estimate: textbook equi-join on id, joined
-  // pairwise with |R >< S| = |R| * |S| / max(d_R, d_S).
+  // pairwise with |R >< S| = |R| * |S| / max(d_R, d_S). An id-restricted
+  // variable holds one distinct id.
   if (!physical.vars.empty()) {
+    auto distinct = [&](size_t v) {
+      return plan.vars[v].id_eq.has_value() ? 1.0 : DistinctIds(*stores[v]);
+    };
     double est = physical.vars[0].est_rows;
-    double max_d = 1;
-    if (const Result<const SegmentedStore*> s0 =
-            ResolveStore(archiver, plan.vars[0]);
-        s0.ok()) {
-      max_d = std::max<double>(
-          1, static_cast<double>((*s0)->statistics().distinct_ids.Estimate()));
-    }
+    double max_d = distinct(0);
     for (size_t v = 1; v < physical.vars.size(); ++v) {
-      double d = 1;
-      if (const Result<const SegmentedStore*> sv =
-              ResolveStore(archiver, plan.vars[v]);
-          sv.ok()) {
-        d = std::max<double>(
-            1,
-            static_cast<double>((*sv)->statistics().distinct_ids.Estimate()));
-      }
+      const double d = distinct(v);
       if (plan.join_on_id) {
         est = minirel::EstimateEquiJoinRows(est, physical.vars[v].est_rows,
                                             max_d, d);

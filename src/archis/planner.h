@@ -1,8 +1,10 @@
 // Cost-based physical planning for SQL/XML plans (DESIGN.md §11).
 //
 // The translator emits a logical SqlXmlPlan; this module decides how the
-// executor should run it, using the statistics catalog every
-// SegmentedStore maintains (archis/stats.h). Three decisions are made:
+// executor should run it. Its statistics are the paper's segment table
+// (SegmentInfo: interval, tuple and distinct-id counts, BlockZIP blocks),
+// the BlockZIP zone maps and the live segment's counters — nothing is
+// maintained for the planner alone. Three decisions are made:
 //
 //   * Access path per variable: B+-tree / block-sid id probes across all
 //     segments (kIdIndex) vs a temporally pruned segment merge-scan

@@ -138,15 +138,7 @@ Status SegmentedStore::AddVersion(int64_t id, std::string_view record,
                                   const TimeInterval& interval) {
   ARCHIS_RETURN_NOT_OK(live_->InsertRecord(record, {Value(id)}).status());
   ++live_total_;
-  ++stats_.versions_total;
-  stats_.tstart_hist.Add(interval.tstart.days());
-  stats_.distinct_ids.Add(id);
-  if (interval.is_current()) {
-    ++live_current_;
-    ++stats_.versions_open;
-  } else {
-    stats_.tend_hist.Add(interval.tend.days());
-  }
+  if (interval.is_current()) ++live_current_;
   if (track_dirty_) dirty_.emplace(id, interval.tstart.days());
   return Status::OK();
 }
@@ -224,14 +216,11 @@ Status SegmentedStore::UpsertCheckpointRow(const Tuple& row) {
   const bool was_open = found_row->at(tend_col_).AsDate().IsForever();
   storage::RecordId rid = *found_rid;
   ARCHIS_RETURN_NOT_OK(live_->Update(&rid, *found_row, row));
-  // Keep the open/closed counters coherent; the full statistics snapshot
-  // is installed from the delta's stats blob afterwards.
+  // Keep the open-version counter coherent.
   if (was_open && !interval.is_current()) {
     if (live_current_ > 0) --live_current_;
-    if (stats_.versions_open > 0) --stats_.versions_open;
   } else if (!was_open && interval.is_current()) {
     ++live_current_;
-    ++stats_.versions_open;
   }
   if (track_dirty_) dirty_.emplace(id, tstart.days());
   return Status::OK();
@@ -295,8 +284,6 @@ Status SegmentedStore::CloseOpenVersion(int64_t id, storage::RecordId rid,
   ARCHIS_RETURN_NOT_OK(live_->UpdateRecord(&rid, *record, {Value(id)}));
   NoteClose(id, tstart, end);
   if (live_current_ > 0) --live_current_;
-  if (stats_.versions_open > 0) --stats_.versions_open;
-  stats_.tend_hist.Add(end_days);
   if (track_dirty_) dirty_.emplace(id, tstart.days());
   return Status::OK();
 }

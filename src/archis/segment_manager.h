@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "archis/compressed_segment.h"
-#include "archis/stats.h"
 #include "common/interval.h"
 #include "common/mutex.h"
 #include "minirel/database.h"
@@ -150,8 +149,7 @@ class SegmentedStore {
 
   /// Applies one checkpoint-delta row by version identity (id, tstart):
   /// rewrites the matching live row in place, or bulk-loads the row when
-  /// the version is new. Recovery-only, like LoadCheckpointRows; the
-  /// caller installs the delta's statistics snapshot afterwards.
+  /// the version is new. Recovery-only, like LoadCheckpointRows.
   Status UpsertCheckpointRow(const minirel::Tuple& row);
 
   // -- Dirty tracking (fuzzy incremental checkpoints, DESIGN.md §13) --------
@@ -209,17 +207,6 @@ class SegmentedStore {
     return index < compressed_.size() ? compressed_[index].get() : nullptr;
   }
 
-  /// The statistics catalog entry for this store, maintained incrementally
-  /// by the update path and rebuilt by recovery (LoadCheckpointRows routes
-  /// through LoadVersion).
-  const StoreStatistics& statistics() const { return stats_; }
-
-  /// Installs a statistics snapshot captured by a checkpoint manifest,
-  /// replacing whatever the restore rebuild accumulated. Recovery calls
-  /// this after LoadCheckpointRows so planner estimates match the
-  /// checkpointed instance exactly.
-  void RestoreStatistics(StoreStatistics stats) { stats_ = std::move(stats); }
-
   /// Blocks of frozen segment `index` (its position in segments()) that a
   /// scan restricted to `window` would decompress, after temporal zone-map
   /// pruning. 0 for uncompressed segments; metadata only, nothing is read.
@@ -255,8 +242,7 @@ class SegmentedStore {
   Result<std::string> EncodeVersion(int64_t id,
                                     const std::vector<minirel::Value>& values,
                                     Date tstart, Date tend) const;
-  /// Adds the encoded version `record` of `id` to the live segment and
-  /// the statistics.
+  /// Adds the encoded version `record` of `id` to the live segment.
   Status AddVersion(int64_t id, std::string_view record,
                     const TimeInterval& interval);
   /// Locates the open (tend = forever) live record for `id`; NotFound if
@@ -310,7 +296,6 @@ class SegmentedStore {
   std::vector<SegmentInfo> segments_;
   std::vector<std::unique_ptr<CompressedSegment>> compressed_;  // by index
   Date live_start_;
-  StoreStatistics stats_;
   /// Versions written since the last checkpoint capture, by identity
   /// (id, tstart days) — the same key the multi-segment merge uses, so a
   /// delta row replayed onto a restored store lands on the right version.

@@ -109,11 +109,12 @@ Result<std::string> ArchisClient::Roundtrip(FrameType type,
         st = resp.status();
       }
     }
-    // IO-level failure: the connection is unusable. Retry once on a
-    // fresh one when allowed; server-reported errors returned above are
-    // never retried.
+    // IO-level failure: the connection is unusable. A ping or query is
+    // retried once on a fresh one; an update batch is not, because the
+    // server may have committed it before the failure. Server-reported
+    // errors returned above are never retried.
     Close();
-    if (!opts_.reconnect || attempt >= 1) return st;
+    if (type == FrameType::kUpdateBatch || attempt >= 1) return st;
   }
 }
 

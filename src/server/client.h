@@ -3,10 +3,10 @@
 // One ArchisClient owns one connection. Calls are synchronous — write
 // frame, read response — with socket send/receive timeouts so a dead or
 // wedged server surfaces as kIOError instead of a hang. On an IO failure
-// the client transparently reconnects and retries ONCE (requests are
-// idempotent from the protocol's view: a query re-runs; an update batch
-// retried after a torn write either conflicts or re-applies — callers
-// that need exactly-once turn `reconnect` off).
+// a ping or query reconnects and retries ONCE (it only reads, so running
+// it twice is harmless). An update batch is never resent: the server may
+// have committed it before the failure, so its IO error means "outcome
+// unknown" and the caller decides.
 //
 // Not thread-safe: one client per thread, or external serialization.
 #ifndef ARCHIS_SERVER_CLIENT_H_
@@ -27,8 +27,6 @@ struct ClientOptions {
   int connect_timeout_ms = 2000;
   /// Per-read/write socket timeout (SO_RCVTIMEO / SO_SNDTIMEO).
   int io_timeout_ms = 10000;
-  /// Reconnect and retry once after an IO failure.
-  bool reconnect = true;
 };
 
 class ArchisClient {
@@ -53,7 +51,8 @@ class ArchisClient {
                             uint32_t deadline_ms = 0);
 
   /// Applies an update-batch script (see protocol.h grammar) as one
-  /// transaction; returns the server's "committed N" acknowledgement.
+  /// transaction; returns the server's "committed N" acknowledgement. An
+  /// IO error leaves the outcome unknown; the batch is never resent.
   Result<std::string> UpdateBatch(const std::string& script);
 
   void Close();

@@ -1,8 +1,9 @@
-// Cost-based planner tests (DESIGN.md §11): statistics maintenance and
-// durability (freeze, BlockZIP, checkpoint, recovery), plan-choice goldens
-// including the data-shape-driven access-path flip, estimated-vs-actual
-// surfacing in the query profile, and planned answers checked against
-// expected values and the native path.
+// Cost-based planner tests (DESIGN.md §11): the segment table and live
+// counters as the planner's statistics (exact open-version counts,
+// BlockZIP, WAL replay), plan-choice goldens including the data-shape-
+// driven access-path flip, the plan shapes of the benchmark's traffic,
+// estimated-vs-actual surfacing in the query profile, and planned answers
+// checked against expected values and the native path.
 //
 // Also locks in the auto-checkpoint + crash recovery mode of the
 // recovery_fuzz sweep as a deterministic regression matrix.
@@ -10,11 +11,13 @@
 
 #include <cstdio>
 #include <memory>
+#include <random>
 #include <string>
 
 #include "archis/archis.h"
 #include "archis/planner.h"
 #include "common/metrics.h"
+#include "workload/employee_workload.h"
 #include "workload/scripted_dml.h"
 #include "xml/serializer.h"
 
@@ -127,10 +130,17 @@ SqlXmlPlan SalaryPlan(std::optional<int64_t> id = std::nullopt,
 }
 
 // ---------------------------------------------------------------------------
-// Statistics maintenance and durability
+// The segment table as the planner's statistics
 // ---------------------------------------------------------------------------
 
-TEST(StatsCatalogTest, MaintainedIncrementallyOnUpdatePath) {
+/// Plans `plan` against `db` and returns the first variable's decision.
+VarPlan PlanFirstVar(const ArchIS& db, const SqlXmlPlan& plan) {
+  Result<PhysicalPlan> physical = PlanQuery(db.archiver(), plan);
+  EXPECT_TRUE(physical.ok()) << physical.status().ToString();
+  return physical.ok() ? physical->vars[0] : VarPlan{};
+}
+
+TEST(StatsCatalogTest, LiveCountersCountOpenVersionsExactly) {
   ArchIS db(ArchISOptions{}, D(2000, 1, 1));
   ASSERT_TRUE(db.CreateRelation(EmpSpec()).ok());
   for (int i = 1; i <= 3; ++i) {
@@ -138,72 +148,57 @@ TEST(StatsCatalogTest, MaintainedIncrementallyOnUpdatePath) {
   }
   ASSERT_TRUE(db.AdvanceClock(D(2001, 1, 1)).ok());
   ASSERT_TRUE(db.Update("emp", {Value(int64_t{1})}, Emp(1, 200, "E")).ok());
-  const StoreStatistics& stats = SalaryStore(&db)->statistics();
-  EXPECT_EQ(stats.versions_total, 4u);  // 3 inserts + 1 replacement
-  EXPECT_EQ(stats.versions_open, 3u);
-  EXPECT_EQ(stats.distinct_ids.Estimate(), 3u);
-  EXPECT_NEAR(stats.LiveRatio(), 0.75, 1e-9);
+  const SegmentedStore* store = SalaryStore(&db);
+  ASSERT_TRUE(store->segments().empty());
+  EXPECT_EQ(store->live_total(), 4u);  // 3 inserts + 1 replacement
+  EXPECT_EQ(store->live_current(), 3u);
+  // The whole history, and one id's share of it: every open version in
+  // the live segment is a distinct id.
+  EXPECT_DOUBLE_EQ(PlanFirstVar(db, SalaryPlan()).est_rows, 4.0);
+  EXPECT_DOUBLE_EQ(PlanFirstVar(db, SalaryPlan(/*id=*/1)).est_rows, 4.0 / 3);
+  // Current-tense and snapshot fetches count open versions exactly.
+  SqlXmlPlan current = SalaryPlan();
+  current.vars[0].current_only = true;
+  EXPECT_DOUBLE_EQ(PlanFirstVar(db, current).est_rows, 3.0);
+  current.vars[0].id_eq = 2;
+  EXPECT_DOUBLE_EQ(PlanFirstVar(db, current).est_rows, 1.0);
+  EXPECT_DOUBLE_EQ(
+      PlanFirstVar(db, SalaryPlan(std::nullopt, D(2001, 6, 1))).est_rows, 3.0);
 }
 
-TEST(StatsCatalogTest, SurviveFreeze) {
-  auto db = std::make_unique<ArchIS>(ArchISOptions{}, D(2000, 1, 1));
-  ASSERT_TRUE(db->CreateRelation(EmpSpec()).ok());
-  for (int i = 1; i <= 10; ++i) {
-    ASSERT_TRUE(db->Insert("emp", Emp(i, 100 + i, "E")).ok());
-  }
-  ASSERT_TRUE(db->AdvanceClock(D(2001, 1, 1)).ok());
-  ASSERT_TRUE(db->Update("emp", {Value(int64_t{1})}, Emp(1, 999, "E")).ok());
-  const std::string before = SalaryStore(db.get())->statistics().Encode();
-  ASSERT_TRUE(db->FreezeAll().ok());
-  // Freezing reorganizes physical segments; the logical statistics must
-  // not move.
-  EXPECT_EQ(SalaryStore(db.get())->statistics().Encode(), before);
-  EXPECT_FALSE(SalaryStore(db.get())->segments().empty());
-}
-
-TEST(StatsCatalogTest, SurviveBlockZipCompression) {
-  auto db = BuildWideShape(/*ids=*/60, /*compress=*/false);
-  const std::string uncompressed = SalaryStore(db.get())->statistics().Encode();
+TEST(StatsCatalogTest, BlockZipChangesOnlyTheBlockCharge) {
+  auto plain = BuildWideShape(/*ids=*/60, /*compress=*/false);
   auto zipped = BuildWideShape(/*ids=*/60, /*compress=*/true);
   const SegmentedStore* store = SalaryStore(zipped.get());
-  // Same logical history => identical statistics, compressed or not.
-  EXPECT_EQ(store->statistics().Encode(), uncompressed);
-  ASSERT_FALSE(store->segments().empty());
+  ASSERT_EQ(store->segments().size(), 1u);
   EXPECT_TRUE(store->segments()[0].compressed);
   EXPECT_GT(store->segments()[0].blocks, 0u);
-}
-
-TEST(StatsCatalogTest, CheckpointManifestRoundTripsStatistics) {
-  const std::string path = TempPath("planner_ckpt.wal");
-  ArchISOptions opts;
-  opts.wal.path = path;
-  std::string expected;
-  {
-    auto db = ArchIS::Open(opts, D(2000, 1, 1));
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
-    for (int i = 1; i <= 20; ++i) {
-      ASSERT_TRUE((*db)->Insert("emp", Emp(i, 100 + i, "E")).ok());
-    }
-    ASSERT_TRUE((*db)->AdvanceClock(D(2001, 1, 1)).ok());
-    ASSERT_TRUE(
-        (*db)->Update("emp", {Value(int64_t{3})}, Emp(3, 777, "E")).ok());
-    ASSERT_TRUE((*db)->Checkpoint().ok());
-    expected = SalaryStore(db->get())->statistics().Encode();
+  const SegmentInfo& plain_seg = SalaryStore(plain.get())->segments().at(0);
+  EXPECT_EQ(store->segments()[0].tuple_count, plain_seg.tuple_count);
+  EXPECT_EQ(store->segments()[0].distinct_ids, plain_seg.distinct_ids);
+  // Same logical history => same row estimates; only the merge-scan pays
+  // for inflating blocks.
+  for (const SqlXmlPlan& plan :
+       {SalaryPlan(), SalaryPlan(/*id=*/7), SalaryPlan(7, D(2000, 6, 1)),
+        SalaryPlan(std::nullopt, D(2001, 6, 1))}) {
+    const VarPlan a = PlanFirstVar(*plain, plan);
+    const VarPlan b = PlanFirstVar(*zipped, plan);
+    EXPECT_DOUBLE_EQ(a.est_rows, b.est_rows);
   }
-  auto db = ArchIS::Open(opts, D(2000, 1, 1));
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  // Recovery came from the manifest; the installed statistics snapshot
-  // must match the checkpointed instance byte for byte.
-  EXPECT_EQ((*db)->checkpoint_seq(), 1u);
-  EXPECT_EQ(SalaryStore(db->get())->statistics().Encode(), expected);
+  EXPECT_GT(PlanFirstVar(*zipped, SalaryPlan()).est_cost,
+            PlanFirstVar(*plain, SalaryPlan()).est_cost);
 }
 
-TEST(StatsCatalogTest, WalReplayRebuildsStatistics) {
+TEST(StatsCatalogTest, WalReplayRebuildsThePlannerInputs) {
   const std::string path = TempPath("planner_replay.wal");
   ArchISOptions opts;
   opts.wal.path = path;
-  std::string expected;
+  const SqlXmlPlan plans[] = {SalaryPlan(), SalaryPlan(/*id=*/5),
+                              SalaryPlan(5, D(2000, 6, 1))};
+  std::vector<std::string> expected;
+  uint64_t live_total = 0;
+  uint64_t live_current = 0;
+  size_t segments = 0;
   {
     auto db = ArchIS::Open(opts, D(2000, 1, 1));
     ASSERT_TRUE(db.ok());
@@ -211,15 +206,37 @@ TEST(StatsCatalogTest, WalReplayRebuildsStatistics) {
     for (int i = 1; i <= 12; ++i) {
       ASSERT_TRUE((*db)->Insert("emp", Emp(i, 100 + i, "E")).ok());
     }
-    ASSERT_TRUE((*db)->AdvanceClock(D(2001, 1, 1)).ok());
-    ASSERT_TRUE(
-        (*db)->Update("emp", {Value(int64_t{5})}, Emp(5, 555, "E")).ok());
-    expected = SalaryStore(db->get())->statistics().Encode();
-    // No checkpoint: recovery must rebuild statistics from WAL replay.
+    for (int y = 2001; y <= 2004; ++y) {
+      ASSERT_TRUE((*db)->AdvanceClock(D(y, 1, 1)).ok());
+      for (int i = 1; i <= 12; ++i) {
+        ASSERT_TRUE((*db)->Update("emp", {Value(int64_t{i})},
+                                  Emp(i, 100 * (y - 1999) + i, "E"))
+                        .ok());
+      }
+    }
+    const SegmentedStore* store = SalaryStore(db->get());
+    live_total = store->live_total();
+    live_current = store->live_current();
+    segments = store->segments().size();
+    for (const SqlXmlPlan& plan : plans) {
+      auto physical = PlanQuery((*db)->archiver(), plan);
+      ASSERT_TRUE(physical.ok());
+      expected.push_back(physical->Describe());
+    }
+    // No checkpoint: recovery rebuilds the segment table by WAL replay.
   }
+  ASSERT_GT(segments, 0u);
   auto db = ArchIS::Open(opts, D(2000, 1, 1));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  EXPECT_EQ(SalaryStore(db->get())->statistics().Encode(), expected);
+  const SegmentedStore* store = SalaryStore(db->get());
+  EXPECT_EQ(store->live_total(), live_total);
+  EXPECT_EQ(store->live_current(), live_current);
+  EXPECT_EQ(store->segments().size(), segments);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    auto physical = PlanQuery((*db)->archiver(), plans[i]);
+    ASSERT_TRUE(physical.ok());
+    EXPECT_EQ(physical->Describe(), expected[i]);
+  }
 }
 
 TEST(StatsCatalogTest, ZoneMapBlockCountsFeedThePlanner) {
@@ -487,6 +504,134 @@ TEST(PlannerSurfacingTest, ProfileReportsEstimatedVsActualRows) {
   EXPECT_TRUE(saw_physical);
   // Actual rows also land in the EXPLAIN rendering.
   EXPECT_NE(result->profile->Render().find("actual_rows"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Plan shapes of the benchmark traffic: perfbench's Table-3 texts at paper
+// scale (in memory, and after the checkpoint reopen mixed_durable starts
+// from) and sampled Q1/Q3-shape audits at 8x with BlockZIP. The merge-
+// beats-index flip fires on none of them.
+// ---------------------------------------------------------------------------
+
+std::string AuditQ1Text(int64_t id, Date at) {
+  const std::string d = at.ToString();
+  return "for $s in doc(\"employees.xml\")/employees/employee[id=" +
+         std::to_string(id) + "]/salary[tstart(.) <= xs:date(\"" + d +
+         "\") and tend(.) >= xs:date(\"" + d + "\")] return $s";
+}
+
+std::string AuditQ3Text(int64_t id) {
+  return "for $s in doc(\"employees.xml\")/employees/employee[id=" +
+         std::to_string(id) + "]/salary return $s";
+}
+
+/// The six Table-3 texts with the paper's parameters, as perfbench sends
+/// them.
+std::vector<std::string> Table3Texts(int64_t probe) {
+  const std::string snap = D(1993, 5, 16).ToString();
+  return {
+      AuditQ1Text(probe, D(1993, 5, 16)),
+      "avg(doc(\"employees.xml\")/employees/employee/salary[tstart(.) <= "
+      "xs:date(\"" + snap + "\") and tend(.) >= xs:date(\"" + snap + "\")])",
+      AuditQ3Text(probe),
+      "count(doc(\"employees.xml\")/employees/employee/salary)",
+      "count(for $e in doc(\"employees.xml\")/employees/employee where "
+      "exists($e/salary[. > 60000 and tstart(.) <= xs:date(\"1994-05-16\") "
+      "and tend(.) >= xs:date(\"" + snap + "\")]) return $e)",
+      "max(for $e in doc(\"employees.xml\")/employees/employee for $s1 in "
+      "$e/salary for $s2 in $e/salary where tstart($s1) >= "
+      "xs:date(\"1998-04-01\") and tstart($s2) > tstart($s1) and "
+      "tstart($s2) <= tstart($s1) + 730 return number($s2) - number($s1))"};
+}
+
+/// Translates and plans `text` against `db`.
+PhysicalPlan PlanText(const ArchIS& db, const std::string& text) {
+  Result<SqlXmlPlan> plan = db.Translate(text);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString() << "\n" << text;
+  if (!plan.ok()) return PhysicalPlan{};
+  Result<PhysicalPlan> physical = PlanQuery(db.archiver(), *plan);
+  EXPECT_TRUE(physical.ok()) << physical.status().ToString();
+  return physical.ok() ? *physical : PhysicalPlan{};
+}
+
+/// Q1/Q3 probe the id index for every variable; Q2/Q4 merge-scan with the
+/// aggregate pushed into the scan; Q5/Q6 merge-scan.
+void ExpectTable3Shapes(const ArchIS& db, int64_t probe) {
+  const std::vector<std::string> texts = Table3Texts(probe);
+  for (size_t q = 0; q < texts.size(); ++q) {
+    const PhysicalPlan physical = PlanText(db, texts[q]);
+    const bool point = q == 0 || q == 2;
+    ASSERT_FALSE(physical.vars.empty()) << "Q" << q + 1;
+    for (const VarPlan& vp : physical.vars) {
+      EXPECT_EQ(vp.path,
+                point ? AccessPath::kIdIndex : AccessPath::kSegmentMerge)
+          << "Q" << q + 1 << ": " << physical.Describe();
+    }
+    EXPECT_EQ(physical.stream_aggregate, q == 1 || q == 3)
+        << "Q" << q + 1 << ": " << physical.Describe();
+  }
+}
+
+workload::WorkloadConfig PaperScale(int scale) {
+  workload::WorkloadConfig cfg;
+  cfg.initial_employees = 120 * scale;
+  cfg.years = 17;
+  cfg.start_date = D(1985, 1, 1);
+  return cfg;
+}
+
+TEST(BenchmarkPlanShapeTest, Table3TextsAtPaperScale) {
+  ArchISOptions opts;
+  opts.segment.umin = 0.4;
+  ArchIS db(opts, D(1985, 1, 1));
+  workload::EmployeeWorkload wl(PaperScale(1));
+  ASSERT_TRUE(wl.Generate(&db).ok());
+  ExpectTable3Shapes(db, wl.probe_id());
+}
+
+TEST(BenchmarkPlanShapeTest, Table3TextsAfterCheckpointReopen) {
+  ArchISOptions opts;
+  opts.segment.umin = 0.4;
+  opts.wal.path = TempPath("planner_shape_reopen.wal");
+  opts.wal.sync = false;
+  int64_t probe = 0;
+  {
+    auto db = ArchIS::Open(opts, D(1985, 1, 1));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    workload::EmployeeWorkload wl(PaperScale(1));
+    ASSERT_TRUE(wl.Generate(db->get()).ok());
+    probe = wl.probe_id();
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  auto db = ArchIS::Open(opts, D(1985, 1, 1));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ExpectTable3Shapes(**db, probe);
+}
+
+TEST(BenchmarkPlanShapeTest, SampledAuditsAtEightTimesScaleUseTheIdIndex) {
+  ArchISOptions opts;
+  opts.segment.umin = 0.2;
+  opts.segment.compress = true;
+  opts.segment.block_cache_bytes = 32 << 10;
+  ArchIS db(opts, D(1985, 1, 1));
+  workload::EmployeeWorkload wl(PaperScale(8));
+  ASSERT_TRUE(wl.Generate(&db).ok());
+  const std::vector<int64_t>& ids = wl.employee_ids();
+  const int64_t span_days = db.Now() - D(1985, 1, 1);
+  std::mt19937_64 rng(20061);
+  for (int i = 0; i < 400; ++i) {
+    const int64_t id = ids[rng() % ids.size()];
+    const std::string text =
+        rng() % 4 != 0
+            ? AuditQ1Text(id, D(1985, 1, 1).AddDays(static_cast<int64_t>(
+                                  rng() % static_cast<uint64_t>(span_days))))
+            : AuditQ3Text(id);
+    const PhysicalPlan physical = PlanText(db, text);
+    for (const VarPlan& vp : physical.vars) {
+      ASSERT_EQ(vp.path, AccessPath::kIdIndex)
+          << text << ": " << physical.Describe();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -301,6 +301,36 @@ TEST(TransactionTest, CommitAfterADropLooksRowsUp) {
   EXPECT_EQ(rows[0], Emp(2, "B", 200));
 }
 
+TEST(TransactionTest, CommitToADroppedRelationKeepsTheLogRecoverable) {
+  // The relation a transaction wrote to is dropped before it commits. The
+  // commit aborts before its COMMIT frame reaches the log: a logged commit
+  // whose changes cannot apply would fail every later recovery.
+  const std::string path = TempPath("commit_after_drop.wal");
+  ArchISOptions opts;
+  opts.wal.path = path;
+  RelationSpec staff = EmpSpec();
+  staff.name = "staff";
+  staff.doc_name = "staff.xml";
+  std::string before;
+  {
+    auto db = ArchIS::Open(opts, D(1995, 1, 1));
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
+    ASSERT_TRUE((*db)->Insert("employees", Emp(1, "Ann", 100)).ok());
+    BEGIN_TXN(txn, db->get());
+    ASSERT_TRUE(txn.Insert("employees", Emp(2, "Bob", 200)).ok());
+    ASSERT_TRUE((*db)->DropRelation("employees").ok());
+    EXPECT_EQ(txn.Commit().code(), StatusCode::kConflict);
+    // Later durable work syncs whatever the failed commit left queued.
+    ASSERT_TRUE((*db)->CreateRelation(staff).ok());
+    ASSERT_TRUE((*db)->Insert("staff", Emp(3, "Cay", 300)).ok());
+    before = AllHistories(db->get());
+  }
+  auto db = ArchIS::Open(opts, D(1995, 1, 1));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(AllHistories(db->get()), before);
+}
+
 TEST(TransactionTest, FirstCommitterWinsOnOverlappingWriteSets) {
   ArchIS db(ArchISOptions{}, D(1995, 1, 1));
   ASSERT_TRUE(db.CreateRelation(EmpSpec()).ok());

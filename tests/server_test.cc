@@ -121,6 +121,28 @@ TEST(ServerTest, PingQueryUpdateRoundtrip) {
   EXPECT_NE(check->find("60000"), std::string::npos);
 }
 
+TEST(ServerTest, UpdateBatchIsNotResentAfterAnIoTimeout) {
+  auto db = MakeDb();
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.test_delay_ms = 300;
+  auto server = MustStart(db.get(), opts);
+  metrics::Counter& updates = metrics::Get(metrics::kServerRequestsUpdate);
+  const uint64_t before = updates.value();
+  ClientOptions copts = ClientFor(*server);
+  copts.io_timeout_ms = 100;
+  ArchisClient client(copts);
+  // The reply comes after the client gave up: the outcome is unknown to
+  // it, so it must not send the batch a second time.
+  auto ack = client.UpdateBatch(
+      "insert employees|777003|Once Person|1000|Engineer|D1\n");
+  EXPECT_EQ(ack.status().code(), StatusCode::kIOError);
+  client.Close();
+  // Stop drains every admitted request, so a resent batch would count.
+  ASSERT_TRUE(server->Stop().ok());
+  EXPECT_EQ(updates.value(), before + 1);
+}
+
 TEST(ServerTest, UpdateBatchIsAtomic) {
   auto db = MakeDb();
   auto server = MustStart(db.get(), ServerOptions{});
@@ -455,9 +477,7 @@ TEST(ServerTest, StopDrainsInFlightRequests) {
   EXPECT_TRUE(got_answer.load());
 
   // After Stop the listener is gone: connects fail.
-  ClientOptions copts = ClientFor(*server);
-  copts.reconnect = false;
-  ArchisClient late(copts);
+  ArchisClient late(ClientFor(*server));
   EXPECT_FALSE(late.Ping().ok());
 }
 
