@@ -63,7 +63,7 @@ step_end() {
 }
 
 timing_summary() {
-  local status=$?
+  local status=${1:-$?}
   step_end
   if [[ ${#STEP_NAMES[@]} -gt 0 ]]; then
     echo
@@ -118,6 +118,19 @@ rm -f "$TRACE_TMP"
 
 step "[7/9] archisd smoke (boot, wire + HTTP round trips, clean SIGTERM, restart)"
 ARCHISD_DIR="$(mktemp -d /tmp/archisd_smoke.XXXXXX)"
+ARCHISD_PID=""
+# However the step ends, a failed check included: stop archisd and remove
+# its directory, then print the timing summary with the step's status.
+archisd_exit() {
+  local status=$?
+  if [[ -n "$ARCHISD_PID" ]] && kill -0 "$ARCHISD_PID" 2>/dev/null; then
+    kill -TERM "$ARCHISD_PID" 2>/dev/null || true
+    wait "$ARCHISD_PID" 2>/dev/null || true
+  fi
+  rm -rf "$ARCHISD_DIR"
+  timing_summary "$status"
+}
+trap archisd_exit EXIT
 # `exec` so $! is archisd itself, not a shell wrapper.
 ( exec ./build-check/tools/archisd --data "$ARCHISD_DIR/data" \
     --port 0 --http-port 0 --port-file "$ARCHISD_DIR/ports" \
@@ -214,6 +227,7 @@ read -r ARCHISD_PORT ARCHISD_HTTP < "$ARCHISD_DIR/ports"
   exit 1; }
 stop_archisd
 rm -rf "$ARCHISD_DIR"
+trap timing_summary EXIT
 
 step "[8/9] ThreadSanitizer + lock-rank assertions (full ctest)"
 cmake -B build-tsan -S . -DARCHIS_SANITIZE=thread >/dev/null

@@ -326,9 +326,13 @@ Status ArchIS::CreateRelationInternal(RelationSpec spec, Date open_date,
   // DDL serializes against commits: it mutates the catalog the commit
   // apply path reads, and its WAL record takes a commit sequence number.
   MutexLock lock(commit_mu_);
-  ARCHIS_ASSIGN_OR_RETURN(
-      Table * table, current_db_.catalog().CreateTable(spec.name, spec.schema));
-  ARCHIS_RETURN_NOT_OK(table->CreateIndex("pk", spec.key_columns));
+  // A dropped relation's history stays archived under its name, so the
+  // name cannot come back. Refuse before anything exists: a current table
+  // left behind would accept logged DML that recovery cannot replay.
+  if (archiver_.htables(spec.name).ok()) {
+    return Status::AlreadyExists("relation '" + spec.name +
+                                 "' already archived");
+  }
   RelationInfo info;
   info.key_columns = spec.key_columns;
   for (const std::string& k : spec.key_columns) {
@@ -339,9 +343,20 @@ Status ArchIS::CreateRelationInternal(RelationSpec spec, Date open_date,
   info.doc.root_tag = spec.root_tag;
   info.doc.entity_tag = spec.entity_tag;
   info.doc_name = spec.doc_name;
+  ARCHIS_ASSIGN_OR_RETURN(
+      Table * table, current_db_.catalog().CreateTable(spec.name, spec.schema));
+  Status created = table->CreateIndex("pk", spec.key_columns);
+  if (created.ok()) {
+    created = archiver_.RegisterRelation(spec.name, spec.schema,
+                                         spec.key_columns, options_.segment,
+                                         open_date);
+  }
+  if (!created.ok()) {
+    // Roll back; the failure that is returned is the one that matters.
+    IgnoreStatus(current_db_.catalog().DropTable(spec.name));
+    return created;
+  }
   relations_[spec.name] = std::move(info);
-  ARCHIS_RETURN_NOT_OK(archiver_.RegisterRelation(
-      spec.name, spec.schema, spec.key_columns, options_.segment, open_date));
   InvalidatePlanCache();
   // Deltas cannot express schema changes; the next checkpoint rebases.
   ddl_since_checkpoint_ = true;

@@ -16,16 +16,22 @@ Result<std::unique_ptr<CompressedSegment>> CompressedSegment::Build(
   return seg;
 }
 
-Status CompressedSegment::Scan(
+Status CompressedSegment::ScanRecords(
     std::optional<int64_t> id, const std::optional<TimeInterval>& window,
+    const std::function<bool(std::string_view)>& fn,
+    compress::BlobReadStats* stats) const {
+  return store_.ScanRangeInterval(
+      id.value_or(INT64_MIN), id.value_or(INT64_MAX), window,
+      [&](int64_t, const std::string& rec) { return fn(rec); }, stats);
+}
+
+Status CompressedSegment::ScanAll(
     const std::function<bool(const minirel::Tuple&)>& fn,
     compress::BlobReadStats* stats) const {
-  const int64_t lo = id.value_or(INT64_MIN);
-  const int64_t hi = id.value_or(INT64_MAX);
   Status failure = Status::OK();
-  ARCHIS_RETURN_NOT_OK(store_.ScanRangeInterval(
-      lo, hi, window,
-      [&](int64_t, const std::string& rec) {
+  ARCHIS_RETURN_NOT_OK(ScanRecords(
+      std::nullopt, std::nullopt,
+      [&](std::string_view rec) {
         auto t = minirel::Tuple::Decode(schema_, rec);
         if (!t.ok()) {
           failure = t.status();
@@ -35,18 +41,6 @@ Status CompressedSegment::Scan(
       },
       stats));
   return failure;
-}
-
-Status CompressedSegment::ScanAll(
-    const std::function<bool(const minirel::Tuple&)>& fn,
-    compress::BlobReadStats* stats) const {
-  return Scan(std::nullopt, std::nullopt, fn, stats);
-}
-
-Status CompressedSegment::ScanId(
-    int64_t id, const std::function<bool(const minirel::Tuple&)>& fn,
-    compress::BlobReadStats* stats) const {
-  return Scan(id, std::nullopt, fn, stats);
 }
 
 }  // namespace archis::core

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compress/blob_store.h"
@@ -33,26 +34,22 @@ class CompressedSegment {
       const std::vector<TimeInterval>& times, size_t block_size,
       uint64_t cache_bytes = 0);
 
-  /// Decodes rows in stored (id, tstart) order. `id` restricts to one
-  /// object via the block sid ranges; `window` skips blocks via the
-  /// temporal zone maps. Rows of surviving blocks are NOT time-filtered —
-  /// the zone map is a block-level test only, row-level filtering stays
-  /// with the caller (which preserves the cross-segment dedup contract of
-  /// SegmentedStore::ScanSegments). A record that does not decode under
-  /// the schema fails the scan with Corruption.
-  Status Scan(std::optional<int64_t> id,
-              const std::optional<TimeInterval>& window,
-              const std::function<bool(const minirel::Tuple&)>& fn,
-              compress::BlobReadStats* stats = nullptr) const;
+  /// Yields each record's bytes in stored (id, tstart) order. `id`
+  /// restricts to one object via the block sid ranges; `window` skips
+  /// blocks via the temporal zone maps. Rows of surviving blocks are NOT
+  /// time-filtered — the zone map is a block-level test only, row-level
+  /// filtering stays with the caller (which preserves the cross-segment
+  /// dedup contract of SegmentedStore::ScanSegments). A view is valid only
+  /// until `fn` returns: the block cache may evict the block after that.
+  Status ScanRecords(std::optional<int64_t> id,
+                     const std::optional<TimeInterval>& window,
+                     const std::function<bool(std::string_view)>& fn,
+                     compress::BlobReadStats* stats = nullptr) const;
 
-  /// Decodes and yields every row.
+  /// Decodes and yields every row; a record that does not decode under
+  /// the schema fails the scan with Corruption.
   Status ScanAll(const std::function<bool(const minirel::Tuple&)>& fn,
                  compress::BlobReadStats* stats = nullptr) const;
-
-  /// Decodes only rows with the given id (block-pruned).
-  Status ScanId(int64_t id,
-                const std::function<bool(const minirel::Tuple&)>& fn,
-                compress::BlobReadStats* stats = nullptr) const;
 
   uint64_t CompressedBytes() const { return store_.CompressedBytes(); }
   uint64_t RawBytes() const { return store_.RawBytes(); }

@@ -24,15 +24,11 @@ namespace {
 /// in it.
 using VersionKey = std::pair<int64_t, int64_t>;
 
-VersionKey VersionOf(const Tuple& row, size_t tstart_col) {
-  return {row.at(0).AsInt(), row.at(tstart_col).AsDate().days()};
-}
-
 // A store record is its row's values encoded back to back
 // (Tuple::Encode), and INT64 and DATE values encode as fixed 8-byte
 // integers (Value::EncodeTo). So the id is a record's first 8 bytes and
-// its interval the last 16: the update path reads and closes versions
-// without decoding them.
+// its interval the last 16: the update path reads and closes versions,
+// and scans merge and filter them, without decoding them.
 constexpr size_t kFixedBytes = sizeof(int64_t);
 const int64_t kForeverDays = Date::Forever().days();
 
@@ -326,21 +322,6 @@ void SegmentedStore::NoteClose(int64_t id, Date tstart, Date tend) {
   closed_after_freeze_[{id, tstart.days()}] = tend;
 }
 
-const Tuple& SegmentedStore::CurrentCopy(const Tuple& row,
-                                         Tuple* scratch) const {
-  if (!row.at(tend_col_).AsDate().IsForever()) return row;
-  Date tend;
-  {
-    MutexLock l(closes_mu_);
-    auto it = closed_after_freeze_.find(VersionOf(row, tstart_col_));
-    if (it == closed_after_freeze_.end()) return row;
-    tend = it->second;
-  }
-  *scratch = row;
-  scratch->at(tend_col_) = Value(tend);
-  return *scratch;
-}
-
 double SegmentedStore::Usefulness() const {
   if (live_total_ == 0) return 1.0;
   return static_cast<double>(live_current_) /
@@ -417,18 +398,22 @@ Status SegmentedStore::Freeze(Date now) {
                                  options_.block_size,
                                  options_.block_cache_bytes));
     info.blocks = seg->block_count();
-    compressed_.push_back(std::move(seg));
+    frozen_.emplace_back().blob = std::move(seg);
   } else {
-    compressed_.push_back(nullptr);
+    FrozenRows& rows = frozen_.emplace_back();
     std::string arch_record;
     for (const Version& v : versions) {
       arch_record.clear();
       Value(info.segno).EncodeTo(&arch_record);
       arch_record.append(record(v));
-      ARCHIS_RETURN_NOT_OK(
+      ARCHIS_ASSIGN_OR_RETURN(
+          storage::RecordId rid,
           arch_->AppendRecord(arch_record,
-                              {Value(info.segno), Value(v.key.first)})
-              .status());
+                              {Value(info.segno), Value(v.key.first)}));
+      if (rows.pages.empty()) rows.first_slot = rid.slot;
+      if (rows.pages.empty() || rows.pages.back() != rid.page_id) {
+        rows.pages.push_back(rid.page_id);
+      }
     }
   }
   segments_.push_back(info);
@@ -474,57 +459,188 @@ std::vector<int64_t> SegmentedStore::CoveringSegments(
   return out;
 }
 
-Status SegmentedStore::ScanFrozenSegment(
-    int64_t segno, const std::optional<TimeInterval>& window,
-    std::optional<int64_t> id_filter,
-    const std::function<bool(const Tuple&)>& fn,
-    StoreScanStats* stats) const {
+/// Record copies a scan must not view in place: live records (a freeze
+/// frees their pages) and records of inflated blocks (the cache may evict
+/// a block). Chunks never move, so every view handed out stays valid for
+/// the scan.
+class SegmentedStore::Arena {
+ public:
+  std::string_view Copy(std::string_view bytes) {
+    if (chunks_.empty() || capacity_ - used_ < bytes.size()) {
+      capacity_ = std::max(kChunkBytes, bytes.size());
+      chunks_.emplace_back(new char[capacity_]);
+      used_ = 0;
+    }
+    char* at = chunks_.back().get() + used_;
+    std::memcpy(at, bytes.data(), bytes.size());
+    used_ += bytes.size();
+    return {at, bytes.size()};
+  }
+
+ private:
+  static constexpr size_t kChunkBytes = 16 << 10;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  size_t capacity_ = 0;
+  size_t used_ = 0;
+};
+
+/// One merge source: its records in (id, tstart) order — a live run read
+/// alone keeps storage order — buffered whole or, for a page run, one
+/// page at a time.
+struct SegmentedStore::Run {
+  std::vector<std::string_view> records;
+  size_t pos = 0;
+  /// Frozen copies may need the late-close correction.
+  bool frozen = false;
+  /// Page run: the pages not buffered yet and the rows left on them.
+  const storage::PageId* next_page = nullptr;
+  const storage::PageId* end_page = nullptr;
+  uint16_t first_slot = 0;
+  uint64_t left = 0;
+};
+
+namespace {
+
+void CountSource(StoreScanStats* stats) {
   if (stats != nullptr) ++stats->segments_scanned;
   metrics::Get(metrics::kSegmentScans).Inc();
-  size_t idx = static_cast<size_t>(segno - 1);
-  if (idx < compressed_.size() && compressed_[idx] != nullptr) {
-    compress::BlobReadStats bstats;
-    Status st = compressed_[idx]->Scan(id_filter, window, fn, &bstats);
-    AccumulateBlobStats(bstats, stats);
-    return st;
-  }
-  if (arch_ != nullptr) {
-    const minirel::TableIndex* idx_si = arch_->GetIndex("segno_id");
-    minirel::IndexKey lo{Value(segno)};
-    minirel::IndexKey hi{Value(segno)};
-    if (id_filter) {
-      lo.push_back(Value(*id_filter));
-      hi.push_back(Value(*id_filter));
-    } else {
-      lo.push_back(Value(INT64_MIN));
-      hi.push_back(Value(INT64_MAX));
+}
+
+/// Drops the first `prefix` bytes of each record (an arch row's segno)
+/// and rejects records too short to hold an id, tstart and tend, which
+/// every key and filter read relies on.
+Status TrimRecords(std::vector<std::string_view>* records, size_t prefix,
+                   const std::string& store) {
+  for (std::string_view& rec : *records) {
+    if (rec.size() < prefix + 3 * kFixedBytes) {
+      return Status::Corruption("truncated record in " + store);
     }
-    ARCHIS_RETURN_NOT_OK(arch_->IndexScan(
-        *idx_si, lo, hi,
-        [&](const storage::RecordId&, const Tuple& arch_row) {
-          // Strip the segno column.
-          Tuple row(std::vector<Value>(arch_row.values().begin() + 1,
-                                       arch_row.values().end()));
-          return fn(row);
-        }));
+    rec.remove_prefix(prefix);
   }
   return Status::OK();
 }
 
-Status SegmentedStore::ScanLive(std::optional<int64_t> id_filter,
-                                const std::function<bool(const Tuple&)>& fn,
-                                StoreScanStats* stats) const {
-  if (stats != nullptr) ++stats->segments_scanned;
-  metrics::Get(metrics::kSegmentScans).Inc();
-  auto visit = [&](const storage::RecordId&, const Tuple& row) {
-    return fn(row);
-  };
+VersionKey KeyOf(std::string_view record) {
+  return {FixedAt(record, 0), TstartDays(record)};
+}
+
+}  // namespace
+
+Status SegmentedStore::OpenLiveRun(std::optional<int64_t> id_filter,
+                                   Arena* arena, Run* run,
+                                   StoreScanStats* stats) const {
+  CountSource(stats);
   if (id_filter) {
-    const minirel::TableIndex* idx = live_->GetIndex("id");
-    minirel::IndexKey key{Value(*id_filter)};
-    return live_->IndexScan(*idx, key, key, visit);
+    const minirel::IndexKey key{Value(*id_filter)};
+    Status failure = Status::OK();
+    live_->GetIndex("id")->tree.ScanRange(
+        key, key, [&](const minirel::IndexKey&, const storage::RecordId& rid) {
+          Result<std::string_view> rec = live_->heap().View(rid);
+          if (!rec.ok()) {
+            failure = rec.status();
+            return false;
+          }
+          run->records.push_back(arena->Copy(*rec));
+          return true;
+        });
+    ARCHIS_RETURN_NOT_OK(failure);
+  } else {
+    run->records.reserve(live_total_);
+    live_->heap().Scan([&](const storage::RecordId&, std::string_view rec) {
+      run->records.push_back(arena->Copy(rec));
+      return true;
+    });
   }
-  return live_->Scan(visit);
+  if (stats != nullptr) stats->tuples_scanned += run->records.size();
+  return TrimRecords(&run->records, 0, name_);
+}
+
+Status SegmentedStore::OpenFrozenRun(int64_t segno,
+                                     const std::optional<TimeInterval>& window,
+                                     std::optional<int64_t> id_filter,
+                                     Arena* arena, Run* run,
+                                     StoreScanStats* stats) const {
+  CountSource(stats);
+  run->frozen = true;
+  const FrozenRows& rows = frozen_[static_cast<size_t>(segno - 1)];
+  if (rows.blob != nullptr) {
+    compress::BlobReadStats bstats;
+    Status st = rows.blob->ScanRecords(
+        id_filter, window,
+        [&](std::string_view rec) {
+          run->records.push_back(arena->Copy(rec));
+          return true;
+        },
+        &bstats);
+    AccumulateBlobStats(bstats, stats);
+    ARCHIS_RETURN_NOT_OK(st);
+  } else if (id_filter) {
+    // One object's rows: probe the (segno, id) index and view each record
+    // in place.
+    const minirel::IndexKey key{Value(segno), Value(*id_filter)};
+    Status failure = Status::OK();
+    arch_->GetIndex("segno_id")->tree.ScanRange(
+        key, key, [&](const minirel::IndexKey&, const storage::RecordId& rid) {
+          Result<std::string_view> rec = arch_->heap().View(rid);
+          if (!rec.ok()) {
+            failure = rec.status();
+            return false;
+          }
+          run->records.push_back(*rec);
+          return true;
+        });
+    ARCHIS_RETURN_NOT_OK(failure);
+  } else {
+    run->next_page = rows.pages.data();
+    run->end_page = rows.pages.data() + rows.pages.size();
+    run->first_slot = rows.first_slot;
+    run->left = segments_[static_cast<size_t>(segno - 1)].tuple_count;
+    return Refill(run, stats);
+  }
+  if (stats != nullptr) stats->tuples_scanned += run->records.size();
+  return TrimRecords(&run->records, rows.blob != nullptr ? 0 : kFixedBytes,
+                     name_);
+}
+
+Status SegmentedStore::Refill(Run* run, StoreScanStats* stats) const {
+  run->records.clear();
+  run->pos = 0;
+  while (run->records.empty() && run->left > 0) {
+    if (run->next_page == run->end_page) {
+      return Status::Corruption("frozen segment of " + name_ +
+                                " ends before its last row");
+    }
+    const uint64_t n = arch_->heap().ViewPage(*run->next_page++,
+                                              run->first_slot, run->left,
+                                              &run->records);
+    run->first_slot = 0;
+    run->left -= n;
+    if (stats != nullptr) stats->tuples_scanned += n;
+  }
+  return TrimRecords(&run->records, kFixedBytes, name_);
+}
+
+Result<bool> SegmentedStore::Emit(
+    std::string_view record, bool frozen,
+    const std::optional<TimeInterval>& filter,
+    const std::function<bool(const Tuple&)>& fn) const {
+  int64_t tend = TendDays(record);
+  bool corrected = false;
+  if (frozen && tend == kForeverDays) {
+    MutexLock l(closes_mu_);
+    auto it = closed_after_freeze_.find(KeyOf(record));
+    if (it != closed_after_freeze_.end()) {
+      tend = it->second.days();
+      corrected = true;
+    }
+  }
+  if (filter && (TstartDays(record) > filter->tend.days() ||
+                 tend < filter->tstart.days())) {
+    return true;
+  }
+  ARCHIS_ASSIGN_OR_RETURN(Tuple row, Tuple::Decode(row_schema_, record));
+  if (corrected) row.at(tend_col_) = Value(Date(tend));
+  return fn(row);
 }
 
 Status SegmentedStore::ScanSegments(
@@ -533,64 +649,37 @@ Status SegmentedStore::ScanSegments(
     std::optional<int64_t> id_filter,
     const std::function<bool(const Tuple&)>& fn,
     StoreScanStats* stats) const {
-  auto passes = [&](const Tuple& row) {
-    return !filter || MakeInterval(row.at(tstart_col_).AsDate(),
-                                   row.at(tend_col_).AsDate())
-                          .Overlaps(*filter);
-  };
-
-  // One source (the snapshot fast path — exactly one covering segment,
-  // Section 6.1 — or a live-only scan) holds one copy per version, so rows
-  // stream straight to `fn` in storage order.
-  if (segnos.size() + (include_live ? 1 : 0) <= 1) {
-    auto emit = [&](const Tuple& row) {
-      if (stats != nullptr) ++stats->tuples_scanned;
-      if (id_filter && row.at(0).AsInt() != *id_filter) return true;
-      return !passes(row) || fn(row);
-    };
-    if (include_live) return ScanLive(id_filter, emit, stats);
-    if (segnos.empty()) return Status::OK();
-    Tuple scratch;
-    return ScanFrozenSegment(
-        segnos.front(), filter, id_filter,
-        [&](const Tuple& row) { return emit(CurrentCopy(row, &scratch)); },
-        stats);
-  }
-
-  // Several sources: collect one run per source, newest first (the live
-  // segment, then frozen segments by descending segno). Frozen runs arrive
-  // in (id, tstart) order because Freeze() stores them sorted; the live
-  // run is sorted here. The time filter cannot apply yet: an older copy of
-  // a version may still be open where the newest copy is already closed.
-  std::vector<std::vector<Tuple>> runs;
-  runs.reserve(segnos.size() + 1);
-  auto collect = [&](std::vector<Tuple>* run) {
-    return [&, run](const Tuple& row) {
-      if (stats != nullptr) ++stats->tuples_scanned;
-      if (!id_filter || row.at(0).AsInt() == *id_filter) run->push_back(row);
-      return true;
-    };
-  };
+  // One run per source, newest first: the live segment, then frozen
+  // segments by descending segno.
+  Arena arena;
+  std::vector<Run> runs(segnos.size() + (include_live ? 1 : 0));
+  if (runs.empty()) return Status::OK();
+  size_t next = 0;
   if (include_live) {
-    std::vector<Tuple>& live = runs.emplace_back();
-    ARCHIS_RETURN_NOT_OK(ScanLive(id_filter, collect(&live), stats));
-    std::sort(live.begin(), live.end(), [&](const Tuple& a, const Tuple& b) {
-      return VersionOf(a, tstart_col_) < VersionOf(b, tstart_col_);
-    });
+    ARCHIS_RETURN_NOT_OK(OpenLiveRun(id_filter, &arena, &runs[next++], stats));
   }
   for (auto it = segnos.rbegin(); it != segnos.rend(); ++it) {
-    std::vector<Tuple>& run = runs.emplace_back();
     ARCHIS_RETURN_NOT_OK(
-        ScanFrozenSegment(*it, filter, id_filter, collect(&run), stats));
+        OpenFrozenRun(*it, filter, id_filter, &arena, &runs[next++], stats));
+  }
+  // One source (the snapshot fast path — exactly one covering segment,
+  // Section 6.1 — or a live-only scan) holds one copy per version and
+  // streams in storage order. Several are merged by (id, tstart): frozen
+  // runs are stored in that order, the live run is sorted here.
+  const bool merge = runs.size() > 1;
+  if (merge && include_live) {
+    std::stable_sort(runs[0].records.begin(), runs[0].records.end(),
+                     [](std::string_view a, std::string_view b) {
+                       return KeyOf(a) < KeyOf(b);
+                     });
   }
 
-  // K-way merge by (id, tstart). On a tie the run with the smaller index —
-  // the newer source — surfaces first; its copy is the one filtered and
-  // emitted (corrected if it is a frozen copy of a since-closed version),
-  // and the older copies of that version are skipped.
+  // On a tie the run with the smaller index — the newer source — surfaces
+  // first; its copy is the one filtered and emitted, and the older copies
+  // of that version are skipped. The time filter cannot apply earlier: an
+  // older copy may still be open where the newest is already closed.
   struct Head {
     size_t run;
-    size_t pos;
     VersionKey key;
   };
   auto after = [](const Head& a, const Head& b) {
@@ -598,25 +687,24 @@ Status SegmentedStore::ScanSegments(
   };
   std::priority_queue<Head, std::vector<Head>, decltype(after)> heads(after);
   for (size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r].empty()) {
-      heads.push({r, 0, VersionOf(runs[r].front(), tstart_col_)});
-    }
+    if (!runs[r].records.empty()) heads.push({r, KeyOf(runs[r].records[0])});
   }
   std::optional<VersionKey> last;
-  Tuple scratch;
   while (!heads.empty()) {
     Head h = heads.top();
     heads.pop();
-    const Tuple& stored = runs[h.run][h.pos];
-    if (h.key != last) {
+    Run& run = runs[h.run];
+    if (!merge || h.key != last) {
       last = h.key;
-      const Tuple& row = include_live && h.run == 0
-                             ? stored
-                             : CurrentCopy(stored, &scratch);
-      if (passes(row) && !fn(row)) return Status::OK();
+      ARCHIS_ASSIGN_OR_RETURN(
+          bool more, Emit(run.records[run.pos], run.frozen, filter, fn));
+      if (!more) return Status::OK();
     }
-    if (++h.pos < runs[h.run].size()) {
-      h.key = VersionOf(runs[h.run][h.pos], tstart_col_);
+    if (++run.pos == run.records.size() && run.left > 0) {
+      ARCHIS_RETURN_NOT_OK(Refill(&run, stats));
+    }
+    if (run.pos < run.records.size()) {
+      h.key = KeyOf(run.records[run.pos]);
       heads.push(h);
     }
   }
@@ -679,16 +767,16 @@ uint64_t SegmentedStore::StorageBytes() const {
   if (arch_ != nullptr) {
     total += arch_->DataBytes() + arch_->IndexBytes();
   }
-  for (const auto& seg : compressed_) {
-    if (seg != nullptr) total += seg->CompressedBytes();
+  for (const FrozenRows& rows : frozen_) {
+    if (rows.blob != nullptr) total += rows.blob->CompressedBytes();
   }
   return total;
 }
 
 uint64_t SegmentedStore::BlocksOverlapping(
     size_t index, const std::optional<TimeInterval>& window) const {
-  if (index >= compressed_.size() || compressed_[index] == nullptr) return 0;
-  return compressed_[index]->BlocksOverlapping(window);
+  const CompressedSegment* blob = compressed_segment(index);
+  return blob == nullptr ? 0 : blob->BlocksOverlapping(window);
 }
 
 minirel::TableStats SegmentedStore::LiveTableStats() const {

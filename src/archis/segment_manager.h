@@ -16,10 +16,17 @@
 //
 // Read path: queries prune at three granularities — segment (the interval
 // table), block (temporal zone maps inside compressed segments), and row.
-// A scan over one source streams it in storage order. A scan over several
-// sources k-way merges them by (id, tstart): frozen segments already hold
-// id-sorted runs, the live run is sorted, and the newest copy of a version
-// wins. A version closed after a freeze copied it open keeps tend =
+// Every scan is one k-way merge over record bytes, by (id, tstart). An
+// uncompressed frozen segment is a page run: its rows sit back to back in
+// __arch in (id, tstart) order on pages recorded at freeze, and the merge
+// walks them a page at a time through views into those pages (they are
+// never freed or rewritten). The live segment and compressed blocks are
+// copied into a per-scan byte arena first: a freeze frees live pages and
+// the block cache evicts blocks, so the scan holds no view into either.
+// The live run is sorted in the arena when it is merged with other runs;
+// alone it streams in storage order. The newest copy of a version wins.
+// The time filter reads a record's last 16 bytes, and only rows that pass
+// are decoded. A version closed after a freeze copied it open keeps tend =
 // forever in that frozen copy; scans correct such copies from an in-memory
 // map of late closes, so every source reports the version's real tend.
 // Concurrent read-only scans of one store are thread-safe; scans
@@ -87,8 +94,8 @@ struct StoreScanStats {
 ///
 /// Row layout: (id INT64, <value columns...>, tstart DATE, tend DATE).
 /// The id is column 0; tstart/tend are the last two columns. INT64 and
-/// DATE encode as fixed 8-byte integers, so the update path reads a
-/// record's id and interval straight from its bytes.
+/// DATE encode as fixed 8-byte integers, so the update path and the scans
+/// read a record's id and interval straight from its bytes.
 ///
 /// The live segment changes in exactly three ways: a version is appended,
 /// an open version's 8-byte tend is closed in place, or a version opened
@@ -204,7 +211,7 @@ class SegmentedStore {
   /// The BlockZIP blob of frozen segment `index` (its position in
   /// segments()); nullptr for uncompressed segments.
   const CompressedSegment* compressed_segment(size_t index) const {
-    return index < compressed_.size() ? compressed_[index].get() : nullptr;
+    return index < frozen_.size() ? frozen_[index].blob.get() : nullptr;
   }
 
   /// Blocks of frozen segment `index` (its position in segments()) that a
@@ -253,6 +260,10 @@ class SegmentedStore {
   /// clamped to tstart, written over the record's last 8 bytes.
   Status CloseOpenVersion(int64_t id, storage::RecordId rid,
                           std::string* record, Date now);
+  /// One merge source of a scan and the byte arena its copies live in
+  /// (segment_manager.cc).
+  struct Run;
+  class Arena;
   /// Scans the frozen segments `segnos` (oldest first) plus, optionally,
   /// the live segment. Rows outside `filter` or not matching `id_filter`
   /// are dropped; with more than one source the newest copy of each
@@ -266,23 +277,24 @@ class SegmentedStore {
   /// Records the closing of a live version: when a freeze already copied
   /// it while it was open, the frozen copy still says tend = forever.
   void NoteClose(int64_t id, Date tstart, Date tend);
-  /// A frozen segment's row as of now: a copy frozen while open gets the
-  /// tend its version was closed at since. Returns `row` itself unless
-  /// it was corrected into `*scratch`.
-  const minirel::Tuple& CurrentCopy(const minirel::Tuple& row,
-                                    minirel::Tuple* scratch) const;
-  /// Scans the live segment (via the id index under `id_filter`), yielding
-  /// raw rows in storage order.
-  Status ScanLive(std::optional<int64_t> id_filter,
-                  const std::function<bool(const minirel::Tuple&)>& fn,
-                  StoreScanStats* stats) const;
-  /// Scans one frozen segment, yielding raw rows (no dedup/time filter;
-  /// `window` only drives block-level zone-map pruning).
-  Status ScanFrozenSegment(
-      int64_t segno, const std::optional<TimeInterval>& window,
-      std::optional<int64_t> id_filter,
-      const std::function<bool(const minirel::Tuple&)>& fn,
-      StoreScanStats* stats) const;
+  /// Copies the live segment's records (the id's versions under
+  /// `id_filter`) into `arena`, in storage order.
+  Status OpenLiveRun(std::optional<int64_t> id_filter, Arena* arena,
+                     Run* run, StoreScanStats* stats) const;
+  /// Opens frozen segment `segno` as a run: a page run, the id's records
+  /// through the (segno, id) index, or the blocks of a compressed segment
+  /// that survive `window`'s zone-map test, copied into `arena`.
+  Status OpenFrozenRun(int64_t segno, const std::optional<TimeInterval>& window,
+                       std::optional<int64_t> id_filter, Arena* arena,
+                       Run* run, StoreScanStats* stats) const;
+  /// Buffers the next page of an exhausted page run.
+  Status Refill(Run* run, StoreScanStats* stats) const;
+  /// Filters one version's record and, if it passes, decodes it for `fn`;
+  /// a frozen copy of a since-closed version gets its real tend first.
+  /// Returns `fn`'s verdict (true when the row was filtered out).
+  Result<bool> Emit(std::string_view record, bool frozen,
+                    const std::optional<TimeInterval>& filter,
+                    const std::function<bool(const minirel::Tuple&)>& fn) const;
   /// Frozen segments whose interval overlaps `iv`, oldest first.
   std::vector<int64_t> CoveringSegments(const TimeInterval& iv) const;
 
@@ -294,7 +306,18 @@ class SegmentedStore {
   minirel::Table* live_ = nullptr;
   minirel::Table* arch_ = nullptr;
   std::vector<SegmentInfo> segments_;
-  std::vector<std::unique_ptr<CompressedSegment>> compressed_;  // by index
+  /// Where the rows of frozen segment i (its position in segments_) are.
+  struct FrozenRows {
+    /// The BlockZIP blob; nullptr when the rows are in __arch.
+    std::unique_ptr<CompressedSegment> blob;
+    /// The __arch pages holding the rows back to back from slot
+    /// `first_slot` of the first page on; the segment's tuple_count ends
+    /// the run. Recorded at freeze: later freezes append to the heap's page
+    /// list, which a scan therefore never reads.
+    std::vector<storage::PageId> pages;
+    uint16_t first_slot = 0;
+  };
+  std::vector<FrozenRows> frozen_;
   Date live_start_;
   /// Versions written since the last checkpoint capture, by identity
   /// (id, tstart days) — the same key the multi-segment merge uses, so a

@@ -14,9 +14,25 @@ Result<RecordId> HeapFile::Append(std::string_view record) {
 }
 
 Result<std::string> HeapFile::Read(const RecordId& rid) const {
-  const Page& page = pm_->ReadPage(rid.page_id);
-  ARCHIS_ASSIGN_OR_RETURN(std::string_view bytes, page.Read(rid.slot));
+  ARCHIS_ASSIGN_OR_RETURN(std::string_view bytes, View(rid));
   return std::string(bytes);
+}
+
+Result<std::string_view> HeapFile::View(const RecordId& rid) const {
+  return pm_->ReadPage(rid.page_id).Read(rid.slot);
+}
+
+uint64_t HeapFile::ViewPage(PageId pid, uint16_t first_slot, uint64_t limit,
+                            std::vector<std::string_view>* out) const {
+  const Page& page = pm_->ReadPage(pid);
+  uint64_t n = 0;
+  for (uint16_t s = first_slot; s < page.slot_count() && n < limit; ++s) {
+    auto bytes = page.Read(s);
+    if (!bytes.ok()) continue;  // tombstone
+    out->push_back(*bytes);
+    ++n;
+  }
+  return n;
 }
 
 Status HeapFile::Delete(const RecordId& rid) {

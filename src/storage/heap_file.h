@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/page_manager.h"
@@ -26,6 +27,16 @@ class HeapFile {
 
   /// Reads the record at `rid` (copy, so callers may outlive page churn).
   Result<std::string> Read(const RecordId& rid) const;
+
+  /// The record at `rid` as a view into its page, valid while the page is
+  /// neither freed nor rewritten.
+  Result<std::string_view> View(const RecordId& rid) const;
+
+  /// Appends views of page `pid`'s live records, from slot `first_slot` on
+  /// and at most `limit` of them, to `out` (one page read); returns how
+  /// many it appended. The views live as long as View's.
+  uint64_t ViewPage(PageId pid, uint16_t first_slot, uint64_t limit,
+                    std::vector<std::string_view>* out) const;
 
   /// Tombstones the record at `rid`.
   Status Delete(const RecordId& rid);

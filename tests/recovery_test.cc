@@ -274,31 +274,69 @@ TEST(TransactionTest, CommitApplyFollowsRowsTheBatchMoves) {
 }
 
 TEST(TransactionTest, CommitAfterADropLooksRowsUp) {
-  // A drop frees the table's pages. Creating the name again fails in the
-  // archive (its history is kept) after the current table exists anew, so
-  // rows inserted then may reuse the dropped pages: a transaction that
-  // found its row before the drop must not write through that record id.
+  // A drop frees the table's pages and the next relation created takes
+  // them back, so a record id a transaction found before the drop can name
+  // another relation's row. The commit must not write through it.
   ArchIS db(ArchISOptions{}, D(1995, 1, 1));
+  auto only_row = [&](const std::string& name, storage::RecordId* rid,
+                      Tuple* row) {
+    auto table = db.current_db().catalog().GetTable(name);
+    ASSERT_TRUE(table.ok());
+    int rows = 0;
+    ASSERT_TRUE((*table)->Scan([&](const storage::RecordId& r,
+                                   const Tuple& t) {
+      *rid = r;
+      *row = t;
+      ++rows;
+      return true;
+    }).ok());
+    ASSERT_EQ(rows, 1);
+  };
   ASSERT_TRUE(db.CreateRelation(EmpSpec()).ok());
   ASSERT_TRUE(db.Insert("employees", Emp(1, "A", 100)).ok());
+  storage::RecordId dropped_rid;
+  Tuple row;
+  only_row("employees", &dropped_rid, &row);
   BEGIN_TXN(txn, &db);
   ASSERT_TRUE(txn.Update("employees", {Value(int64_t{1})},
                          Emp(1, "A", 150)).ok());
   ASSERT_TRUE(db.DropRelation("employees").ok());
-  EXPECT_FALSE(db.CreateRelation(EmpSpec()).ok());
-  ASSERT_TRUE(db.Insert("employees", Emp(2, "B", 200)).ok());
-  // Key 1 is gone from the new table: the commit fails on the lookup
-  // instead of overwriting whatever took the old slot.
-  EXPECT_EQ(txn.Commit().code(), StatusCode::kNotFound);
-  auto table = db.current_db().catalog().GetTable("employees");
-  ASSERT_TRUE(table.ok());
-  std::vector<Tuple> rows;
-  ASSERT_TRUE((*table)->Scan([&](const storage::RecordId&, const Tuple& t) {
-    rows.push_back(t);
-    return true;
-  }).ok());
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], Emp(2, "B", 200));
+  RelationSpec staff = EmpSpec();
+  staff.name = "staff";
+  staff.doc_name = "staff.xml";
+  ASSERT_TRUE(db.CreateRelation(staff).ok());
+  ASSERT_TRUE(db.Insert("staff", Emp(2, "B", 200)).ok());
+  storage::RecordId staff_rid;
+  only_row("staff", &staff_rid, &row);
+  ASSERT_EQ(staff_rid, dropped_rid);  // the freed page was reused
+  // The commit fails instead of overwriting the staff row in that slot.
+  EXPECT_EQ(txn.Commit().code(), StatusCode::kConflict);
+  only_row("staff", &staff_rid, &row);
+  EXPECT_EQ(row, Emp(2, "B", 200));
+}
+
+TEST(RecoveryTest, RefusedRecreateOfADroppedRelationLeavesNoTable) {
+  // A dropped relation's name stays archived. Re-creating it must fail
+  // before a current table exists: a leftover table would take logged
+  // inserts that no recovery can replay.
+  const std::string path = TempPath("recreate_dropped.wal");
+  ArchISOptions opts;
+  opts.wal.path = path;
+  std::string before;
+  {
+    auto db = ArchIS::Open(opts, D(1995, 1, 1));
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
+    ASSERT_TRUE((*db)->Insert("employees", Emp(1, "Ann", 100)).ok());
+    ASSERT_TRUE((*db)->DropRelation("employees").ok());
+    EXPECT_EQ((*db)->CreateRelation(EmpSpec()).code(),
+              StatusCode::kAlreadyExists);
+    EXPECT_FALSE((*db)->Insert("employees", Emp(2, "Bob", 200)).ok());
+    before = AllHistories(db->get());
+  }
+  auto db = ArchIS::Open(opts, D(1995, 1, 1));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(AllHistories(db->get()), before);
 }
 
 TEST(TransactionTest, CommitToADroppedRelationKeepsTheLogRecoverable) {
