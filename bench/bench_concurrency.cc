@@ -4,11 +4,6 @@
 //   single-key transactions against its own key through the shared WAL.
 //   Group commit batches the fsyncs, so throughput should grow with the
 //   writer count instead of serializing behind the log.
-//
-//   BM_CheckpointVsDbSize/N — a fuzzy incremental checkpoint over a
-//   database of N rows with a fixed 16-row dirty set. The paper-shaped
-//   result is a flat curve: delta manifests are proportional to the dirty
-//   set, not the database, so checkpoint time stays put as N grows.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -53,12 +48,10 @@ RelationSpec CounterSpec() {
 }
 
 Result<std::unique_ptr<ArchIS>> OpenWithRows(const std::string& wal_path,
-                                             int64_t rows,
-                                             uint64_t base_every) {
+                                             int64_t rows) {
   RemoveInstanceFiles(wal_path);
   ArchISOptions opts;
   opts.wal.path = wal_path;
-  opts.wal.checkpoint_base_every = base_every;
   ARCHIS_ASSIGN_OR_RETURN(std::unique_ptr<ArchIS> db,
                           ArchIS::Open(opts, Date::FromYmd(2000, 1, 1)));
   ARCHIS_RETURN_NOT_OK(db->CreateRelation(CounterSpec()));
@@ -76,7 +69,7 @@ void BM_CommitThroughput(benchmark::State& state) {
   static std::string wal_path;
   if (state.thread_index() == 0) {
     wal_path = WalPath("bench_concurrency_commit.wal");
-    auto opened = OpenWithRows(wal_path, 8, 8);
+    auto opened = OpenWithRows(wal_path, 8);
     if (!opened.ok()) {
       state.SkipWithError(opened.status().ToString().c_str());
       return;
@@ -113,57 +106,6 @@ void BM_CommitThroughput(benchmark::State& state) {
   state.SetLabel("disjoint single-key commits, group-committed WAL");
 }
 
-void BM_CheckpointVsDbSize(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  constexpr int64_t kDirtyRows = 16;
-  const std::string wal_path = WalPath("bench_concurrency_ckpt.wal");
-  // A huge base period keeps every timed checkpoint a delta; the one
-  // explicit base below absorbs the initial load.
-  auto opened = OpenWithRows(wal_path, rows, 1u << 30);
-  if (!opened.ok()) {
-    state.SkipWithError(opened.status().ToString().c_str());
-    return;
-  }
-  std::unique_ptr<ArchIS> db = std::move(*opened);
-  if (!db->Checkpoint().ok()) {
-    state.SkipWithError("base checkpoint");
-    return;
-  }
-  int64_t tick = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto begun = db->Begin();
-    if (!begun.ok()) {
-      state.SkipWithError(begun.status().ToString().c_str());
-      return;
-    }
-    Transaction txn = std::move(*begun);
-    ++tick;
-    for (int64_t id = 1; id <= kDirtyRows; ++id) {
-      if (!txn.Update("counters", {Value(id)},
-                      Tuple{Value(id), Value(tick)}).ok()) {
-        state.SkipWithError("dirty update");
-        return;
-      }
-    }
-    if (!txn.Commit().ok()) {
-      state.SkipWithError("dirty commit");
-      return;
-    }
-    state.ResumeTiming();
-    Status st = db->Checkpoint();
-    if (!st.ok()) {
-      state.SkipWithError(st.ToString().c_str());
-      return;
-    }
-  }
-  state.counters["db_rows"] = static_cast<double>(rows);
-  state.counters["dirty_rows"] = static_cast<double>(kDirtyRows);
-  db.reset();
-  RemoveInstanceFiles(wal_path);
-  state.SetLabel("fuzzy delta checkpoint, fixed 16-row dirty set");
-}
-
 BENCHMARK(BM_CommitThroughput)
     ->Threads(1)
     ->Threads(2)
@@ -171,21 +113,14 @@ BENCHMARK(BM_CommitThroughput)
     ->Threads(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CheckpointVsDbSize)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace archis::bench
 
 int main(int argc, char** argv) {
-  printf("== Concurrency: commit throughput and fuzzy checkpoints ==\n");
+  printf("== Concurrency: commit throughput ==\n");
   printf("Expected shape: commit throughput grows with writer count\n"
-         "(group commit shares each fsync); incremental checkpoint time is\n"
-         "flat in database size because delta manifests carry only the\n"
-         "dirty rows.\n\n");
+         "(group commit shares each fsync).\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -129,7 +129,6 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
     std::remove(core::CheckpointTmpPath(wal_path).c_str());
     core::ArchISOptions opts;
     opts.wal.path = wal_path;
-    opts.wal.checkpoint_base_every = 8;
     auto opened = core::ArchIS::Open(opts, Date::FromYmd(2000, 1, 1));
     if (!opened.ok()) {
       state.SkipWithError(opened.status().ToString().c_str());

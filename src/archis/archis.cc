@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 
 #include "archis/planner.h"
 #include "common/flight_recorder.h"
@@ -171,7 +170,7 @@ class ArchIS::CrashSource : public fr::CrashInfoSource {
 ArchIS::ArchIS(ArchISOptions options, Date start_date)
     : crash_source_(std::make_unique<CrashSource>(this)),
       options_(std::move(options)), clock_(start_date),
-      archiver_(&history_db_, /*track_dirty=*/wal_backed()) {
+      archiver_(&history_db_) {
   fr::InstallCrashHandler();
   fr::RegisterCrashInfoSource(crash_source_.get());
 }
@@ -189,52 +188,47 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
   }
   const std::string wal_path = options.wal.path;
   const WalOptions wal_options = options.wal;
-  // Manifest chain first (bounded recovery, DESIGN.md §10/§13): restore the
-  // base snapshot, layer every delta, then replay only the commits past the
-  // chain.
-  CheckpointChain chain = LoadCheckpointChain(wal_path);
-  if (chain.fell_back) {
+  // Manifest first (bounded recovery, DESIGN.md §10/§13): restore the
+  // snapshot, then replay only the commits past it.
+  LoadedCheckpoint loaded = LoadCheckpoint(wal_path);
+  if (loaded.fell_back) {
     metrics::Get(metrics::kCheckpointManifestFallbacks).Inc();
   }
   ARCHIS_ASSIGN_OR_RETURN(WalRecovery recovery, Wal::Recover(wal_path));
   auto db = std::make_unique<ArchIS>(std::move(options), start_date);
-  // Commits the manifest chain absorbed; replay skips them.
+  // Commits the manifest absorbed; replay skips them.
   uint64_t absorbed_seq = 0;
   bool filter_by_seq = false;
-  uint64_t chain_next_txn_id = 0;
-  if (!chain.manifests.empty()) {
-    const CheckpointManifest& last = chain.manifests.back();
+  uint64_t manifest_next_txn_id = 0;
+  if (loaded.manifest.has_value()) {
+    const CheckpointManifest& manifest = *loaded.manifest;
     if (recovery.has_checkpoint_marker &&
-        recovery.checkpoint_seq > last.seq) {
+        recovery.checkpoint_seq > manifest.seq) {
       return Status::Corruption(
           "WAL was truncated by checkpoint " +
           std::to_string(recovery.checkpoint_seq) +
           " but the newest readable manifest is seq " +
-          std::to_string(last.seq));
+          std::to_string(manifest.seq));
     }
-    ARCHIS_RETURN_NOT_OK(db->RestoreFromCheckpoint(chain.manifests.front()));
-    for (size_t i = 1; i < chain.manifests.size(); ++i) {
-      ARCHIS_RETURN_NOT_OK(db->ApplyCheckpointDelta(chain.manifests[i]));
-    }
-    db->checkpoint_seq_ = last.seq;
-    chain_next_txn_id = last.next_txn_id;
-    if (db->clock_ < Date(last.clock_days)) {
-      db->clock_ = Date(last.clock_days);
+    ARCHIS_RETURN_NOT_OK(db->RestoreFromCheckpoint(manifest));
+    db->checkpoint_seq_ = manifest.seq;
+    manifest_next_txn_id = manifest.next_txn_id;
+    if (db->clock_ < Date(manifest.clock_days)) {
+      db->clock_ = Date(manifest.clock_days);
     }
     // Fuzzy manifests absorb a commit-sequence prefix, not a log prefix:
     // a commit whose frames straddle the capture point replays by its
     // sequence number regardless of where its bytes sit.
     filter_by_seq = true;
-    absorbed_seq = last.absorbed_commit_seq;
+    absorbed_seq = manifest.absorbed_commit_seq;
+    // The decoded rows are in the stores now; free them before replay.
+    loaded.manifest.reset();
   } else if (recovery.has_checkpoint_marker) {
     return Status::Corruption(
         "WAL was truncated by checkpoint " +
         std::to_string(recovery.checkpoint_seq) +
         " but no checkpoint manifest is readable");
   }
-  // Restored state is durable in the chain — not dirty. Replay re-marks
-  // whatever it touches.
-  db->ClearAllDirty();
   const auto item_commit_seq = [](const WalReplayItem& item) -> uint64_t {
     if (const auto* create = std::get_if<WalCreateRelation>(&item)) {
       return create->commit_seq;
@@ -275,7 +269,7 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
   ARCHIS_RETURN_NOT_OK(
       storage::TruncateLogFile(wal_path, recovery.valid_bytes));
   uint64_t next_txn_id = recovery.max_txn_id + 1;
-  if (next_txn_id < chain_next_txn_id) next_txn_id = chain_next_txn_id;
+  if (next_txn_id < manifest_next_txn_id) next_txn_id = manifest_next_txn_id;
   ARCHIS_ASSIGN_OR_RETURN(db->wal_, Wal::Open(wal_options, next_txn_id));
   db->last_recovery_replayed_bytes_ = replayed_bytes;
   metrics::Get(metrics::kWalRecoveries).Inc();
@@ -288,8 +282,7 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
       .Kv("valid_bytes", recovery.valid_bytes)
       .Kv("replayed_bytes", replayed_bytes)
       .Kv("checkpoint_seq", db->checkpoint_seq_)
-      .Kv("chain_manifests", chain.manifests.size())
-      .Kv("manifest_fallback", chain.fell_back)
+      .Kv("manifest_fallback", loaded.fell_back)
       .Kv("next_txn_id", next_txn_id)
       .Kv("clock", db->clock_.ToString());
   return db;
@@ -358,8 +351,6 @@ Status ArchIS::CreateRelationInternal(RelationSpec spec, Date open_date,
   }
   relations_[spec.name] = std::move(info);
   InvalidatePlanCache();
-  // Deltas cannot express schema changes; the next checkpoint rebases.
-  ddl_since_checkpoint_ = true;
   if (log_to_wal && wal_ != nullptr) {
     const uint64_t seq = ++commit_seq_;
     return wal_->LogCreateRelation(spec, open_date, seq);
@@ -382,7 +373,6 @@ Status ArchIS::DropRelationInternal(const std::string& name, Date when,
   ++relations_dropped_;
   ARCHIS_RETURN_NOT_OK(archiver_.UnregisterRelation(name, when));
   InvalidatePlanCache();
-  ddl_since_checkpoint_ = true;
   if (log_to_wal && wal_ != nullptr) {
     const uint64_t seq = ++commit_seq_;
     return wal_->LogDropRelation(name, when, seq);
@@ -515,19 +505,11 @@ std::vector<Value> ArchIS::KeyOf(const RelationInfo& info, const Tuple& row) {
   return key;
 }
 
-std::string ArchIS::EncodeKeyValues(const std::vector<Value>& key) {
-  Tuple t;
-  for (const Value& v : key) t.Append(v);
-  std::string out;
-  EncodeTuple(t, &out);
-  return out;
-}
-
 std::string ArchIS::WriteSetKey(const std::string& relation,
                                 const std::vector<Value>& key) {
   std::string out = relation;
   out.push_back('\0');
-  out += EncodeKeyValues(key);
+  EncodeTuple(Tuple(key), &out);
   return out;
 }
 
@@ -726,15 +708,7 @@ Status ArchIS::ApplyCommitted(const ChangeRecord& change,
       *rid = storage::RecordId{};
     }
   }
-  ARCHIS_RETURN_NOT_OK(archiver_.Apply(change));
-  if (wal_backed()) {
-    const Tuple& key_row = change.kind == ChangeKind::kDelete
-                               ? change.old_row
-                               : change.new_row;
-    dirty_current_keys_[change.relation].insert(
-        EncodeKeyValues(KeyOf(info->second, key_row)));
-  }
-  return Status::OK();
+  return archiver_.Apply(change);
 }
 
 Status ArchIS::CommitTxn(Transaction* txn) {
@@ -884,7 +858,6 @@ Status ArchIS::ReplayChange(const ChangeRecord& change) {
   }
   ARCHIS_ASSIGN_OR_RETURN(Table * table,
                           current_db_.catalog().GetTable(change.relation));
-  const Tuple* applied_row = nullptr;
   switch (change.kind) {
     case ChangeKind::kInsert: {
       Tuple existing;
@@ -893,8 +866,6 @@ Status ArchIS::ReplayChange(const ChangeRecord& change) {
       if (rid.ok()) return Status::OK();  // already applied
       if (rid.status().code() != StatusCode::kNotFound) return rid.status();
       ARCHIS_RETURN_NOT_OK(table->Insert(change.new_row).status());
-      ARCHIS_RETURN_NOT_OK(archiver_.Apply(change));
-      applied_row = &change.new_row;
       break;
     }
     case ChangeKind::kUpdate: {
@@ -905,8 +876,6 @@ Status ArchIS::ReplayChange(const ChangeRecord& change) {
                     &existing));
       if (existing == change.new_row) return Status::OK();  // already applied
       ARCHIS_RETURN_NOT_OK(table->Update(&rid, existing, change.new_row));
-      ARCHIS_RETURN_NOT_OK(archiver_.Apply(change));
-      applied_row = &change.new_row;
       break;
     }
     case ChangeKind::kDelete: {
@@ -920,16 +889,10 @@ Status ArchIS::ReplayChange(const ChangeRecord& change) {
         return rid.status();
       }
       ARCHIS_RETURN_NOT_OK(table->Delete(*rid));
-      ARCHIS_RETURN_NOT_OK(archiver_.Apply(change));
-      applied_row = &change.old_row;
       break;
     }
   }
-  if (applied_row != nullptr) {
-    dirty_current_keys_[change.relation].insert(
-        EncodeKeyValues(KeyOf(info->second, *applied_row)));
-  }
-  return Status::OK();
+  return archiver_.Apply(change);
 }
 
 // -- Checkpointing -------------------------------------------------------------
@@ -942,10 +905,10 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
   }
   metrics::Stage checkpoint(metrics::StageId::kCheckpoint);
   MutexLock ckpt_lock(checkpoint_mu_);
-  CheckpointManifest manifest;
-  std::vector<RelationDirty> drained;
-  bool is_base = false;
-  bool had_ddl = false;
+  CheckpointManifest header;
+  std::string encoded;
+  uint64_t manifest_rows = 0;
+  size_t relations = 0;
   {
     // checkpoint_mu_ -> commit_mu_ is the one true order (ranks 3 -> 5,
     // enforced at runtime by LockRank).
@@ -955,99 +918,25 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
     // still lose. No quiesce — open transactions keep their handles; their
     // uncommitted changes are simply not in any table yet.
     ARCHIS_RETURN_NOT_OK(wal_->FlushDurable());
-    is_base = ddl_since_checkpoint_ || checkpoint_chain_len_ == 0 ||
-              checkpoint_chain_len_ >= options_.wal.checkpoint_base_every;
-    had_ddl = ddl_since_checkpoint_;
-    ddl_since_checkpoint_ = false;
-    manifest.seq = checkpoint_seq_ + 1;
-    fr::Record(fr::EventType::kCheckpointPhase, manifest.seq, 0, 0, "capture");
-    manifest.clock_days = clock_.days();
-    manifest.next_txn_id = wal_->PeekNextTxnId();
-    manifest.base = is_base;
-    manifest.prev_seq = is_base ? 0 : checkpoint_seq_;
-    manifest.absorbed_commit_seq = commit_seq_;
-    manifest.active_txn_ids.assign(open_txns_.begin(), open_txns_.end());
-    Status captured = Status::OK();
+    header.seq = checkpoint_seq_ + 1;
+    fr::Record(fr::EventType::kCheckpointPhase, header.seq, 0, 0, "capture");
+    header.clock_days = clock_.days();
+    header.next_txn_id = wal_->PeekNextTxnId();
+    header.absorbed_commit_seq = commit_seq_;
+    header.active_txn_ids.assign(open_txns_.begin(), open_txns_.end());
+    CheckpointWriter writer(header);
     for (const Archiver::RelationEntry& entry : archiver_.relations()) {
-      if (is_base) {
-        Result<CheckpointRelation> rel =
-            CaptureRelation(entry.name, entry.interval);
-        if (!rel.ok()) {
-          captured = rel.status();
-          break;
-        }
-        RelationDirty rd;
-        DrainDirty(entry.name, &rd);
-        drained.push_back(std::move(rd));
-        manifest.relations.push_back(std::move(*rel));
-      } else {
-        Result<HTableSet*> set = archiver_.htables(entry.name);
-        if (!set.ok()) {
-          captured = set.status();
-          break;
-        }
-        bool dirty = (*set)->dirty_surrogate_count() > 0 ||
-                     (*set)->key_store()->dirty_count() > 0;
-        for (const std::string& attr : (*set)->attribute_names()) {
-          if (dirty) break;
-          Result<SegmentedStore*> store = (*set)->attribute_store(attr);
-          if (!store.ok()) {
-            // Name came from attribute_names(): the lookup cannot fail.
-            IgnoreStatus(store.status());
-            continue;
-          }
-          if ((*store)->dirty_count() > 0) dirty = true;
-        }
-        if (!dirty) {
-          auto it = dirty_current_keys_.find(entry.name);
-          dirty = it != dirty_current_keys_.end() && !it->second.empty();
-        }
-        if (!dirty) continue;
-        RelationDirty rd;
-        Result<CheckpointRelation> rel =
-            CaptureRelationDelta(entry.name, entry.interval, &rd);
-        drained.push_back(std::move(rd));
-        if (!rel.ok()) {
-          captured = rel.status();
-          break;
-        }
-        manifest.relations.push_back(std::move(*rel));
-      }
+      ARCHIS_RETURN_NOT_OK(
+          CaptureRelation(entry.name, entry.interval, &writer));
     }
-    if (!captured.ok()) {
-      MergeDirtyBack(drained);
-      ddl_since_checkpoint_ = ddl_since_checkpoint_ || had_ddl;
-      return captured;
-    }
+    relations = archiver_.relations().size();
+    manifest_rows = writer.rows();
+    encoded = std::move(writer).Finish();
   }
-  uint64_t manifest_rows = 0;
-  for (const CheckpointRelation& rel : manifest.relations) {
-    for (const auto& rows : rel.store_rows) manifest_rows += rows.size();
-    manifest_rows += rel.current_rows.size() + rel.current_deletes.size();
-  }
-  fr::Record(fr::EventType::kCheckpointPhase, manifest.seq, 0, 0, "encode");
-  Result<std::string> encoded = EncodeCheckpointManifest(manifest);
-  fr::Record(fr::EventType::kCheckpointPhase, manifest.seq, 0, 0, "install");
-  Status install =
-      encoded.ok()
-          ? (is_base ? InstallCheckpointManifest(options_.wal.path, *encoded,
-                                                 crash_point)
-                     : AppendCheckpointDelta(options_.wal.path, *encoded,
-                                             checkpoint_file_valid_bytes_,
-                                             crash_point))
-          : encoded.status();
-  if (!install.ok()) {
-    MutexLock lock(commit_mu_);
-    MergeDirtyBack(drained);
-    ddl_since_checkpoint_ = ddl_since_checkpoint_ || had_ddl;
-    return install;
-  }
-  checkpoint_seq_ = manifest.seq;
-  checkpoint_chain_len_ = is_base ? 1 : checkpoint_chain_len_ + 1;
-  checkpoint_file_valid_bytes_ = is_base
-                                     ? encoded->size()
-                                     : checkpoint_file_valid_bytes_ +
-                                           encoded->size();
+  fr::Record(fr::EventType::kCheckpointPhase, header.seq, 0, 0, "install");
+  ARCHIS_RETURN_NOT_OK(
+      InstallCheckpointManifest(options_.wal.path, encoded, crash_point));
+  checkpoint_seq_ = header.seq;
   if (crash_point == CheckpointCrashPoint::kBeforeWalReset) {
     return Status::IOError("injected crash before WAL reset");
   }
@@ -1058,31 +947,31 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
   bool wal_reset = false;
   {
     MutexLock lock(commit_mu_);
-    if (open_txns_.empty() && commit_seq_ == manifest.absorbed_commit_seq) {
+    if (open_txns_.empty() && commit_seq_ == header.absorbed_commit_seq) {
       ARCHIS_RETURN_NOT_OK(wal_->FlushDurable());
-      ARCHIS_RETURN_NOT_OK(wal_->ResetAfterCheckpoint(manifest.seq));
+      ARCHIS_RETURN_NOT_OK(wal_->ResetAfterCheckpoint(header.seq));
       wal_reset = true;
-      fr::Record(fr::EventType::kCheckpointPhase, manifest.seq, 0, 0,
+      fr::Record(fr::EventType::kCheckpointPhase, header.seq, 0, 0,
                  "wal_reset");
     }
   }
   wal_bytes_at_last_checkpoint_ = wal_->bytes_written();
-  checkpoint.Close(manifest.seq, 0, is_base ? "base" : "delta");
-  metrics::Get(metrics::kCheckpointDirtyRows).Inc(manifest_rows);
+  checkpoint.Close(header.seq, 0);
+  metrics::Get(metrics::kCheckpointRows).Inc(manifest_rows);
   logging::Info("checkpoint.complete")
-      .Kv("seq", manifest.seq)
-      .Kv("kind", is_base ? "base" : "delta")
-      .Kv("relations", manifest.relations.size())
-      .Kv("manifest_bytes", encoded->size())
+      .Kv("seq", header.seq)
+      .Kv("relations", relations)
+      .Kv("manifest_bytes", encoded.size())
       .Kv("rows", manifest_rows)
-      .Kv("active_txns", manifest.active_txn_ids.size())
+      .Kv("active_txns", header.active_txn_ids.size())
       .Kv("wal_reset", wal_reset)
-      .Kv("clock", Date(manifest.clock_days).ToString());
+      .Kv("clock", Date(header.clock_days).ToString());
   return Status::OK();
 }
 
-Result<CheckpointRelation> ArchIS::CaptureRelation(
-    const std::string& name, const TimeInterval& interval) {
+Status ArchIS::CaptureRelation(const std::string& name,
+                               const TimeInterval& interval,
+                               CheckpointWriter* writer) {
   auto info = relations_.find(name);
   if (info == relations_.end()) {
     return Status::Internal("archived relation '" + name +
@@ -1099,174 +988,38 @@ Result<CheckpointRelation> ArchIS::CaptureRelation(
   rel.open_days = interval.tstart.days();
   rel.close_days = interval.tend.days();
   rel.dropped = !interval.is_current();
-  rel.full = true;
   rel.surrogates.assign(set->surrogate_ids().begin(),
                         set->surrogate_ids().end());
   std::sort(rel.surrogates.begin(), rel.surrogates.end());
   rel.next_surrogate = set->next_surrogate();
+  ARCHIS_RETURN_NOT_OK(writer->BeginRelation(rel));
+  // Each row is encoded into the manifest as it is scanned.
+  Status added = Status::OK();
+  const auto add = [&](const Tuple& row) {
+    added = writer->AddRow(row);
+    return added.ok();
+  };
   // Raw deduplicated store rows, key table first (the manifest must round-
   // trip re-insertions of one key without merging their intervals, which
   // the published H-document would).
-  rel.store_rows.emplace_back();
-  ARCHIS_RETURN_NOT_OK(
-      set->key_store()->ScanHistory([&](const Tuple& row) {
-        rel.store_rows.back().push_back(row);
-        return true;
-      }));
+  ARCHIS_RETURN_NOT_OK(set->key_store()->ScanHistory(add));
+  ARCHIS_RETURN_NOT_OK(added);
   for (const std::string& attr : set->attribute_names()) {
     ARCHIS_ASSIGN_OR_RETURN(SegmentedStore * store,
                             set->attribute_store(attr));
-    rel.store_rows.emplace_back();
-    ARCHIS_RETURN_NOT_OK(store->ScanHistory([&](const Tuple& row) {
-      rel.store_rows.back().push_back(row);
-      return true;
-    }));
+    ARCHIS_RETURN_NOT_OK(writer->NextRowList());
+    ARCHIS_RETURN_NOT_OK(store->ScanHistory(add));
+    ARCHIS_RETURN_NOT_OK(added);
   }
+  ARCHIS_RETURN_NOT_OK(writer->NextRowList());
   if (!rel.dropped) {
     ARCHIS_ASSIGN_OR_RETURN(Table * table,
                             current_db_.catalog().GetTable(name));
-    ARCHIS_RETURN_NOT_OK(
-        table->Scan([&](const storage::RecordId&, const Tuple& row) {
-          rel.current_rows.push_back(row);
-          return true;
-        }));
+    ARCHIS_RETURN_NOT_OK(table->Scan(
+        [&](const storage::RecordId&, const Tuple& row) { return add(row); }));
+    ARCHIS_RETURN_NOT_OK(added);
   }
-  return rel;
-}
-
-void ArchIS::DrainDirty(const std::string& name, RelationDirty* drained) {
-  drained->name = name;
-  Result<HTableSet*> set = archiver_.htables(name);
-  if (!set.ok()) {
-    // Relation vanished between the caller's iteration and here; nothing
-    // to drain.
-    IgnoreStatus(set.status());
-    return;
-  }
-  drained->store_dirty.push_back((*set)->key_store()->TakeDirty());
-  for (const std::string& attr : (*set)->attribute_names()) {
-    Result<SegmentedStore*> store = (*set)->attribute_store(attr);
-    if (!store.ok()) {
-      IgnoreStatus(store.status());
-      drained->store_dirty.emplace_back();
-      continue;
-    }
-    drained->store_dirty.push_back((*store)->TakeDirty());
-  }
-  drained->surrogates = (*set)->TakeDirtySurrogates();
-  auto it = dirty_current_keys_.find(name);
-  if (it != dirty_current_keys_.end()) {
-    drained->current_keys = std::move(it->second);
-    dirty_current_keys_.erase(it);
-  }
-}
-
-Result<CheckpointRelation> ArchIS::CaptureRelationDelta(
-    const std::string& name, const TimeInterval& interval,
-    RelationDirty* drained) {
-  auto info = relations_.find(name);
-  if (info == relations_.end()) {
-    return Status::Internal("archived relation '" + name +
-                            "' has no catalog entry");
-  }
-  ARCHIS_ASSIGN_OR_RETURN(HTableSet * set, archiver_.htables(name));
-  DrainDirty(name, drained);
-  CheckpointRelation rel;
-  rel.spec.name = name;
-  rel.spec.schema = set->current_schema();
-  rel.spec.key_columns = set->key_columns();
-  rel.spec.doc_name = info->second.doc_name;
-  rel.spec.root_tag = info->second.doc.root_tag;
-  rel.spec.entity_tag = info->second.doc.entity_tag;
-  rel.open_days = interval.tstart.days();
-  rel.close_days = interval.tend.days();
-  rel.dropped = !interval.is_current();
-  rel.full = false;
-  rel.surrogates = drained->surrogates;
-  std::sort(rel.surrogates.begin(), rel.surrogates.end());
-  rel.next_surrogate = set->next_surrogate();
-  // Dirty store rows only, by version identity (id, tstart): the recovery
-  // side upserts them onto the restored base.
-  std::vector<SegmentedStore*> stores;
-  stores.push_back(set->key_store());
-  for (const std::string& attr : set->attribute_names()) {
-    ARCHIS_ASSIGN_OR_RETURN(SegmentedStore * store,
-                            set->attribute_store(attr));
-    stores.push_back(store);
-  }
-  for (size_t s = 0; s < stores.size(); ++s) {
-    rel.store_rows.emplace_back();
-    const std::set<std::pair<int64_t, int64_t>>& dirty =
-        drained->store_dirty[s];
-    const size_t tstart_col = stores[s]->row_schema().num_columns() - 2;
-    std::map<int64_t, std::set<int64_t>> by_id;
-    for (const auto& [id, tstart_days] : dirty) {
-      by_id[id].insert(tstart_days);
-    }
-    for (const auto& [id, tstarts] : by_id) {
-      ARCHIS_RETURN_NOT_OK(stores[s]->ScanId(id, [&](const Tuple& row) {
-        if (tstarts.count(row.at(tstart_col).AsDate().days()) > 0) {
-          rel.store_rows.back().push_back(row);
-        }
-        return true;
-      }));
-    }
-  }
-  // Current-table delta: for every key written since the last capture,
-  // either its current row (upsert) or a delete marker.
-  if (!rel.dropped && !drained->current_keys.empty()) {
-    ARCHIS_ASSIGN_OR_RETURN(Table * table,
-                            current_db_.catalog().GetTable(name));
-    for (const std::string& encoded_key : drained->current_keys) {
-      size_t pos = 0;
-      ARCHIS_ASSIGN_OR_RETURN(Tuple key_tuple,
-                              DecodeTuple(encoded_key, &pos));
-      std::vector<Value> key;
-      key.reserve(key_tuple.size());
-      for (size_t i = 0; i < key_tuple.size(); ++i) {
-        key.push_back(key_tuple.at(i));
-      }
-      Tuple row;
-      Result<storage::RecordId> rid =
-          FindByKey(table, info->second, key, &row);
-      if (rid.ok()) {
-        rel.current_rows.push_back(std::move(row));
-      } else if (rid.status().code() == StatusCode::kNotFound) {
-        rel.current_deletes.push_back(encoded_key);
-      } else {
-        return rid.status();
-      }
-    }
-  }
-  return rel;
-}
-
-void ArchIS::MergeDirtyBack(const std::vector<RelationDirty>& drained) {
-  for (const RelationDirty& rd : drained) {
-    Result<HTableSet*> set = archiver_.htables(rd.name);
-    if (!set.ok()) {
-      // The relation was dropped since the drain: its dirty state died
-      // with it.
-      IgnoreStatus(set.status());
-      continue;
-    }
-    if (!rd.store_dirty.empty()) {
-      (*set)->key_store()->MergeDirty(rd.store_dirty[0]);
-      for (size_t a = 0; a < (*set)->attribute_names().size(); ++a) {
-        if (1 + a >= rd.store_dirty.size()) break;
-        Result<SegmentedStore*> store =
-            (*set)->attribute_store((*set)->attribute_names()[a]);
-        if (!store.ok()) {
-          IgnoreStatus(store.status());
-          continue;
-        }
-        (*store)->MergeDirty(rd.store_dirty[1 + a]);
-      }
-    }
-    (*set)->MergeDirtySurrogates(rd.surrogates);
-    dirty_current_keys_[rd.name].insert(rd.current_keys.begin(),
-                                        rd.current_keys.end());
-  }
+  return writer->EndRelation();
 }
 
 Status ArchIS::RestoreFromCheckpoint(const CheckpointManifest& manifest) {
@@ -1305,100 +1058,6 @@ Status ArchIS::RestoreFromCheckpoint(const CheckpointManifest& manifest) {
   return Status::OK();
 }
 
-Status ArchIS::ApplyCheckpointDelta(const CheckpointManifest& manifest) {
-  for (const CheckpointRelation& rel : manifest.relations) {
-    auto info = relations_.find(rel.spec.name);
-    if (info == relations_.end()) {
-      return Status::Corruption("checkpoint delta patches relation '" +
-                                rel.spec.name +
-                                "' which no base manifest created");
-    }
-    ARCHIS_ASSIGN_OR_RETURN(HTableSet * set,
-                            archiver_.htables(rel.spec.name));
-    set->AddSurrogates(rel.surrogates, rel.next_surrogate);
-    if (rel.store_rows.size() != 1 + set->attribute_names().size()) {
-      return Status::Corruption(
-          "delta manifest for '" + rel.spec.name + "' carries " +
-          std::to_string(rel.store_rows.size()) + " stores, schema needs " +
-          std::to_string(1 + set->attribute_names().size()));
-    }
-    std::vector<SegmentedStore*> stores;
-    stores.push_back(set->key_store());
-    for (const std::string& attr : set->attribute_names()) {
-      ARCHIS_ASSIGN_OR_RETURN(SegmentedStore * store,
-                              set->attribute_store(attr));
-      stores.push_back(store);
-    }
-    for (size_t s = 0; s < stores.size(); ++s) {
-      for (const Tuple& row : rel.store_rows[s]) {
-        ARCHIS_RETURN_NOT_OK(stores[s]->UpsertCheckpointRow(row));
-      }
-    }
-    if (!rel.dropped) {
-      ARCHIS_ASSIGN_OR_RETURN(Table * table,
-                              current_db_.catalog().GetTable(rel.spec.name));
-      for (const Tuple& row : rel.current_rows) {
-        const std::vector<Value> key = KeyOf(info->second, row);
-        Tuple existing;
-        Result<storage::RecordId> rid =
-            FindByKey(table, info->second, key, &existing);
-        if (rid.ok()) {
-          storage::RecordId r = *rid;
-          ARCHIS_RETURN_NOT_OK(table->Update(&r, row));
-        } else if (rid.status().code() == StatusCode::kNotFound) {
-          ARCHIS_RETURN_NOT_OK(table->Insert(row).status());
-        } else {
-          return rid.status();
-        }
-      }
-      for (const std::string& encoded_key : rel.current_deletes) {
-        size_t pos = 0;
-        ARCHIS_ASSIGN_OR_RETURN(Tuple key_tuple,
-                                DecodeTuple(encoded_key, &pos));
-        std::vector<Value> key;
-        key.reserve(key_tuple.size());
-        for (size_t i = 0; i < key_tuple.size(); ++i) {
-          key.push_back(key_tuple.at(i));
-        }
-        Tuple existing;
-        Result<storage::RecordId> rid =
-            FindByKey(table, info->second, key, &existing);
-        if (rid.ok()) {
-          ARCHIS_RETURN_NOT_OK(table->Delete(*rid));
-        } else if (rid.status().code() != StatusCode::kNotFound) {
-          return rid.status();
-        }
-        // NotFound: the key was inserted and deleted between the base and
-        // this delta — nothing to remove.
-      }
-    }
-  }
-  InvalidatePlanCache();
-  return Status::OK();
-}
-
-void ArchIS::ClearAllDirty() {
-  for (const Archiver::RelationEntry& entry : archiver_.relations()) {
-    Result<HTableSet*> set = archiver_.htables(entry.name);
-    if (!set.ok()) {
-      IgnoreStatus(set.status());
-      continue;
-    }
-    (*set)->TakeDirtySurrogates();
-    (*set)->key_store()->ClearDirty();
-    for (const std::string& attr : (*set)->attribute_names()) {
-      Result<SegmentedStore*> store = (*set)->attribute_store(attr);
-      if (!store.ok()) {
-        IgnoreStatus(store.status());
-        continue;
-      }
-      (*store)->ClearDirty();
-    }
-  }
-  MutexLock lock(commit_mu_);
-  dirty_current_keys_.clear();
-}
-
 void ArchIS::MaybeAutoCheckpoint() {
   const uint64_t threshold = options_.wal.checkpoint_after_bytes;
   if (wal_ == nullptr || threshold == 0) return;
@@ -1409,7 +1068,7 @@ void ArchIS::MaybeAutoCheckpoint() {
     }
   }
   // Two committers may race past the threshold check; the second just
-  // writes a (near-empty) delta. Checkpoint serializes on checkpoint_mu_.
+  // writes one more manifest. Checkpoint serializes on checkpoint_mu_.
   Status st = Checkpoint();
   if (!st.ok()) {
     // The triggering commit is already durable, so it must not fail here;

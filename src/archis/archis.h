@@ -240,10 +240,10 @@ class ArchIS {
   ~ArchIS();
 
   /// Builds an instance with a durable change log: restores the newest
-  /// checkpoint chain (base manifest + incremental deltas), replays the
-  /// WAL suffix of commits past the chain (truncating a torn tail), then
-  /// opens the log for appending. With an empty WAL path this is just the
-  /// in-memory constructor.
+  /// checkpoint manifest (else the previous one), replays the WAL suffix
+  /// of commits past it (truncating a torn tail), then opens the log for
+  /// appending. With an empty WAL path this is just the in-memory
+  /// constructor.
   static Result<std::unique_ptr<ArchIS>> Open(ArchISOptions options,
                                               Date start_date);
 
@@ -339,15 +339,12 @@ class ArchIS {
   /// yields the same state as replaying it once.
   Status ApplyRecovered(const WalCommittedTxn& txn);
 
-  /// Fuzzy incremental checkpoint (DESIGN.md §13): captures durable state
-  /// under the commit lock — no quiesce; open transactions keep running —
-  /// and installs it next to the WAL. The first checkpoint (and every
-  /// WalOptions::checkpoint_base_every-th, and the one after any DDL)
-  /// writes a full base manifest via atomic rename; the others append a
-  /// delta holding only rows dirtied since the previous capture, so the
-  /// manifest cost tracks the write rate, not the database size. The WAL
-  /// is truncated to a marker only when the instance happens to be fully
-  /// quiesced; otherwise recovery bounds replay by commit sequence.
+  /// Fuzzy checkpoint (DESIGN.md §13): encodes the whole durable state
+  /// into one manifest under the commit lock — no quiesce; open
+  /// transactions keep running — and installs it next to the WAL by
+  /// atomic rename. The WAL is truncated to a marker only when the
+  /// instance happens to be fully quiesced; otherwise recovery bounds
+  /// replay by commit sequence.
   /// `crash_point` injects a deterministic stop for crash-recovery tests;
   /// every injected stop leaves a state recovery handles exactly.
   Status Checkpoint(
@@ -413,16 +410,6 @@ class ArchIS {
     std::string doc_name;
   };
 
-  /// Dirty state drained from one relation by a checkpoint capture, kept
-  /// until the install succeeds so a failed install can merge it back.
-  struct RelationDirty {
-    std::string name;
-    /// Per store (key store first, then attributes): version identities.
-    std::vector<std::set<std::pair<int64_t, int64_t>>> store_dirty;
-    std::vector<std::pair<std::string, int64_t>> surrogates;
-    std::set<std::string> current_keys;
-  };
-
   /// Fails DML on a WAL-configured instance that skipped recovery.
   Status CheckWritable() const;
 
@@ -456,16 +443,11 @@ class ArchIS {
   /// Abort protocol: deregister and best-effort log an ABORT frame.
   Status AbortTxn(Transaction* txn);
 
-  /// Applies one committed change to the current table + H-tables and,
-  /// on WAL-backed instances, marks the row dirty for the next incremental
-  /// checkpoint. `rid` is where the statement found the key's current row
-  /// (invalid: look it up); it is moved to where the row is afterwards.
+  /// Applies one committed change to the current table + H-tables. `rid`
+  /// is where the statement found the key's current row (invalid: look it
+  /// up); it is moved to where the row is afterwards.
   Status ApplyCommitted(const ChangeRecord& change, storage::RecordId* rid)
       ARCHIS_REQUIRES(commit_mu_);
-
-  /// Whether this instance logs to a WAL (and so checkpoints, which is
-  /// what consumes dirty tracking).
-  bool wal_backed() const { return !options_.wal.path.empty(); }
 
   /// Deregisters `txn_id`; the last one out clears the committed-writer
   /// index (nothing left to conflict with).
@@ -476,38 +458,12 @@ class ArchIS {
       ARCHIS_REQUIRES(commit_mu_);
 
   /// Rebuilds catalog, H-tables, surrogates, current tables and clock from
-  /// a base manifest (recovery, before deltas and the WAL suffix).
+  /// a manifest (recovery, before the WAL suffix).
   Status RestoreFromCheckpoint(const CheckpointManifest& manifest);
 
-  /// Applies one incremental delta manifest on top of the restored base:
-  /// upserts store rows by version identity, merges surrogates and
-  /// patches the current tables.
-  Status ApplyCheckpointDelta(const CheckpointManifest& manifest);
-
-  /// Clears every dirty marker (stores, surrogates, current keys) after a
-  /// chain restore; WAL-suffix replay re-marks what it touches.
-  void ClearAllDirty();
-
-  /// Full snapshot of one registered relation for a base manifest.
-  Result<CheckpointRelation> CaptureRelation(const std::string& name,
-                                             const TimeInterval& interval)
-      ARCHIS_REQUIRES(commit_mu_);
-
-  /// Dirty-rows-only snapshot for a delta manifest; drains dirty state
-  /// into `drained` for merge-back on install failure.
-  Result<CheckpointRelation> CaptureRelationDelta(const std::string& name,
-                                                  const TimeInterval& interval,
-                                                  RelationDirty* drained)
-      ARCHIS_REQUIRES(commit_mu_);
-
-  /// Drains dirty state of `name` without capturing (base captures are
-  /// full, but must still reset the delta baseline).
-  void DrainDirty(const std::string& name, RelationDirty* drained)
-      ARCHIS_REQUIRES(commit_mu_);
-
-  /// Re-marks dirty state drained by a capture whose install failed.
-  void MergeDirtyBack(const std::vector<RelationDirty>& drained)
-      ARCHIS_REQUIRES(commit_mu_);
+  /// Streams one registered relation's whole state into `writer`.
+  Status CaptureRelation(const std::string& name, const TimeInterval& interval,
+                         CheckpointWriter* writer) ARCHIS_REQUIRES(commit_mu_);
 
   /// A cost-based physical plan cached by ArchIS::Execute, keyed by
   /// AppendPlanCacheKey (planner.h). `epoch` is the plan_epoch_ value at
@@ -551,10 +507,6 @@ class ArchIS {
   static std::string WriteSetKey(const std::string& relation,
                                  const std::vector<minirel::Value>& key);
 
-  /// Self-describing encoding of the key values (decodable without a
-  /// schema — delta manifests persist these for current-table deletes).
-  static std::string EncodeKeyValues(const std::vector<minirel::Value>& key);
-
   /// "relation(v1, v2)" — the conflict-message rendering of a key.
   static std::string DisplayKey(const std::string& relation,
                                 const std::vector<minirel::Value>& key);
@@ -590,25 +542,12 @@ class ArchIS {
   /// it). Cleared when the last open transaction finishes.
   std::unordered_map<std::string, uint64_t> key_last_writer_
       ARCHIS_GUARDED_BY(commit_mu_);
-  /// Current-table rows (encoded key values per relation) written since
-  /// the last checkpoint capture (WAL-backed instances only).
-  std::map<std::string, std::set<std::string>> dirty_current_keys_
-      ARCHIS_GUARDED_BY(commit_mu_);
   /// Relations dropped so far (see Transaction::begin_drops_).
   uint64_t relations_dropped_ ARCHIS_GUARDED_BY(commit_mu_) = 0;
-  /// Forces the next checkpoint to write a full base manifest. Starts
-  /// true (fresh or recovered instances have no in-process chain) and is
-  /// re-set by DDL, whose effects deltas cannot express.
-  bool ddl_since_checkpoint_ ARCHIS_GUARDED_BY(commit_mu_) = true;
 
   /// Serializes checkpoint captures/installs against each other (ranked
   /// outside the commit lock: capture acquires commit_mu_ inside it).
   Mutex checkpoint_mu_{LockRank::kFacadeCheckpoint};
-  /// Manifests in the current chain file (base + deltas appended since).
-  size_t checkpoint_chain_len_ ARCHIS_GUARDED_BY(checkpoint_mu_) = 0;
-  /// Bytes of complete manifests in the chain file (append offset for the
-  /// next delta; stale bytes past it are truncated away).
-  uint64_t checkpoint_file_valid_bytes_ ARCHIS_GUARDED_BY(checkpoint_mu_) = 0;
 
   /// Plan cache for Execute (mutable: queries are const). The mutex makes
   /// the cache safe under concurrent read-only queries; mutations happen

@@ -12,8 +12,7 @@ Status Archiver::RegisterRelation(const std::string& name,
   }
   ARCHIS_ASSIGN_OR_RETURN(
       std::unique_ptr<HTableSet> set,
-      HTableSet::Create(hdb_, name, schema, key_columns, options, open_date,
-                        track_dirty_));
+      HTableSet::Create(hdb_, name, schema, key_columns, options, open_date));
   sets_[name] = std::move(set);
   relations_.push_back(
       {name, MakeInterval(open_date, Date::Forever())});

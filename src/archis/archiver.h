@@ -15,10 +15,7 @@ namespace archis::core {
 /// Owns every relation's HTableSet plus the relations history table.
 class Archiver {
  public:
-  /// `track_dirty`: relations keep checkpoint dirty state (WAL-backed
-  /// instances, whose checkpoints drain it).
-  explicit Archiver(minirel::Database* hdb, bool track_dirty = false)
-      : hdb_(hdb), track_dirty_(track_dirty) {}
+  explicit Archiver(minirel::Database* hdb) : hdb_(hdb) {}
 
   /// Registers a relation for archival (creates its H-tables) and records
   /// it in the global relations table.
@@ -51,7 +48,6 @@ class Archiver {
 
  private:
   minirel::Database* hdb_;
-  bool track_dirty_;
   std::map<std::string, std::unique_ptr<HTableSet>> sets_;
   std::vector<RelationEntry> relations_;
 };

@@ -25,29 +25,17 @@ using coding::ReadU64;
 using minirel::DataType;
 using minirel::Schema;
 using minirel::Tuple;
-using storage::AppendFrame;
 
 // "CKP1", little-endian.
 constexpr uint32_t kMagic = 0x31504B43;
 // Only the current format version decodes; an older manifest is
 // Corruption (DESIGN.md §10.1 records the format break).
-constexpr uint32_t kVersion = 4;
+constexpr uint32_t kVersion = 5;
 
 enum class RecordType : uint8_t { kHeader = 1, kRelation = 2, kFooter = 3 };
 
 std::string Errno(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
-}
-
-Result<std::string> EncodeRows(const std::vector<Tuple>& rows,
-                               const Schema& schema) {
-  std::string out;
-  AppendU32(static_cast<uint32_t>(rows.size()), &out);
-  for (const Tuple& row : rows) {
-    ARCHIS_ASSIGN_OR_RETURN(std::string encoded, row.Encode(schema));
-    AppendLengthPrefixed(encoded, &out);
-  }
-  return out;
 }
 
 Result<std::vector<Tuple>> DecodeRows(const Schema& schema,
@@ -62,42 +50,6 @@ Result<std::vector<Tuple>> DecodeRows(const Schema& schema,
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-Result<std::string> EncodeRelation(const CheckpointRelation& rel) {
-  std::string payload;
-  payload.push_back(static_cast<char>(RecordType::kRelation));
-  EncodeRelationSpec(rel.spec, &payload);
-  AppendI64(rel.open_days, &payload);
-  AppendI64(rel.close_days, &payload);
-  payload.push_back(rel.dropped ? 1 : 0);
-  AppendU32(static_cast<uint32_t>(rel.surrogates.size()), &payload);
-  for (const auto& [key, id] : rel.surrogates) {
-    AppendLengthPrefixed(key, &payload);
-    AppendI64(id, &payload);
-  }
-  AppendI64(rel.next_surrogate, &payload);
-  ARCHIS_ASSIGN_OR_RETURN(std::vector<Schema> schemas,
-                          StoreSchemasFor(rel.spec));
-  if (rel.store_rows.size() != schemas.size()) {
-    return Status::Internal("checkpoint: store count mismatch for '" +
-                            rel.spec.name + "'");
-  }
-  AppendU32(static_cast<uint32_t>(rel.store_rows.size()), &payload);
-  for (size_t s = 0; s < rel.store_rows.size(); ++s) {
-    ARCHIS_ASSIGN_OR_RETURN(std::string rows,
-                            EncodeRows(rel.store_rows[s], schemas[s]));
-    payload.append(rows);
-  }
-  ARCHIS_ASSIGN_OR_RETURN(std::string current,
-                          EncodeRows(rel.current_rows, rel.spec.schema));
-  payload.append(current);
-  payload.push_back(rel.full ? 1 : 0);
-  AppendU32(static_cast<uint32_t>(rel.current_deletes.size()), &payload);
-  for (const std::string& key : rel.current_deletes) {
-    AppendLengthPrefixed(key, &payload);
-  }
-  return payload;
 }
 
 Result<CheckpointRelation> DecodeRelation(std::string_view payload,
@@ -134,16 +86,6 @@ Result<CheckpointRelation> DecodeRelation(std::string_view payload,
   }
   ARCHIS_ASSIGN_OR_RETURN(rel.current_rows,
                           DecodeRows(rel.spec.schema, payload, pos));
-  if (*pos >= payload.size()) {
-    return Status::Corruption("checkpoint relation truncated (full flag)");
-  }
-  rel.full = payload[*pos] != 0;
-  ++*pos;
-  ARCHIS_ASSIGN_OR_RETURN(uint32_t ndeletes, ReadU32(payload, pos));
-  for (uint32_t i = 0; i < ndeletes; ++i) {
-    ARCHIS_ASSIGN_OR_RETURN(std::string key, ReadLengthPrefixed(payload, pos));
-    rel.current_deletes.push_back(std::move(key));
-  }
   return rel;
 }
 
@@ -162,12 +104,6 @@ Result<CheckpointManifest> DecodeHeader(std::string_view payload,
   ARCHIS_ASSIGN_OR_RETURN(manifest.seq, ReadU64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(manifest.clock_days, ReadI64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(manifest.next_txn_id, ReadU64(payload, pos));
-  if (*pos >= payload.size()) {
-    return Status::Corruption("checkpoint header truncated (kind)");
-  }
-  manifest.base = payload[*pos] != 0;
-  ++*pos;
-  ARCHIS_ASSIGN_OR_RETURN(manifest.prev_seq, ReadU64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(manifest.absorbed_commit_seq, ReadU64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(uint32_t nactive, ReadU32(payload, pos));
   for (uint32_t i = 0; i < nactive; ++i) {
@@ -249,146 +185,159 @@ Result<std::vector<Schema>> StoreSchemasFor(const RelationSpec& spec) {
   return schemas;
 }
 
-Result<std::string> EncodeCheckpointManifest(
-    const CheckpointManifest& manifest) {
-  std::string out;
-  std::string header;
-  header.push_back(static_cast<char>(RecordType::kHeader));
-  AppendU32(kMagic, &header);
-  AppendU32(kVersion, &header);
-  AppendU64(manifest.seq, &header);
-  AppendI64(manifest.clock_days, &header);
-  AppendU64(manifest.next_txn_id, &header);
-  header.push_back(manifest.base ? 1 : 0);
-  AppendU64(manifest.prev_seq, &header);
-  AppendU64(manifest.absorbed_commit_seq, &header);
-  AppendU32(static_cast<uint32_t>(manifest.active_txn_ids.size()), &header);
-  for (uint64_t id : manifest.active_txn_ids) {
-    AppendU64(id, &header);
-  }
-  AppendFrame(header, &out);
-  for (const CheckpointRelation& rel : manifest.relations) {
-    ARCHIS_ASSIGN_OR_RETURN(std::string payload, EncodeRelation(rel));
-    AppendFrame(payload, &out);
-  }
-  std::string footer;
-  footer.push_back(static_cast<char>(RecordType::kFooter));
-  AppendU64(manifest.seq, &footer);
-  AppendFrame(footer, &out);
-  return out;
+CheckpointWriter::CheckpointWriter(const CheckpointManifest& header)
+    : seq_(header.seq) {
+  const size_t frame = storage::BeginFrame(&out_);
+  out_.push_back(static_cast<char>(RecordType::kHeader));
+  AppendU32(kMagic, &out_);
+  AppendU32(kVersion, &out_);
+  AppendU64(header.seq, &out_);
+  AppendI64(header.clock_days, &out_);
+  AppendU64(header.next_txn_id, &out_);
+  AppendU64(header.absorbed_commit_seq, &out_);
+  AppendU32(static_cast<uint32_t>(header.active_txn_ids.size()), &out_);
+  for (uint64_t id : header.active_txn_ids) AppendU64(id, &out_);
+  storage::EndFrame(frame, &out_);
 }
 
-Result<CheckpointChain> ReadCheckpointChain(const std::string& path) {
+Status CheckpointWriter::BeginRelation(const CheckpointRelation& rel) {
+  if (!lists_.empty()) {
+    return Status::Internal("checkpoint relation opened inside another");
+  }
+  ARCHIS_ASSIGN_OR_RETURN(lists_, StoreSchemasFor(rel.spec));
+  const uint32_t nstores = static_cast<uint32_t>(lists_.size());
+  lists_.push_back(rel.spec.schema);
+  frame_start_ = storage::BeginFrame(&out_);
+  out_.push_back(static_cast<char>(RecordType::kRelation));
+  EncodeRelationSpec(rel.spec, &out_);
+  AppendI64(rel.open_days, &out_);
+  AppendI64(rel.close_days, &out_);
+  out_.push_back(rel.dropped ? 1 : 0);
+  AppendU32(static_cast<uint32_t>(rel.surrogates.size()), &out_);
+  for (const auto& [key, id] : rel.surrogates) {
+    AppendLengthPrefixed(key, &out_);
+    AppendI64(id, &out_);
+  }
+  AppendI64(rel.next_surrogate, &out_);
+  AppendU32(nstores, &out_);
+  list_ = 0;
+  count_at_ = out_.size();
+  count_ = 0;
+  AppendU32(0, &out_);
+  return Status::OK();
+}
+
+Status CheckpointWriter::AddRow(const Tuple& row) {
+  if (list_ >= lists_.size()) {
+    return Status::Internal("checkpoint row outside a relation");
+  }
+  ARCHIS_RETURN_NOT_OK(row.CheckSchema(lists_[list_]));
+  // Length-prefixed row, encoded in place.
+  const size_t len_at = out_.size();
+  AppendU32(0, &out_);
+  for (const minirel::Value& v : row.values()) v.EncodeTo(&out_);
+  const uint32_t len = static_cast<uint32_t>(out_.size() - len_at - 4);
+  std::memcpy(out_.data() + len_at, &len, sizeof(len));
+  ++count_;
+  ++rows_;
+  return Status::OK();
+}
+
+Status CheckpointWriter::NextRowList() {
+  if (list_ + 1 >= lists_.size()) {
+    return Status::Internal("checkpoint relation has no further row list");
+  }
+  std::memcpy(out_.data() + count_at_, &count_, sizeof(count_));
+  ++list_;
+  count_at_ = out_.size();
+  count_ = 0;
+  AppendU32(0, &out_);
+  return Status::OK();
+}
+
+Status CheckpointWriter::EndRelation() {
+  if (lists_.empty() || list_ + 1 != lists_.size()) {
+    return Status::Internal("checkpoint relation closed before its rows");
+  }
+  std::memcpy(out_.data() + count_at_, &count_, sizeof(count_));
+  storage::EndFrame(frame_start_, &out_);
+  lists_.clear();
+  return Status::OK();
+}
+
+std::string CheckpointWriter::Finish() && {
+  const size_t frame = storage::BeginFrame(&out_);
+  out_.push_back(static_cast<char>(RecordType::kFooter));
+  AppendU64(seq_, &out_);
+  storage::EndFrame(frame, &out_);
+  return std::move(out_);
+}
+
+Result<CheckpointManifest> ReadCheckpointManifest(const std::string& path) {
   ARCHIS_ASSIGN_OR_RETURN(storage::LogScan scan, storage::ScanLogFile(path));
   if (scan.records.empty()) {
-    return Status::Corruption("checkpoint chain '" + path +
+    return Status::Corruption("checkpoint manifest '" + path +
                               "' missing or empty");
   }
-  CheckpointChain chain;
-  CheckpointManifest current;
-  bool in_progress = false;
+  CheckpointManifest manifest;
   for (size_t i = 0; i < scan.records.size(); ++i) {
     std::string_view payload = scan.records[i].payload;
     if (payload.empty()) {
       return Status::Corruption("checkpoint record with empty payload");
     }
-    auto type = static_cast<RecordType>(payload[0]);
+    const auto type = static_cast<RecordType>(payload[0]);
+    const bool first = i == 0;
+    const bool last = i + 1 == scan.records.size();
     size_t pos = 1;
-    switch (type) {
-      case RecordType::kHeader: {
-        if (in_progress) {
-          // A footer-less manifest can only be the torn *tail* of the
-          // chain (appends truncate to the valid prefix first); a header
-          // on top of one mid-file means the chain was stitched wrongly.
-          return Status::Corruption(
-              "checkpoint header inside an unfinished manifest");
-        }
-        ARCHIS_ASSIGN_OR_RETURN(current, DecodeHeader(payload, &pos));
-        in_progress = true;
-        break;
+    if (type == RecordType::kHeader && first) {
+      ARCHIS_ASSIGN_OR_RETURN(manifest, DecodeHeader(payload, &pos));
+    } else if (type == RecordType::kRelation && !first) {
+      ARCHIS_ASSIGN_OR_RETURN(CheckpointRelation rel,
+                              DecodeRelation(payload, &pos));
+      manifest.relations.push_back(std::move(rel));
+    } else if (type == RecordType::kFooter && !first && last) {
+      ARCHIS_ASSIGN_OR_RETURN(uint64_t seq, ReadU64(payload, &pos));
+      if (seq != manifest.seq) {
+        return Status::Corruption("checkpoint footer seq mismatch");
       }
-      case RecordType::kRelation: {
-        if (!in_progress) {
-          return Status::Corruption("checkpoint relation outside a manifest");
-        }
-        ARCHIS_ASSIGN_OR_RETURN(CheckpointRelation rel,
-                                DecodeRelation(payload, &pos));
-        current.relations.push_back(std::move(rel));
-        break;
-      }
-      case RecordType::kFooter: {
-        if (!in_progress) {
-          return Status::Corruption("checkpoint footer outside a manifest");
-        }
-        ARCHIS_ASSIGN_OR_RETURN(uint64_t seq, ReadU64(payload, &pos));
-        if (seq != current.seq) {
-          return Status::Corruption("checkpoint footer seq mismatch");
-        }
-        chain.manifests.push_back(std::move(current));
-        current = CheckpointManifest{};
-        in_progress = false;
-        chain.valid_bytes = i + 1 < scan.records.size()
-                                ? scan.records[i + 1].offset
-                                : scan.valid_bytes;
-        break;
-      }
-      default:
-        return Status::Corruption("checkpoint record with unknown type " +
-                                  std::to_string(payload[0]));
+      return manifest;
+    } else {
+      return Status::Corruption("checkpoint record " + std::to_string(i) +
+                                " of type " + std::to_string(payload[0]) +
+                                " out of place");
     }
   }
-  // A manifest still open at end-of-scan is a torn append: drop it (its
-  // bytes sit past valid_bytes and will be truncated by the next delta).
-  if (chain.manifests.empty()) {
-    return Status::Corruption("checkpoint chain '" + path +
-                              "' has no complete manifest (torn write)");
-  }
-  // Validate the chain links: one base, then deltas in sequence order.
-  for (size_t i = 0; i < chain.manifests.size(); ++i) {
-    const CheckpointManifest& m = chain.manifests[i];
-    if (i == 0) {
-      if (!m.base) {
-        return Status::Corruption("checkpoint chain starts with a delta");
-      }
-      continue;
-    }
-    const CheckpointManifest& prior = chain.manifests[i - 1];
-    if (m.base) {
-      return Status::Corruption("checkpoint base manifest mid-chain");
-    }
-    if (m.prev_seq != prior.seq || m.seq <= prior.seq) {
-      return Status::Corruption(
-          "checkpoint delta seq " + std::to_string(m.seq) +
-          " does not extend manifest seq " + std::to_string(prior.seq));
-    }
-  }
-  return chain;
+  return Status::Corruption("checkpoint manifest '" + path +
+                            "' has no footer (torn write)");
 }
 
-CheckpointChain LoadCheckpointChain(const std::string& wal_path) {
-  Result<CheckpointChain> newest =
-      ReadCheckpointChain(CheckpointPath(wal_path));
+LoadedCheckpoint LoadCheckpoint(const std::string& wal_path) {
+  LoadedCheckpoint loaded;
+  Result<CheckpointManifest> newest =
+      ReadCheckpointManifest(CheckpointPath(wal_path));
   if (newest.ok()) {
-    return std::move(*newest);
+    loaded.manifest = std::move(*newest);
+    return loaded;
   }
-  Result<CheckpointChain> prev =
-      ReadCheckpointChain(CheckpointPrevPath(wal_path));
+  Result<CheckpointManifest> prev =
+      ReadCheckpointManifest(CheckpointPrevPath(wal_path));
   if (prev.ok()) {
-    // The current chain was unreadable (torn install or corruption) but
-    // the previous generation is intact — recovery proceeds from it,
-    // replaying more WAL. Worth a warning: a torn install is expected
-    // after a crash mid-checkpoint, repeated ones are not.
+    // The newest manifest was unreadable (torn install or corruption) but
+    // the previous one is intact — recovery proceeds from it, replaying
+    // more WAL. Worth a warning: a torn install is expected after a crash
+    // mid-checkpoint, repeated ones are not.
     logging::Warn("checkpoint.fallback")
         .Kv("error", newest.status().ToString());
-    prev->fell_back = true;
-    return std::move(*prev);
+    loaded.manifest = std::move(*prev);
+    loaded.fell_back = true;
+    return loaded;
   }
-  // Neither generation is readable: normal for a store that has never
+  // Neither manifest is readable: normal for a store that has never
   // checkpointed, so keep it off the warning channel.
   logging::Debug("checkpoint.none")
       .Kv("newest", newest.status().ToString())
       .Kv("prev", prev.status().ToString());
-  return CheckpointChain{};
+  return loaded;
 }
 
 Status InstallCheckpointManifest(const std::string& wal_path,
@@ -417,55 +366,6 @@ Status InstallCheckpointManifest(const std::string& wal_path,
     return Status::IOError(Errno("rename", tmp));
   }
   return SyncDirectoryOf(ckpt);
-}
-
-Status AppendCheckpointDelta(const std::string& wal_path,
-                             const std::string& bytes, uint64_t valid_bytes,
-                             CheckpointCrashPoint crash) {
-  if (crash == CheckpointCrashPoint::kBeforeInstall) {
-    // For a delta, "install" is the append itself: stop before touching
-    // the chain so the file stays exactly as the previous checkpoint
-    // left it.
-    return Status::IOError("injected crash before checkpoint delta append");
-  }
-  const std::string ckpt = CheckpointPath(wal_path);
-  int fd = ::open(ckpt.c_str(), O_WRONLY);
-  if (fd < 0) return Status::IOError(Errno("open", ckpt));
-  // Chop any torn tail from a previously failed append, then extend.
-  if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
-    Status st = Status::IOError(Errno("ftruncate", ckpt));
-    ::close(fd);
-    return st;
-  }
-  if (::lseek(fd, 0, SEEK_END) < 0) {
-    Status st = Status::IOError(Errno("lseek", ckpt));
-    ::close(fd);
-    return st;
-  }
-  size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status st = Status::IOError(Errno("write", ckpt));
-      ::close(fd);
-      return st;
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (crash == CheckpointCrashPoint::kBeforeManifestSync) {
-    // Appended but not fsynced: after a "crash" the tail may be torn,
-    // which the chain parser tolerates by dropping it.
-    ::close(fd);
-    return Status::IOError("injected crash before checkpoint delta fsync");
-  }
-  if (::fsync(fd) != 0) {
-    Status st = Status::IOError(Errno("fsync", ckpt));
-    ::close(fd);
-    return st;
-  }
-  ::close(fd);
-  return Status::OK();
 }
 
 }  // namespace archis::core

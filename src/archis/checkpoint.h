@@ -3,34 +3,31 @@
 //
 // A checkpoint persists durable state — relation catalog, H-table store
 // rows, surrogate-id assignments, current-table rows, clock and txn-id
-// counter — into CRC-framed manifests next to the WAL. The manifest file
-// is a *chain*: a full base manifest followed by incremental
-// deltas, each carrying only the state dirtied since the previous
-// manifest plus the commit-sequence low-water mark and the table of
-// transactions still open at capture time. Recovery loads the chain
-// (falling back to the previous generation on a torn base), applies the
-// base then each delta, and replays only the WAL suffix past the last
-// absorbed commit sequence — so both checkpoint cost and recovery time
-// are bounded by write traffic, not database size.
+// counter — into one CRC-framed manifest next to the WAL, together with
+// the commit-sequence low-water mark and the table of transactions still
+// open at capture time. Every checkpoint writes the whole state; what
+// changed since is the WAL suffix, which recovery replays past the
+// manifest's absorbed commit sequence. Checkpoint cost therefore follows
+// the database size and is paced by WalOptions::checkpoint_after_bytes.
 //
-// Chain layout (frames as in storage/log_file.*):
+// Layout (frames as in storage/log_file.*):
 //
-//   chain    := manifest+
 //   manifest := HEADER relation* FOOTER
-//   HEADER   := magic, version, seq, clock, next_txn_id, base?, prev_seq,
+//   HEADER   := magic, version, seq, clock, next_txn_id,
 //               absorbed_commit_seq, active_txn_ids
-//   relation := spec, interval, dropped?, surrogates, store rows,
-//               current rows, full?, current deletes
+//   relation := spec, interval, dropped?, surrogates, next_surrogate,
+//               store rows (one list per store), current rows
 //   FOOTER   := seq          (absence of the footer = torn manifest)
 //
-// A base manifest is installed atomically (write-temp + fsync + rename,
-// previous chain kept as `.ckpt.prev`); a delta is appended to the live
-// chain file and fsynced. A torn delta append only ever damages the tail,
-// which the chain parser drops.
+// A manifest is installed atomically: write a temp file, fsync it, rotate
+// the previous manifest to `.ckpt.prev`, rename the temp file into place,
+// fsync the directory. Recovery loads the newest manifest, or `.prev` when
+// the newest is torn or missing.
 #ifndef ARCHIS_ARCHIS_CHECKPOINT_H_
 #define ARCHIS_ARCHIS_CHECKPOINT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,11 +43,9 @@ namespace archis::core {
 /// exactly the on-disk state a power loss at that instant would.
 enum class CheckpointCrashPoint {
   kNone,
-  /// Base: temp manifest written but not fsynced (nothing installed).
-  /// Delta: bytes appended to the chain but not fsynced (torn tail).
+  /// Temp manifest written but not fsynced (nothing installed).
   kBeforeManifestSync,
-  /// Base: temp manifest durable; the rename pair has not run.
-  /// Delta: nothing appended at all.
+  /// Temp manifest durable; the rename pair has not run.
   kBeforeInstall,
   /// Manifest installed; the WAL has not been truncated.
   kBeforeWalReset,
@@ -67,38 +62,25 @@ struct CheckpointRelation {
   int64_t close_days = 0;
   bool dropped = false;
   /// Surrogate-id assignments (composite-key relations), sorted by key.
-  /// In a delta: only assignments made since the previous manifest.
   std::vector<std::pair<std::string, int64_t>> surrogates;
   int64_t next_surrogate = 1;
-  /// store_rows[0] = key table; store_rows[1 + i] = attribute i's table,
-  /// in HTableSet::attribute_names() order. In a delta: only the versions
-  /// dirtied since the previous manifest (upserted by identity (id,
-  /// tstart) at restore).
+  /// Decoded rows, filled by ReadCheckpointManifest (CheckpointWriter
+  /// streams rows instead). store_rows[0] = key table; store_rows[1 + i] =
+  /// attribute i's table, in HTableSet::attribute_names() order.
   std::vector<std::vector<minirel::Tuple>> store_rows;
-  /// Current-table rows (empty for dropped relations). In a delta: only
-  /// rows whose key was written since the previous manifest (upserts).
+  /// Current-table rows (empty for dropped relations).
   std::vector<minirel::Tuple> current_rows;
-  /// Whether this entry carries the relation's complete state (base
-  /// manifests) or only the dirty subset (deltas).
-  bool full = true;
-  /// Delta only: current-table keys deleted since the previous manifest,
-  /// as schema-free EncodeTuple blobs of the key values.
-  std::vector<std::string> current_deletes;
 };
 
-/// Everything one checkpoint persists (one link of the chain).
+/// Everything one checkpoint persists.
 struct CheckpointManifest {
   /// Monotonic checkpoint sequence number (matches the WAL marker).
   uint64_t seq = 0;
   int64_t clock_days = 0;
   uint64_t next_txn_id = 1;
-  /// Chain linkage: a base starts a chain; a delta extends the manifest
-  /// whose seq equals prev_seq.
-  bool base = true;
-  uint64_t prev_seq = 0;
   /// Commit-sequence low-water mark: every commit with seq <= this is
-  /// fully reflected in the chain up to and including this manifest;
-  /// recovery replays only WAL items above it.
+  /// fully reflected in the manifest; recovery replays only WAL items
+  /// above it.
   uint64_t absorbed_commit_seq = 0;
   /// Transactions open at capture time (fuzzy checkpoint): their
   /// BEGIN/CHANGE frames may precede the capture in the WAL, but their
@@ -117,46 +99,74 @@ std::string CheckpointTmpPath(const std::string& wal_path);
 /// per non-key column in schema order), mirroring HTableSet::Create.
 Result<std::vector<minirel::Schema>> StoreSchemasFor(const RelationSpec& spec);
 
-/// Serializes one manifest (base or delta) into CRC-framed bytes.
-Result<std::string> EncodeCheckpointManifest(
-    const CheckpointManifest& manifest);
+/// Streams one manifest into its CRC-framed bytes. Rows are encoded as the
+/// caller scans them, so a capture holds the encoded manifest and never a
+/// decoded copy of the history. Per relation: BeginRelation, then AddRow
+/// for every row of each row list — the stores of StoreSchemasFor, then
+/// the current table — with NextRowList between lists, then EndRelation.
+class CheckpointWriter {
+ public:
+  /// Starts the manifest with `header`'s header fields (its relations are
+  /// ignored).
+  explicit CheckpointWriter(const CheckpointManifest& header);
 
-/// A parsed manifest chain: the base plus zero or more deltas, in order.
-struct CheckpointChain {
-  std::vector<CheckpointManifest> manifests;
-  /// Byte length of the complete-manifest prefix of the chain file. An
-  /// incomplete tail manifest (torn delta append) is dropped and excluded;
-  /// the next delta append truncates to this before writing.
-  uint64_t valid_bytes = 0;
-  /// Whether the newest chain was unusable and `.ckpt.prev` was loaded.
+  /// Opens a relation frame with `rel`'s catalog fields (its rows are
+  /// ignored) and its first row list, the key table's.
+  Status BeginRelation(const CheckpointRelation& rel);
+  /// Appends `row` to the open row list, encoded in that list's schema.
+  Status AddRow(const minirel::Tuple& row);
+  /// Closes the open row list and opens the next one.
+  Status NextRowList();
+  /// Closes the last row list (the current table's) and the frame.
+  Status EndRelation();
+
+  /// Appends the footer and returns the manifest bytes.
+  std::string Finish() &&;
+
+  /// Rows appended so far.
+  uint64_t rows() const { return rows_; }
+
+ private:
+  uint64_t seq_;
+  std::string out_;
+  /// Offset of the open relation frame (BeginFrame's return value).
+  size_t frame_start_ = 0;
+  /// Row lists of the open relation: its store schemas, then its current
+  /// schema; empty between relations.
+  std::vector<minirel::Schema> lists_;
+  size_t list_ = 0;
+  /// Offset of the open list's row count, and its rows so far.
+  size_t count_at_ = 0;
+  uint32_t count_ = 0;
+  uint64_t rows_ = 0;
+};
+
+/// Reads and validates the manifest at `path`: a header, relations and a
+/// footer with the header's seq, and nothing after it. A torn or missing
+/// footer, an unknown version or trailing records are Corruption.
+Result<CheckpointManifest> ReadCheckpointManifest(const std::string& path);
+
+/// The manifest recovery starts from.
+struct LoadedCheckpoint {
+  /// Empty when neither `<wal>.ckpt` nor `<wal>.ckpt.prev` is readable
+  /// (normal for a store that has never checkpointed).
+  std::optional<CheckpointManifest> manifest;
+  /// Whether the newest manifest was unusable and `.ckpt.prev` was loaded.
   bool fell_back = false;
 };
 
-/// Reads and validates the chain at `path`: the first manifest must be a
-/// base, every later one a delta linked by prev_seq with increasing seq.
-/// An incomplete tail manifest is dropped silently (torn append); missing
-/// header/footer structure anywhere else, or a broken link, is Corruption.
-Result<CheckpointChain> ReadCheckpointChain(const std::string& path);
-
 /// Loads `<wal>.ckpt`, falling back to `<wal>.ckpt.prev` when the newest
-/// chain is missing or unusable. Never fails: an unusable pair is just an
-/// empty chain (the caller decides whether that is tolerable).
-CheckpointChain LoadCheckpointChain(const std::string& wal_path);
+/// manifest is missing or unusable. Never fails: the caller decides
+/// whether having no manifest is tolerable.
+LoadedCheckpoint LoadCheckpoint(const std::string& wal_path);
 
-/// Atomically installs `bytes` as a fresh base chain: write the temp
+/// Atomically installs `bytes` as the newest manifest: write the temp
 /// file, fsync it, rotate ckpt -> ckpt.prev, rename tmp -> ckpt, fsync the
 /// directory. `crash` injects a stop just before the named step
 /// (kBeforeWalReset completes the install; the caller owns that step).
 Status InstallCheckpointManifest(const std::string& wal_path,
                                  const std::string& bytes,
                                  CheckpointCrashPoint crash);
-
-/// Appends `bytes` (one encoded delta manifest) to the live chain file,
-/// truncating any torn tail past `valid_bytes` first, and fsyncs. The
-/// previous generation (`.ckpt.prev`) is untouched. `crash` as above.
-Status AppendCheckpointDelta(const std::string& wal_path,
-                             const std::string& bytes, uint64_t valid_bytes,
-                             CheckpointCrashPoint crash);
 
 }  // namespace archis::core
 

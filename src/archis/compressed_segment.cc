@@ -22,7 +22,7 @@ Status CompressedSegment::ScanRecords(
     compress::BlobReadStats* stats) const {
   return store_.ScanRangeInterval(
       id.value_or(INT64_MIN), id.value_or(INT64_MAX), window,
-      [&](int64_t, const std::string& rec) { return fn(rec); }, stats);
+      [&](int64_t, std::string_view rec) { return fn(rec); }, stats);
 }
 
 Status CompressedSegment::ScanAll(

@@ -14,7 +14,7 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
     minirel::Database* hdb, const std::string& name,
     const Schema& current_schema,
     const std::vector<std::string>& key_columns,
-    const SegmentOptions& seg_options, Date open_date, bool track_dirty) {
+    const SegmentOptions& seg_options, Date open_date) {
   if (key_columns.empty()) {
     return Status::InvalidArgument("relation needs at least one key column");
   }
@@ -22,7 +22,6 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
   set->name_ = name;
   set->current_schema_ = current_schema;
   set->key_columns_ = key_columns;
-  set->track_dirty_ = track_dirty;
   for (const std::string& k : key_columns) {
     ARCHIS_ASSIGN_OR_RETURN(size_t pos, current_schema.ColumnIndex(k));
     set->key_positions_.push_back(pos);
@@ -38,7 +37,7 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
   ARCHIS_ASSIGN_OR_RETURN(
       set->key_store_,
       SegmentedStore::Create(hdb, name + "_key", key_schema, seg_options,
-                             open_date, track_dirty));
+                             open_date));
 
   // One attribute history table per non-key column.
   for (size_t i = 0; i < current_schema.num_columns(); ++i) {
@@ -55,7 +54,7 @@ Result<std::unique_ptr<HTableSet>> HTableSet::Create(
     ARCHIS_ASSIGN_OR_RETURN(
         std::unique_ptr<SegmentedStore> store,
         SegmentedStore::Create(hdb, name + "_" + col.name, attr_schema,
-                               seg_options, open_date, track_dirty));
+                               seg_options, open_date));
     set->attr_stores_.push_back(std::move(store));
   }
   return set;
@@ -65,29 +64,8 @@ void HTableSet::RestoreSurrogates(
     const std::vector<std::pair<std::string, int64_t>>& entries,
     int64_t next_surrogate) {
   surrogate_ids_.clear();
-  dirty_surrogates_.clear();
   for (const auto& [key, id] : entries) surrogate_ids_[key] = id;
   next_surrogate_ = next_surrogate;
-}
-
-void HTableSet::AddSurrogates(
-    const std::vector<std::pair<std::string, int64_t>>& entries,
-    int64_t next_surrogate) {
-  for (const auto& [key, id] : entries) surrogate_ids_[key] = id;
-  next_surrogate_ = std::max(next_surrogate_, next_surrogate);
-}
-
-std::vector<std::pair<std::string, int64_t>>
-HTableSet::TakeDirtySurrogates() {
-  std::vector<std::pair<std::string, int64_t>> out;
-  out.swap(dirty_surrogates_);
-  return out;
-}
-
-void HTableSet::MergeDirtySurrogates(
-    const std::vector<std::pair<std::string, int64_t>>& entries) {
-  dirty_surrogates_.insert(dirty_surrogates_.begin(), entries.begin(),
-                           entries.end());
 }
 
 Result<int64_t> HTableSet::IdFor(const Tuple& current_row) {
@@ -99,10 +77,7 @@ Result<int64_t> HTableSet::IdFor(const Tuple& current_row) {
     current_row.at(kp).EncodeTo(&encoded);
   }
   auto [it, inserted] = surrogate_ids_.try_emplace(encoded, next_surrogate_);
-  if (inserted) {
-    ++next_surrogate_;
-    if (track_dirty_) dirty_surrogates_.emplace_back(it->first, it->second);
-  }
+  if (inserted) ++next_surrogate_;
   return it->second;
 }
 

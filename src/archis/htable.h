@@ -25,14 +25,12 @@ class HTableSet {
   /// Creates key + attribute stores inside `hdb` for relation `name` with
   /// the given current-table schema. `key_columns` name the relation key
   /// (one INT64 column uses its value as id; anything else gets a
-  /// surrogate). `track_dirty` keeps checkpoint dirty state (stores and
-  /// surrogates; WAL-backed instances only).
+  /// surrogate).
   static Result<std::unique_ptr<HTableSet>> Create(
       minirel::Database* hdb, const std::string& name,
       const minirel::Schema& current_schema,
       const std::vector<std::string>& key_columns,
-      const SegmentOptions& seg_options, Date open_date,
-      bool track_dirty = false);
+      const SegmentOptions& seg_options, Date open_date);
 
   const std::string& relation() const { return name_; }
   const minirel::Schema& current_schema() const { return current_schema_; }
@@ -56,25 +54,9 @@ class HTableSet {
   /// Restores surrogate assignments captured by a checkpoint. Must run
   /// before any archival touches this set (fresh instance during
   /// recovery); a stale mapping would hand out ids already in history.
-  /// Clears dirty tracking — restored assignments are already durable.
   void RestoreSurrogates(
       const std::vector<std::pair<std::string, int64_t>>& entries,
       int64_t next_surrogate);
-
-  /// Merges delta-manifest surrogate assignments on top of a restored
-  /// base (recovery only); `next_surrogate` advances the counter.
-  void AddSurrogates(
-      const std::vector<std::pair<std::string, int64_t>>& entries,
-      int64_t next_surrogate);
-
-  /// Surrogate assignments minted since the last checkpoint capture
-  /// (fuzzy incremental checkpoints persist only these in a delta).
-  /// TakeDirtySurrogates drains; MergeDirtySurrogates undoes a failed
-  /// capture.
-  size_t dirty_surrogate_count() const { return dirty_surrogates_.size(); }
-  std::vector<std::pair<std::string, int64_t>> TakeDirtySurrogates();
-  void MergeDirtySurrogates(
-      const std::vector<std::pair<std::string, int64_t>>& entries);
 
   /// The surrogate/natural id for a current tuple; assigns a fresh
   /// surrogate for unseen composite keys.
@@ -129,9 +111,6 @@ class HTableSet {
   std::unique_ptr<SegmentedStore> key_store_;
   std::vector<std::unique_ptr<SegmentedStore>> attr_stores_;
   std::unordered_map<std::string, int64_t> surrogate_ids_;
-  /// Assignments minted since the last checkpoint capture, in mint order.
-  std::vector<std::pair<std::string, int64_t>> dirty_surrogates_;
-  bool track_dirty_ = false;
   int64_t next_surrogate_ = 1;
 };
 

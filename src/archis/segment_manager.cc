@@ -59,8 +59,7 @@ void AccumulateBlobStats(const compress::BlobReadStats& b,
 
 Result<std::unique_ptr<SegmentedStore>> SegmentedStore::Create(
     minirel::Database* db, const std::string& name,
-    const Schema& row_schema, SegmentOptions options, Date open_date,
-    bool track_dirty) {
+    const Schema& row_schema, SegmentOptions options, Date open_date) {
   if (row_schema.num_columns() < 3) {
     return Status::InvalidArgument(
         "row schema needs at least (id, tstart, tend)");
@@ -79,7 +78,6 @@ Result<std::unique_ptr<SegmentedStore>> SegmentedStore::Create(
   store->options_ = options;
   store->db_ = db;
   store->live_start_ = open_date;
-  store->track_dirty_ = track_dirty;
   store->tstart_col_ = ncols - 2;
   store->tend_col_ = ncols - 1;
 
@@ -135,7 +133,6 @@ Status SegmentedStore::AddVersion(int64_t id, std::string_view record,
   ARCHIS_RETURN_NOT_OK(live_->InsertRecord(record, {Value(id)}).status());
   ++live_total_;
   if (interval.is_current()) ++live_current_;
-  if (track_dirty_) dirty_.emplace(id, interval.tstart.days());
   return Status::OK();
 }
 
@@ -144,6 +141,20 @@ Status SegmentedStore::InsertVersion(int64_t id,
                                      Date now) {
   ARCHIS_ASSIGN_OR_RETURN(std::string record,
                           EncodeVersion(id, values, now, Date::Forever()));
+  const minirel::IndexKey key{Value(id)};
+  if (const storage::RecordId* last = live_->GetIndex("id")->tree.FindLast(key)) {
+    ARCHIS_ASSIGN_OR_RETURN(std::string prior, live_->heap().Read(*last));
+    if (TstartDays(prior) == now.days() && TendDays(prior) != kForeverDays) {
+      // Born and closed today: reopen it with the new values, so the store
+      // never holds two versions sharing (id, tstart).
+      storage::RecordId rid = *last;
+      ARCHIS_RETURN_NOT_OK(live_->UpdateRecord(&rid, record, {Value(id)}));
+      ++live_current_;
+      MutexLock l(closes_mu_);
+      closed_after_freeze_.erase({id, now.days()});
+      return Status::OK();
+    }
+  }
   return AddVersion(id, record, MakeInterval(now, Date::Forever()));
 }
 
@@ -178,59 +189,6 @@ Status SegmentedStore::LoadCheckpointRows(
     ARCHIS_RETURN_NOT_OK(LoadVersion(row.at(0).AsInt(), values, interval));
   }
   return Status::OK();
-}
-
-Status SegmentedStore::UpsertCheckpointRow(const Tuple& row) {
-  if (row.size() != row_schema_.num_columns()) {
-    return Status::Corruption("checkpoint row arity mismatch for " + name_);
-  }
-  const int64_t id = row.at(0).AsInt();
-  const Date tstart = row.at(tstart_col_).AsDate();
-  ARCHIS_ASSIGN_OR_RETURN(
-      TimeInterval interval,
-      MakeIntervalChecked(tstart, row.at(tend_col_).AsDate()));
-  // Restored rows all sit in the live segment (restore never freezes), so
-  // the live id index sees every version of this id.
-  std::optional<storage::RecordId> found_rid;
-  std::optional<Tuple> found_row;
-  const minirel::TableIndex* idx = live_->GetIndex("id");
-  minirel::IndexKey key{Value(id)};
-  ARCHIS_RETURN_NOT_OK(live_->IndexScan(
-      *idx, key, key, [&](const storage::RecordId& r, const Tuple& t) {
-        if (t.at(tstart_col_).AsDate() == tstart) {
-          found_rid = r;
-          found_row = t;
-          return false;
-        }
-        return true;
-      }));
-  if (!found_rid.has_value()) {
-    std::vector<Value> values;
-    for (size_t i = 1; i + 2 < row.size(); ++i) values.push_back(row.at(i));
-    return LoadVersion(id, values, interval);
-  }
-  const bool was_open = found_row->at(tend_col_).AsDate().IsForever();
-  storage::RecordId rid = *found_rid;
-  ARCHIS_RETURN_NOT_OK(live_->Update(&rid, *found_row, row));
-  // Keep the open-version counter coherent.
-  if (was_open && !interval.is_current()) {
-    if (live_current_ > 0) --live_current_;
-  } else if (!was_open && interval.is_current()) {
-    ++live_current_;
-  }
-  if (track_dirty_) dirty_.emplace(id, tstart.days());
-  return Status::OK();
-}
-
-std::set<std::pair<int64_t, int64_t>> SegmentedStore::TakeDirty() {
-  std::set<std::pair<int64_t, int64_t>> out;
-  out.swap(dirty_);
-  return out;
-}
-
-void SegmentedStore::MergeDirty(
-    const std::set<std::pair<int64_t, int64_t>>& dirty) {
-  dirty_.insert(dirty.begin(), dirty.end());
 }
 
 Status SegmentedStore::FindOpenVersion(int64_t id, storage::RecordId* rid,
@@ -280,7 +238,6 @@ Status SegmentedStore::CloseOpenVersion(int64_t id, storage::RecordId rid,
   ARCHIS_RETURN_NOT_OK(live_->UpdateRecord(&rid, *record, {Value(id)}));
   NoteClose(id, tstart, end);
   if (live_current_ > 0) --live_current_;
-  if (track_dirty_) dirty_.emplace(id, tstart.days());
   return Status::OK();
 }
 
@@ -305,9 +262,7 @@ Status SegmentedStore::ReplaceVersion(int64_t id,
     // store never holds two versions sharing (id, tstart). A frozen copy of
     // the old value may exist, but the live row is the newer source and
     // shadows it in every scan.
-    ARCHIS_RETURN_NOT_OK(live_->UpdateRecord(&rid, fresh, {Value(id)}));
-    if (track_dirty_) dirty_.emplace(id, now.days());
-    return Status::OK();
+    return live_->UpdateRecord(&rid, fresh, {Value(id)});
   }
   ARCHIS_RETURN_NOT_OK(CloseOpenVersion(id, rid, &record, now));
   ARCHIS_RETURN_NOT_OK(FreezeIfNeeded(now));

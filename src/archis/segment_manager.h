@@ -37,7 +37,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,12 +105,10 @@ class SegmentedStore {
   /// Creates the backing tables inside `db`:
   ///   <name>__live  (id, values..., tstart, tend)      + index on id
   ///   <name>__arch  (segno, id, values..., tstart, tend) + index (segno,id)
-  /// `track_dirty` keeps the checkpoint dirty set (WAL-backed instances
-  /// only: nothing else drains it).
   static Result<std::unique_ptr<SegmentedStore>> Create(
       minirel::Database* db, const std::string& name,
       const minirel::Schema& row_schema, SegmentOptions options,
-      Date open_date, bool track_dirty = false);
+      Date open_date);
 
   /// Releases this store's contribution to the process-wide frozen-segment
   /// gauge (archis_frozen_segments).
@@ -124,7 +121,12 @@ class SegmentedStore {
   // -- Update path ----------------------------------------------------------
 
   /// Appends a new current version (tstart = `now`, tend = forever).
-  /// `values` are the value columns only (no id/tstart/tend).
+  /// `values` are the value columns only (no id/tstart/tend). When the
+  /// id's last live version was born and closed on `now` (a same-day
+  /// delete), that version is reopened in place with `values` instead
+  /// (day-granularity last-writer-wins, as in ReplaceVersion): a second
+  /// version with the same (id, tstart) would make the history depend on
+  /// whether a freeze ran in between.
   Status InsertVersion(int64_t id, const std::vector<minirel::Value>& values,
                        Date now);
 
@@ -153,25 +155,6 @@ class SegmentedStore {
   /// the recovery path, not an append path; physical segmentation is
   /// rebuilt lazily by subsequent freezes.
   Status LoadCheckpointRows(const std::vector<minirel::Tuple>& rows);
-
-  /// Applies one checkpoint-delta row by version identity (id, tstart):
-  /// rewrites the matching live row in place, or bulk-loads the row when
-  /// the version is new. Recovery-only, like LoadCheckpointRows.
-  Status UpsertCheckpointRow(const minirel::Tuple& row);
-
-  // -- Dirty tracking (fuzzy incremental checkpoints, DESIGN.md §13) --------
-
-  /// Version identities (id, tstart days) written since the last
-  /// checkpoint capture. A checkpoint drains this with TakeDirty(),
-  /// serializes the named rows into a delta manifest, and merges the set
-  /// back with MergeDirty() if the install fails. Always empty unless the
-  /// store was created with `track_dirty`.
-  size_t dirty_count() const { return dirty_.size(); }
-  std::set<std::pair<int64_t, int64_t>> TakeDirty();
-  void MergeDirty(const std::set<std::pair<int64_t, int64_t>>& dirty);
-  /// Recovery hook: restored rows are not "dirty" (they are already in
-  /// the manifest chain), so restore clears before WAL replay re-marks.
-  void ClearDirty() { dirty_.clear(); }
 
   /// Current usefulness of the live segment (1.0 when empty).
   double Usefulness() const;
@@ -319,11 +302,6 @@ class SegmentedStore {
   };
   std::vector<FrozenRows> frozen_;
   Date live_start_;
-  /// Versions written since the last checkpoint capture, by identity
-  /// (id, tstart days) — the same key the multi-segment merge uses, so a
-  /// delta row replayed onto a restored store lands on the right version.
-  std::set<std::pair<int64_t, int64_t>> dirty_;
-  bool track_dirty_ = false;
   /// Authoritative tend of versions closed after a freeze copied them open,
   /// by identity (id, tstart days). Frozen copies are immutable, so a scan
   /// that reaches such a version only through older segments (a snapshot

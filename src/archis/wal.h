@@ -53,12 +53,6 @@ struct WalOptions {
   /// commit that crossed the threshold, bounding both the log size and
   /// recovery time (DESIGN.md §10). 0 disables (manual Checkpoint only).
   uint64_t checkpoint_after_bytes = 0;
-  /// Incremental-checkpoint chain length that forces a full base manifest:
-  /// once the chain file holds this many manifests (base + deltas), the
-  /// next checkpoint writes a fresh base and rotates the old chain to
-  /// `.ckpt.prev`. 1 makes every checkpoint a base (the pre-incremental
-  /// behaviour); DDL since the last checkpoint also forces a base.
-  uint64_t checkpoint_base_every = 8;
 };
 
 /// Record tags on the wire.

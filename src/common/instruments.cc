@@ -65,6 +65,7 @@ struct Catalog {
                                       family.help, family.buckets())
               : histograms[s.histogram];
     }
+    registry.Seal();
   }
 };
 

@@ -68,9 +68,9 @@ namespace archis::metrics {
     "WAL bytes replayed by recovery (suffix past the manifest only)")         \
   X(kCheckpoints, "archis_checkpoints_total",                                 \
     "Checkpoints completed (manual + auto)")                                  \
-  X(kCheckpointDirtyRows, "archis_checkpoint_dirty_rows",                     \
-    "Rows serialized into checkpoint manifests (every row for a base "        \
-    "manifest, rows dirtied since the last capture for a delta)")             \
+  X(kCheckpointRows, "archis_checkpoint_rows_total",                          \
+    "Rows serialized into checkpoint manifests (every store row and "         \
+    "current-table row of each manifest)")                                    \
   X(kCheckpointManifestFallbacks,                                             \
     "archis_checkpoint_manifest_fallbacks_total",                             \
     "Recoveries that found the newest manifest torn and used the previous "   \

@@ -206,12 +206,18 @@ Registry::Entry* Registry::FindOrAdd(const std::string& name, Kind kind,
                                      const std::string& help) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
+    if (sealed_) return nullptr;
     Entry e;
     e.kind = kind;
     e.help = help;
     it = entries_.emplace(name, std::move(e)).first;
   }
   return it->second.kind == kind ? &it->second : nullptr;
+}
+
+void Registry::Seal() {
+  MutexLock lock(mu_);
+  sealed_ = true;
 }
 
 Counter* Registry::GetCounter(const std::string& name,

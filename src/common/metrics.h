@@ -193,8 +193,9 @@ std::vector<double> DefaultSizeBuckets();
 /// Name-keyed instrument registry. Get-or-create returns stable pointers;
 /// asking for an existing name as a different instrument kind returns
 /// nullptr. Registry::Global() is built from the instrument catalog
-/// (common/instruments.h), so a lookup by a catalog name returns the
-/// catalog's live instrument.
+/// (common/instruments.h) and then sealed, so a lookup by a catalog name
+/// returns the catalog's live instrument and any other name returns
+/// nullptr.
 ///
 /// Names may carry a Prometheus label suffix (`x_total{reason="conflict"}`):
 /// each labeled variant is its own instrument, and TextFormat emits the
@@ -232,6 +233,10 @@ class Registry {
   /// pointers) stay valid. For tests and the bench ablation.
   void ResetValues();
 
+  /// Ends registration: from now on a Get* of a name not yet registered
+  /// returns nullptr instead of creating an instrument nothing updates.
+  void Seal();
+
  private:
   enum class Kind { kCounter, kGauge, kHistogram, kWindowed };
   struct Entry {
@@ -249,6 +254,7 @@ class Registry {
 
   mutable Mutex mu_{LockRank::kMetricsRegistry};
   std::map<std::string, Entry> entries_ ARCHIS_GUARDED_BY(mu_);
+  bool sealed_ ARCHIS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace archis::metrics

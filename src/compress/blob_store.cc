@@ -136,7 +136,7 @@ Result<BlobStore::BlockPayloads> BlobStore::FetchBlock(
 
 Status BlobStore::ScanRangeInterval(
     int64_t lo, int64_t hi, const std::optional<TimeInterval>& window,
-    const std::function<bool(int64_t, const std::string&)>& fn,
+    const std::function<bool(int64_t, std::string_view)>& fn,
     BlobReadStats* stats) const {
   for (size_t b = 0; b < blocks_.size(); ++b) {
     if (stats != nullptr) ++stats->blocks_scanned;
@@ -155,8 +155,9 @@ Status BlobStore::ScanRangeInterval(
       int64_t sid;
       std::memcpy(&sid, p.data(), sizeof(sid));
       if (sid < lo || sid > hi) continue;
-      std::string rec = p.substr(sizeof(sid));
-      if (!fn(sid, rec)) return Status::OK();
+      if (!fn(sid, std::string_view(p).substr(sizeof(sid)))) {
+        return Status::OK();
+      }
     }
   }
   return Status::OK();
@@ -164,13 +165,13 @@ Status BlobStore::ScanRangeInterval(
 
 Status BlobStore::ScanRange(
     int64_t lo, int64_t hi,
-    const std::function<bool(int64_t, const std::string&)>& fn,
+    const std::function<bool(int64_t, std::string_view)>& fn,
     BlobReadStats* stats) const {
   return ScanRangeInterval(lo, hi, std::nullopt, fn, stats);
 }
 
 Status BlobStore::ScanAll(
-    const std::function<bool(int64_t, const std::string&)>& fn,
+    const std::function<bool(int64_t, std::string_view)>& fn,
     BlobReadStats* stats) const {
   return ScanRangeInterval(INT64_MIN, INT64_MAX, std::nullopt, fn, stats);
 }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -71,9 +72,10 @@ class BlobStore {
                const std::vector<TimeInterval>& times = {});
 
   /// Calls `fn(sid, record)` for every record with lo <= sid <= hi,
-  /// decompressing only blocks whose range intersects [lo, hi].
+  /// decompressing only blocks whose range intersects [lo, hi]. `record`
+  /// views the decompressed block and is valid only during the call.
   Status ScanRange(int64_t lo, int64_t hi,
-                   const std::function<bool(int64_t, const std::string&)>& fn,
+                   const std::function<bool(int64_t, std::string_view)>& fn,
                    BlobReadStats* stats = nullptr) const;
 
   /// ScanRange additionally pruned by the temporal zone maps: blocks whose
@@ -83,11 +85,11 @@ class BlobStore {
   /// range is yielded; row-level filtering stays with the caller.
   Status ScanRangeInterval(
       int64_t lo, int64_t hi, const std::optional<TimeInterval>& window,
-      const std::function<bool(int64_t, const std::string&)>& fn,
+      const std::function<bool(int64_t, std::string_view)>& fn,
       BlobReadStats* stats = nullptr) const;
 
   /// Full scan (decompresses everything).
-  Status ScanAll(const std::function<bool(int64_t, const std::string&)>& fn,
+  Status ScanAll(const std::function<bool(int64_t, std::string_view)>& fn,
                  BlobReadStats* stats = nullptr) const;
 
   /// Enables (bytes > 0) or disables (0) the decompressed-block LRU cache,

@@ -58,6 +58,20 @@ void AppendFrame(std::string_view payload, std::string* out) {
   out->append(payload);
 }
 
+size_t BeginFrame(std::string* out) {
+  const size_t start = out->size();
+  out->append(kFrameHeader, '\0');
+  return start;
+}
+
+void EndFrame(size_t frame_start, std::string* out) {
+  const std::string_view payload =
+      std::string_view(*out).substr(frame_start + kFrameHeader);
+  const uint32_t header[2] = {static_cast<uint32_t>(payload.size()),
+                              Crc32(payload)};
+  std::memcpy(out->data() + frame_start, header, kFrameHeader);
+}
+
 Result<LogScan> ScanLogFile(const std::string& path) {
   LogScan scan;
   std::ifstream in(path, std::ios::binary);

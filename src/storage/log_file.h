@@ -35,6 +35,14 @@ uint32_t Crc32(std::string_view data);
 // archis-lint: allow(void-mutator) pure in-memory string building, infallible
 void AppendFrame(std::string_view payload, std::string* out);
 
+/// Builds a frame in place, for payloads written piecewise: BeginFrame
+/// reserves the header and returns its offset; the caller appends the
+/// payload to `out`; EndFrame fills in the length and CRC of everything
+/// appended since.
+size_t BeginFrame(std::string* out);
+// archis-lint: allow(void-mutator) pure in-memory string building, infallible
+void EndFrame(size_t frame_start, std::string* out);
+
 /// Configuration of an AppendLogFile.
 struct LogFileOptions {
   std::string path;

@@ -233,6 +233,46 @@ TEST_F(PaperExampleTest, DeleteClosesAllIntervals) {
   EXPECT_TRUE(snap_after->empty());
 }
 
+// Deleting and re-inserting one key on one day leaves one version per
+// store, holding the re-insert's values (the last-writer-wins rule of a
+// same-day update), so the history does not depend on whether a freeze
+// ran since.
+TEST_F(PaperExampleTest, SameDayDeleteThenInsertKeepsOneVersion) {
+  ASSERT_TRUE(db_->AdvanceClock(D(1997, 6, 1)).ok());
+  const Value id(int64_t{2002});
+  ASSERT_TRUE(db_->Insert("employees", Tuple{id, Value("Ann"),
+                                             Value(int64_t{50000}),
+                                             Value("Engineer"), Value("d01")})
+                  .ok());
+  ASSERT_TRUE(db_->Delete("employees", {id}).ok());
+  ASSERT_TRUE(db_->Insert("employees", Tuple{id, Value("Ann"),
+                                             Value(int64_t{55000}),
+                                             Value("Analyst"), Value("d02")})
+                  .ok());
+  auto set = db_->archiver().htables("employees");
+  ASSERT_TRUE(set.ok());
+  auto salary = (*set)->attribute_store("salary");
+  ASSERT_TRUE(salary.ok());
+  for (const SegmentedStore* store : {(*set)->key_store(), *salary}) {
+    std::vector<Tuple> versions;
+    ASSERT_TRUE(store->ScanId(2002, [&](const Tuple& row) {
+      versions.push_back(row);
+      return true;
+    }).ok());
+    ASSERT_EQ(versions.size(), 1u) << store->name();
+    const Tuple& v = versions[0];
+    EXPECT_EQ(v.at(v.size() - 2).AsDate(), D(1997, 6, 1)) << store->name();
+    EXPECT_TRUE(v.at(v.size() - 1).AsDate().IsForever()) << store->name();
+    if (store == *salary) EXPECT_EQ(v.at(1).AsInt(), 55000);
+  }
+  auto before = db_->PublishHistory("employees");
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(db_->FreezeAll().ok());
+  auto after = db_->PublishHistory("employees");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(xml::Serialize(*before), xml::Serialize(*after));
+}
+
 TEST_F(PaperExampleTest, UpdateRejectsKeyChange) {
   ASSERT_TRUE(db_->AdvanceClock(D(1997, 6, 1)).ok());
   Tuple row{Value(int64_t{9999}), Value("Bob"), Value(int64_t{1}),

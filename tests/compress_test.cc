@@ -132,7 +132,7 @@ class BlobStoreTest : public ::testing::Test {
 TEST_F(BlobStoreTest, RangeScanReturnsExactRows) {
   std::vector<int64_t> sids;
   ASSERT_TRUE(store_.ScanRange(100, 110, [&](int64_t sid,
-                                             const std::string& rec) {
+                                             std::string_view rec) {
     sids.push_back(sid);
     EXPECT_EQ(rec, "record-for-sid-" + std::to_string(sid) +
                        "-with-some-padding-xxxxxxxxxxxx");
@@ -148,14 +148,14 @@ TEST_F(BlobStoreTest, NarrowRangeDecompressesFewBlocks) {
   // access, we only need to read and uncompress those specific blocks".
   BlobReadStats stats;
   ASSERT_TRUE(store_.ScanRange(2000, 2001,
-                               [](int64_t, const std::string&) {
+                               [](int64_t, std::string_view) {
     return true;
   }, &stats).ok());
   EXPECT_LE(stats.blocks_decompressed, 2u);
   EXPECT_EQ(stats.blocks_scanned, store_.block_count());
 
   BlobReadStats full;
-  ASSERT_TRUE(store_.ScanAll([](int64_t, const std::string&) {
+  ASSERT_TRUE(store_.ScanAll([](int64_t, std::string_view) {
     return true;
   }, &full).ok());
   EXPECT_EQ(full.blocks_decompressed, store_.block_count());
@@ -182,7 +182,7 @@ TEST(BlobStoreValidation, DuplicateSidsAllowed) {
   BlobStore store;
   ASSERT_TRUE(store.Build({{1, "v1"}, {1, "v2"}, {2, "v3"}}).ok());
   int hits = 0;
-  ASSERT_TRUE(store.ScanRange(1, 1, [&](int64_t, const std::string&) {
+  ASSERT_TRUE(store.ScanRange(1, 1, [&](int64_t, std::string_view) {
     ++hits;
     return true;
   }).ok());

@@ -62,12 +62,7 @@ void DescribeStore(const SegmentedStore& store, std::string* out) {
   }
 }
 
-struct Generated {
-  std::string description;
-  size_t dirty_entries = 0;
-};
-
-Generated GenerateAndDescribe(int employees, double umin, bool compress) {
+std::string GenerateAndDescribe(int employees, double umin, bool compress) {
   ArchISOptions opts;
   opts.segment.umin = umin;
   opts.segment.compress = compress;
@@ -78,44 +73,40 @@ Generated GenerateAndDescribe(int employees, double umin, bool compress) {
   EmployeeWorkload wl(cfg);
   Result<WorkloadStats> stats = wl.Generate(&db);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  Generated g;
+  std::string description;
   for (const char* rel : {"employees", "depts"}) {
     Result<xml::XmlNodePtr> doc = db.PublishHistory(rel);
     EXPECT_TRUE(doc.ok()) << doc.status().ToString();
-    if (doc.ok()) g.description += xml::Serialize(*doc);
+    if (doc.ok()) description += xml::Serialize(*doc);
     Result<core::HTableSet*> set = db.archiver().htables(rel);
     EXPECT_TRUE(set.ok()) << set.status().ToString();
     if (!set.ok()) continue;
-    AppendNumber(&g.description, "set_total_tuples", (*set)->TotalTuples());
-    DescribeStore(*(*set)->key_store(), &g.description);
-    g.dirty_entries += (*set)->key_store()->dirty_count();
-    g.dirty_entries += (*set)->dirty_surrogate_count();
+    AppendNumber(&description, "set_total_tuples", (*set)->TotalTuples());
+    DescribeStore(*(*set)->key_store(), &description);
     for (const std::string& attr : (*set)->attribute_names()) {
       Result<SegmentedStore*> store = (*set)->attribute_store(attr);
       EXPECT_TRUE(store.ok()) << store.status().ToString();
       if (!store.ok()) continue;
-      DescribeStore(**store, &g.description);
-      g.dirty_entries += (*store)->dirty_count();
+      DescribeStore(**store, &description);
     }
   }
-  AppendNumber(&g.description, "history_storage_bytes",
+  AppendNumber(&description, "history_storage_bytes",
                db.HistoryStorageBytes());
-  return g;
+  return description;
 }
 
 TEST(HistoryDigestTest, PaperScaleUncompressedIsUnchanged) {
-  const Generated g = GenerateAndDescribe(120, 0.4, /*compress=*/false);
-  EXPECT_EQ(Fnv1a(g.description), 0x38d7cec002abcea1ull)
-      << "archived history changed; size " << g.description.size();
-  // Nothing drains checkpoint dirty sets without a WAL, so none are kept.
-  EXPECT_EQ(g.dirty_entries, 0u);
+  const std::string description =
+      GenerateAndDescribe(120, 0.4, /*compress=*/false);
+  EXPECT_EQ(Fnv1a(description), 0x38d7cec002abcea1ull)
+      << "archived history changed; size " << description.size();
 }
 
 TEST(HistoryDigestTest, EightTimesScaleBlockZipIsUnchanged) {
-  const Generated g = GenerateAndDescribe(8 * 120, 0.2, /*compress=*/true);
-  EXPECT_EQ(Fnv1a(g.description), 0xbe77880b590d0e34ull)
-      << "archived history changed; size " << g.description.size();
-  EXPECT_EQ(g.dirty_entries, 0u);
+  const std::string description =
+      GenerateAndDescribe(8 * 120, 0.2, /*compress=*/true);
+  EXPECT_EQ(Fnv1a(description), 0xbe77880b590d0e34ull)
+      << "archived history changed; size " << description.size();
 }
 
 }  // namespace

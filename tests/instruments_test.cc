@@ -246,5 +246,21 @@ TEST(InstrumentCatalogTest, LookupByNameReturnsTheLiveInstrument) {
   EXPECT_EQ(reg.GetGauge("archis_page_reads_total", ""), nullptr);
 }
 
+TEST(InstrumentCatalogTest, LookupOfAnUncataloguedNameIsRefused) {
+  metrics::Registry& reg = metrics::Registry::Global();
+  // A misspelled catalog name gets no always-zero instrument of its own.
+  EXPECT_EQ(reg.GetCounter("archis_checkpoint_total", ""), nullptr);
+  EXPECT_EQ(reg.GetGauge("archis_frozen_segment", ""), nullptr);
+  EXPECT_EQ(reg.GetHistogram("archis_wal_fsync_second", "",
+                             metrics::DefaultLatencyBuckets()),
+            nullptr);
+  EXPECT_EQ(ExportedFamilies(core::ArchIS::DumpMetrics())
+                .count("archis_checkpoint_total"),
+            0u);
+  // The catalog spelling still resolves.
+  EXPECT_EQ(reg.GetCounter("archis_checkpoints_total", ""),
+            &metrics::Get(metrics::kCheckpoints));
+}
+
 }  // namespace
 }  // namespace archis

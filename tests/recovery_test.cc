@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -17,6 +18,7 @@
 
 #include "archis/checkpoint.h"
 #include "common/metrics.h"
+#include "storage/log_file.h"
 #include "workload/scripted_dml.h"
 #include "xml/serializer.h"
 
@@ -799,8 +801,9 @@ TEST(CheckpointTest, OpenReplaysOnlyTheWalSuffixPastACheckpoint) {
 
 // The checkpoint crash matrix: a deterministic crash is injected before
 // every phase of the protocol (manifest fsync, atomic install, WAL reset),
-// with and without a completed earlier checkpoint, and recovery must
-// reproduce the durably-acked shadow byte for byte every time.
+// on the first manifest and on a second one that would rotate the first to
+// .prev, and recovery must reproduce the durably-acked shadow byte for
+// byte every time.
 TEST(CheckpointTest, CrashAtEveryCheckpointPhaseRecoversShadowState) {
   const CheckpointCrashPoint phases[] = {
       CheckpointCrashPoint::kBeforeManifestSync,
@@ -866,10 +869,6 @@ TEST(CheckpointTest, TornNewestManifestFallsBackToPrevious) {
   const std::string path = TempPath("ckpt_fallback.wal");
   ArchISOptions opts;
   opts.wal.path = path;
-  // Every checkpoint writes a base (and rotates the previous chain to
-  // .prev) so tearing the newest file exercises the generation fallback
-  // rather than the in-chain torn-delta handling.
-  opts.wal.checkpoint_base_every = 1;
   ArchIS shadow(ArchISOptions{}, D(1995, 1, 1));
   {
     auto db = ArchIS::Open(opts, D(1995, 1, 1));
@@ -905,6 +904,74 @@ TEST(CheckpointTest, TornNewestManifestFallsBackToPrevious) {
   EXPECT_EQ(FallbacksCounter()->value() - fallbacks_before, 1u);
   EXPECT_EQ((*db)->checkpoint_seq(), 1u);  // recovered from the fallback
   EXPECT_EQ(AllHistories(db->get()), AllHistories(&shadow));
+}
+
+// One file holds exactly one manifest of the current format: a streamed
+// manifest decodes to the rows that were captured, while an older version
+// number or a record after the footer is Corruption.
+TEST(CheckpointTest, ManifestDecodesOnlyOneCurrentVersionManifest) {
+  const std::string path = TempPath("ckpt_format.wal");
+  ArchISOptions opts;
+  opts.wal.path = path;
+  {
+    auto db = ArchIS::Open(opts, D(1995, 1, 1));
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
+    for (int i = 1; i <= 4; ++i) {
+      ASSERT_TRUE((*db)->Insert("employees", Emp(i, "a", 10 * i)).ok());
+    }
+    ASSERT_TRUE((*db)->AdvanceClock(D(1995, 6, 1)).ok());
+    ASSERT_TRUE((*db)->Delete("employees", {Value(int64_t{4})}).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  const std::string ckpt = CheckpointPath(path);
+  auto manifest = ReadCheckpointManifest(ckpt);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->relations.size(), 1u);
+  const CheckpointRelation& rel = manifest->relations[0];
+  // Key store plus one store per non-key column; 4 keys ever, 3 current.
+  ASSERT_EQ(rel.store_rows.size(), rel.spec.schema.num_columns());
+  EXPECT_EQ(rel.store_rows[0].size(), 4u);
+  EXPECT_EQ(rel.current_rows.size(), 3u);
+
+  auto scan = storage::ScanLogFile(ckpt);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_GE(scan->records.size(), 3u);
+  const auto write = [&](const std::vector<std::string>& payloads) {
+    std::string bytes;
+    for (const std::string& p : payloads) storage::AppendFrame(p, &bytes);
+    std::FILE* f = std::fopen(ckpt.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  };
+  std::vector<std::string> payloads;
+  for (const storage::LogRecord& r : scan->records) {
+    payloads.push_back(r.payload);
+  }
+
+  // Header payload: type byte, magic, then the version.
+  std::vector<std::string> older = payloads;
+  const uint32_t v4 = 4;
+  std::memcpy(older[0].data() + 1 + sizeof(uint32_t), &v4, sizeof(v4));
+  write(older);
+  Result<CheckpointManifest> refused = ReadCheckpointManifest(ckpt);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(refused.status().message().find("version 4 unsupported"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  // A second manifest appended after the first one's footer.
+  std::vector<std::string> two = payloads;
+  two.insert(two.end(), payloads.begin(), payloads.end());
+  write(two);
+  refused = ReadCheckpointManifest(ckpt);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption);
+
+  write(payloads);
+  EXPECT_TRUE(ReadCheckpointManifest(ckpt).ok());
 }
 
 // WalOptions::checkpoint_after_bytes keeps the log (and therefore
@@ -943,57 +1010,55 @@ TEST(CheckpointTest, AutoCheckpointBoundsWalSizeUnderSustainedLoad) {
   EXPECT_EQ(AllHistories(db->get()), final_state);
 }
 
-// The incremental chain end to end: a base manifest, two delta appends,
-// and a WAL suffix must recover to byte-identical H-documents — and the
-// deltas must stay small (proportional to the rows dirtied, not to the
-// database), which is the whole point of fuzzy incremental checkpoints.
-TEST(CheckpointTest, IncrementalChainWithWalSuffixRecoversExactly) {
-  const std::string path = TempPath("ckpt_chain.wal");
+// Every checkpoint writes the whole state. A first manifest, WAL traffic,
+// a second manifest (rotating the first to .prev), more traffic, a third
+// install torn before its fsync, and a WAL suffix after it: recovery
+// starts from the second manifest, replays the rest from the WAL, and
+// reproduces the H-documents byte for byte.
+TEST(CheckpointTest, ManifestRotationAndTornInstallRecoverExactly) {
+  const std::string path = TempPath("ckpt_rotation.wal");
   ArchISOptions opts;
   opts.wal.path = path;
   ArchIS shadow(ArchISOptions{}, D(1995, 1, 1));
-  uint64_t base_bytes = 0;
   std::string expected;
   {
     auto db = ArchIS::Open(opts, D(1995, 1, 1));
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
     ASSERT_TRUE(shadow.CreateRelation(EmpSpec()).ok());
-    // A wide base: 60 rows.
     for (int i = 1; i <= 60; ++i) {
       ASSERT_TRUE((*db)->Insert("employees", Emp(i, "base", 10 * i)).ok());
       ASSERT_TRUE(shadow.Insert("employees", Emp(i, "base", 10 * i)).ok());
     }
-    ASSERT_TRUE((*db)->Checkpoint().ok());  // base, seq 1
-    base_bytes = std::filesystem::file_size(CheckpointPath(path));
+    ASSERT_TRUE((*db)->Checkpoint().ok());  // seq 1
 
-    // Delta 1: touch two rows.
     ASSERT_TRUE((*db)->AdvanceClock(D(1995, 2, 1)).ok());
     ASSERT_TRUE(shadow.AdvanceClock(D(1995, 2, 1)).ok());
     ASSERT_TRUE((*db)->Update("employees", {Value(int64_t{1})},
-                              Emp(1, "d1", 11)).ok());
+                              Emp(1, "t1", 11)).ok());
     ASSERT_TRUE(shadow.Update("employees", {Value(int64_t{1})},
-                              Emp(1, "d1", 11)).ok());
+                              Emp(1, "t1", 11)).ok());
     ASSERT_TRUE((*db)->Delete("employees", {Value(int64_t{60})}).ok());
     ASSERT_TRUE(shadow.Delete("employees", {Value(int64_t{60})}).ok());
-    ASSERT_TRUE((*db)->Checkpoint().ok());  // delta, seq 2
-    const uint64_t after_delta1 =
-        std::filesystem::file_size(CheckpointPath(path));
-    // The delta appended far less than a second base would have.
-    EXPECT_LT(after_delta1 - base_bytes, base_bytes / 2);
+    ASSERT_TRUE((*db)->Checkpoint().ok());  // seq 2; seq 1 -> .prev
+    EXPECT_TRUE(std::filesystem::exists(CheckpointPrevPath(path)));
 
-    // Delta 2: an update and a fresh insert.
     ASSERT_TRUE((*db)->AdvanceClock(D(1995, 3, 1)).ok());
     ASSERT_TRUE(shadow.AdvanceClock(D(1995, 3, 1)).ok());
     ASSERT_TRUE((*db)->Update("employees", {Value(int64_t{2})},
-                              Emp(2, "d2", 22)).ok());
+                              Emp(2, "t2", 22)).ok());
     ASSERT_TRUE(shadow.Update("employees", {Value(int64_t{2})},
-                              Emp(2, "d2", 22)).ok());
-    ASSERT_TRUE((*db)->Insert("employees", Emp(61, "d2", 61)).ok());
-    ASSERT_TRUE(shadow.Insert("employees", Emp(61, "d2", 61)).ok());
-    ASSERT_TRUE((*db)->Checkpoint().ok());  // delta, seq 3
+                              Emp(2, "t2", 22)).ok());
+    ASSERT_TRUE((*db)->Insert("employees", Emp(61, "t2", 61)).ok());
+    ASSERT_TRUE(shadow.Insert("employees", Emp(61, "t2", 61)).ok());
+    // The third install stops before its fsync, and only half of its temp
+    // file reached the disk.
+    ASSERT_EQ(
+        (*db)->Checkpoint(CheckpointCrashPoint::kBeforeManifestSync).code(),
+        StatusCode::kIOError);
+    const std::string tmp = CheckpointTmpPath(path);
+    std::filesystem::resize_file(tmp, std::filesystem::file_size(tmp) / 2);
 
-    // WAL suffix past the chain: commits never absorbed by any manifest.
     ASSERT_TRUE((*db)->AdvanceClock(D(1995, 4, 1)).ok());
     ASSERT_TRUE(shadow.AdvanceClock(D(1995, 4, 1)).ok());
     ASSERT_TRUE((*db)->Update("employees", {Value(int64_t{3})},
@@ -1005,21 +1070,26 @@ TEST(CheckpointTest, IncrementalChainWithWalSuffixRecoversExactly) {
     expected = AllHistories(db->get());
     ASSERT_EQ(expected, AllHistories(&shadow));
   }
+  const uint64_t fallbacks_before = FallbacksCounter()->value();
   auto db = ArchIS::Open(opts, D(1995, 1, 1));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ(AllHistories(db->get()), expected);
-  EXPECT_EQ((*db)->checkpoint_seq(), 3u);
+  EXPECT_EQ((*db)->checkpoint_seq(), 2u);
+  EXPECT_EQ(FallbacksCounter()->value() - fallbacks_before, 0u);
+  EXPECT_GT((*db)->last_recovery_replayed_bytes(), 0u);
   EXPECT_EQ((*db)->Now(), D(1995, 4, 1));
-  // The recovered instance keeps working: another delta cycle and reopen.
+  // The recovered instance keeps working: another checkpoint and reopen.
   ASSERT_TRUE((*db)->Insert("employees", Emp(63, "post", 63)).ok());
   ASSERT_TRUE(shadow.Insert("employees", Emp(63, "post", 63)).ok());
   ASSERT_TRUE((*db)->Checkpoint().ok());
+  EXPECT_EQ((*db)->checkpoint_seq(), 3u);
   expected = AllHistories(db->get());
   db->reset();
   auto again = ArchIS::Open(opts, D(1995, 1, 1));
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(AllHistories(again->get()), expected);
   EXPECT_EQ(AllHistories(again->get()), AllHistories(&shadow));
+  EXPECT_EQ((*again)->last_recovery_replayed_bytes(), 0u);
 }
 
 // Crash while two transactions interleave in the log: the committed one

@@ -360,7 +360,7 @@ std::unique_ptr<compress::BlobStore> MakeBlobStore(size_t records,
 TEST(BlockCacheTest, WarmScanServesEveryBlockFromCache) {
   auto store = MakeBlobStore(400, 64ull << 20);
   ASSERT_GT(store->block_count(), 8u);
-  auto consume = [](int64_t, const std::string&) { return true; };
+  auto consume = [](int64_t, std::string_view) { return true; };
 
   compress::BlobReadStats cold;
   ASSERT_TRUE(store->ScanAll(consume, &cold).ok());
@@ -381,7 +381,7 @@ TEST(BlockCacheTest, SmallCapacityEvicts) {
   ASSERT_GT(probe->block_count(), 8u);
   const uint64_t raw = probe->RawBytes();
   auto store = MakeBlobStore(400, raw / 4);
-  auto consume = [](int64_t, const std::string&) { return true; };
+  auto consume = [](int64_t, std::string_view) { return true; };
   ASSERT_TRUE(store->ScanAll(consume).ok());
   // Eviction kept residency under the full working set.
   EXPECT_LT(store->CachedBytes(), raw);
@@ -394,7 +394,7 @@ TEST(BlockCacheTest, SmallCapacityEvicts) {
 
 TEST(BlockCacheTest, ZeroCapacityDisablesCaching) {
   auto store = MakeBlobStore(100, 0);
-  auto consume = [](int64_t, const std::string&) { return true; };
+  auto consume = [](int64_t, std::string_view) { return true; };
   compress::BlobReadStats s1, s2;
   ASSERT_TRUE(store->ScanAll(consume, &s1).ok());
   ASSERT_TRUE(store->ScanAll(consume, &s2).ok());
@@ -413,7 +413,7 @@ TEST(ZoneMapTest, TimeWindowPrunesBlocksWithoutLosingRecords) {
   compress::BlobReadStats stats;
   ASSERT_TRUE(store
                   ->ScanRangeInterval(INT64_MIN, INT64_MAX, window,
-                                      [&](int64_t sid, const std::string&) {
+                                      [&](int64_t sid, std::string_view) {
                                         got.push_back(sid);
                                         return true;
                                       },

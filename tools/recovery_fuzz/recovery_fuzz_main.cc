@@ -216,8 +216,6 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
   RemoveInstanceFiles(wal_path);
   ArchISOptions opts;
   opts.wal.path = wal_path;
-  // A short chain period so the pass crosses base and delta manifests.
-  opts.wal.checkpoint_base_every = 2;
   const Date start = Date::FromYmd(2000, 1, 1);
   auto opened = ArchIS::Open(opts, start);
   if (!opened.ok()) {
@@ -318,6 +316,11 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
   if (!pace.ok()) {
     return Fail("checkpoint (concurrent)", tag + " -> " + pace.ToString());
   }
+  // The reopen must start from a manifest that rotated an earlier one.
+  if (db->checkpoint_seq() < 2) {
+    return Fail("checkpoints (concurrent)",
+                tag + " seq=" + std::to_string(db->checkpoint_seq()));
+  }
   if (failures.load() != 0) {
     return Fail("writer failures (concurrent)",
                 tag + " failures=" + std::to_string(failures.load()));
@@ -350,7 +353,7 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
 
   // "Power loss" after the writers are done: everything acknowledged is
   // durable, so the reopen must rebuild this exact state from the
-  // checkpoint chain plus the WAL suffix.
+  // newest checkpoint manifest plus the WAL suffix.
   const std::string pre_drop = SerializeAllHistories(db);
   opened->reset();
   auto recovered = ArchIS::Open(opts, start);
