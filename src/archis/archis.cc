@@ -61,6 +61,7 @@ Transaction::Transaction(Transaction&& other) noexcept
       begin_seq_(other.begin_seq_),
       begin_drops_(other.begin_drops_),
       changes_(std::move(other.changes_)),
+      change_entries_(std::move(other.change_entries_)),
       overlay_(std::move(other.overlay_)),
       // A move releases affinity: the handle stays unclaimed until its
       // first use, so moving into a thread's closure (which runs the move
@@ -68,11 +69,11 @@ Transaction::Transaction(Transaction&& other) noexcept
       // actually uses it.
       owner_(),
       stamp_at_commit_(other.stamp_at_commit_),
-      finished_(other.finished_),
-      wal_begun_(other.wal_begun_) {
+      finished_(other.finished_) {
   // The moved-from handle is inert; this one inherits the registration.
   other.finished_ = true;
   other.changes_.clear();
+  other.change_entries_.clear();
   other.overlay_.clear();
 }
 
@@ -199,7 +200,7 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
   // Commits the manifest absorbed; replay skips them.
   uint64_t absorbed_seq = 0;
   bool filter_by_seq = false;
-  uint64_t manifest_next_txn_id = 0;
+  uint64_t next_txn_id = recovery.max_txn_id + 1;
   if (loaded.manifest.has_value()) {
     const CheckpointManifest& manifest = *loaded.manifest;
     if (recovery.has_checkpoint_marker &&
@@ -212,13 +213,13 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
     }
     ARCHIS_RETURN_NOT_OK(db->RestoreFromCheckpoint(manifest));
     db->checkpoint_seq_ = manifest.seq;
-    manifest_next_txn_id = manifest.next_txn_id;
+    next_txn_id = std::max(next_txn_id, manifest.next_txn_id);
     if (db->clock_ < Date(manifest.clock_days)) {
       db->clock_ = Date(manifest.clock_days);
     }
-    // Fuzzy manifests absorb a commit-sequence prefix, not a log prefix:
-    // a commit whose frames straddle the capture point replays by its
-    // sequence number regardless of where its bytes sit.
+    // The manifest absorbed an exact commit-sequence prefix (the capture
+    // runs under the commit lock); the log may still hold those commits
+    // when a later commit kept it from being truncated.
     filter_by_seq = true;
     absorbed_seq = manifest.absorbed_commit_seq;
     // The decoded rows are in the stores now; free them before replay.
@@ -255,22 +256,28 @@ Result<std::unique_ptr<ArchIS>> ArchIS::Open(ArchISOptions options,
       if (db->clock_ < drop->when) db->clock_ = drop->when;
     } else {
       const auto& txn = std::get<WalCommittedTxn>(item);
-      ARCHIS_RETURN_NOT_OK(db->ApplyRecovered(txn));
+      MutexLock lock(db->commit_mu_);
+      // Each change looks its key's row up afresh: exactly once, in log
+      // order, through the live commit's apply path.
+      for (const ChangeRecord& change : txn.changes) {
+        storage::RecordId rid;
+        ARCHIS_RETURN_NOT_OK(db->ApplyCommitted(change, &rid));
+      }
       if (db->clock_ < txn.commit_date) db->clock_ = txn.commit_date;
     }
   }
+  db->InvalidatePlanCache();
   {
     MutexLock lock(db->commit_mu_);
     db->commit_seq_ = std::max(absorbed_seq, recovery.max_commit_seq);
+    db->next_txn_id_ = next_txn_id;
   }
   const uint64_t replayed_bytes = recovery.valid_bytes - first_replayed_offset;
   // Drop the torn tail so the resumed log is a clean extension of the
   // prefix recovery just replayed.
   ARCHIS_RETURN_NOT_OK(
       storage::TruncateLogFile(wal_path, recovery.valid_bytes));
-  uint64_t next_txn_id = recovery.max_txn_id + 1;
-  if (next_txn_id < manifest_next_txn_id) next_txn_id = manifest_next_txn_id;
-  ARCHIS_ASSIGN_OR_RETURN(db->wal_, Wal::Open(wal_options, next_txn_id));
+  ARCHIS_ASSIGN_OR_RETURN(db->wal_, Wal::Open(wal_options));
   db->last_recovery_replayed_bytes_ = replayed_bytes;
   metrics::Get(metrics::kWalRecoveries).Inc();
   metrics::Get(metrics::kWalRecoveredItems).Inc(replayed_items);
@@ -410,7 +417,7 @@ Result<Transaction> ArchIS::BeginInternal(bool stamp_at_commit) {
         "too many open transactions (max_open_transactions = " +
         std::to_string(options_.max_open_transactions) + ")");
   }
-  const uint64_t txn_id = wal_ != nullptr ? wal_->NextTxnId() : next_txn_id_++;
+  const uint64_t txn_id = next_txn_id_++;
   open_txns_.insert(txn_id);
   fr::Record(fr::EventType::kTxnBegin, txn_id);
   Transaction txn(this, txn_id, commit_seq_, stamp_at_commit);
@@ -537,20 +544,14 @@ std::string ArchIS::DisplayWriteSetKey(const std::string& wkey) {
 
 Status ArchIS::BufferChange(Transaction* txn, std::string wkey,
                             ChangeRecord change, storage::RecordId found) {
-  if (wal_ != nullptr) {
-    if (!txn->wal_begun_) {
-      ARCHIS_RETURN_NOT_OK(wal_->EnqueueBegin(txn->txn_id_));
-      txn->wal_begun_ = true;
-    }
-    ARCHIS_RETURN_NOT_OK(wal_->EnqueueChange(txn->txn_id_, change));
-  }
   auto [it, fresh] = txn->overlay_.try_emplace(std::move(wkey));
   Transaction::OverlayEntry& entry = it->second;
   // Only the key's first statement reads the committed row; later ones
   // see this transaction's own writes, and the first one's rid rides on.
   if (fresh) entry.rid = found;
   entry.latest = txn->changes_.size();
-  txn->changes_.push_back({std::move(change), &entry});
+  txn->changes_.push_back(std::move(change));
+  txn->change_entries_.push_back(&entry);
   return Status::OK();
 }
 
@@ -714,9 +715,6 @@ Status ArchIS::ApplyCommitted(const ChangeRecord& change,
 Status ArchIS::CommitTxn(Transaction* txn) {
   if (txn->changes_.empty()) {
     MutexLock lock(commit_mu_);
-    if (wal_ != nullptr && txn->wal_begun_) {
-      IgnoreStatus(wal_->EnqueueAbort(txn->txn_id_));
-    }
     UnregisterTxnLocked(txn->txn_id_);
     return Status::OK();
   }
@@ -730,11 +728,8 @@ Status ArchIS::CommitTxn(Transaction* txn) {
     for (const auto& [wkey, entry] : txn->overlay_) {
       auto it = key_last_writer_.find(wkey);
       if (it != key_last_writer_.end() && it->second > txn->begin_seq_) {
-        if (wal_ != nullptr && txn->wal_begun_) {
-          IgnoreStatus(wal_->EnqueueAbort(txn->txn_id_));
-        }
         UnregisterTxnLocked(txn->txn_id_);
-        // Conflict-aborted commits keep their latency and CHANGE-count
+        // Conflict-aborted commits keep their latency and change-count
         // attribution (outcome=conflict) instead of vanishing.
         const std::string display = DisplayWriteSetKey(wkey);
         metrics::Stage(metrics::StageId::kCommitConflict, nullptr,
@@ -748,33 +743,39 @@ Status ArchIS::CommitTxn(Transaction* txn) {
       }
     }
     // A relation dropped since this transaction wrote to it has no current
-    // table to apply to. Refuse before the COMMIT frame is enqueued: a
-    // logged commit that cannot apply fails every later recovery too.
+    // table to apply to.
     if (txn->begin_drops_ != relations_dropped_) {
-      for (const Transaction::PendingChange& p : txn->changes_) {
-        if (current_db_.catalog().GetTable(p.change.relation).ok()) continue;
-        if (wal_ != nullptr && txn->wal_begun_) {
-          IgnoreStatus(wal_->EnqueueAbort(txn->txn_id_));
-        }
+      for (const ChangeRecord& change : txn->changes_) {
+        if (current_db_.catalog().GetTable(change.relation).ok()) continue;
         UnregisterTxnLocked(txn->txn_id_);
         RecordAbort(txn->txn_id_, fr::AbortReason::kConflict);
-        return Status::Conflict("relation '" + p.change.relation +
+        return Status::Conflict("relation '" + change.relation +
                                 "' was dropped after this transaction "
                                 "wrote to it");
       }
+      // The drop freed a table's pages, which later tables may reuse:
+      // carried record ids could name another row. Look them up.
+      for (auto& [wkey, entry] : txn->overlay_) entry.rid = {};
     }
     // One transaction, one transaction-time instant: the clock at commit.
     if (txn->stamp_at_commit_) {
-      for (Transaction::PendingChange& p : txn->changes_) {
-        p.change.when = clock_;
+      for (ChangeRecord& change : txn->changes_) change.when = clock_;
+    }
+    for (size_t i = 0; i < nchanges; ++i) {
+      Status applied =
+          ApplyCommitted(txn->changes_[i], &txn->change_entries_[i]->rid);
+      if (!applied.ok()) {
+        UnregisterTxnLocked(txn->txn_id_);
+        return applied;
       }
     }
-    const uint64_t seq = commit_seq_ + 1;
+    const uint64_t seq = ++commit_seq_;
     if (wal_ != nullptr) {
-      // Enqueued under the commit lock, so log order equals commit order;
-      // the durability wait happens outside it (group commit).
-      Result<uint64_t> enq = wal_->EnqueueCommit(
-          txn->txn_id_, clock_, txn->stamp_at_commit_, seq);
+      // Logged only once every change applied, under the commit lock, so
+      // log order equals commit order; the durability wait happens
+      // outside it (group commit).
+      Result<uint64_t> enq =
+          wal_->EnqueueCommit(txn->txn_id_, clock_, seq, txn->changes_);
       if (!enq.ok()) {
         UnregisterTxnLocked(txn->txn_id_);
         RecordAbort(txn->txn_id_, fr::AbortReason::kWalPoison);
@@ -782,21 +783,6 @@ Status ArchIS::CommitTxn(Transaction* txn) {
       }
       ticket = *enq;
     }
-    if (txn->begin_drops_ != relations_dropped_) {
-      // A drop since Begin freed a table's pages, which later tables may
-      // reuse: carried record ids could name another row. Look them up.
-      for (auto& [wkey, entry] : txn->overlay_) entry.rid = {};
-    }
-    Status applied = Status::OK();
-    for (Transaction::PendingChange& p : txn->changes_) {
-      applied = ApplyCommitted(p.change, &p.entry->rid);
-      if (!applied.ok()) break;
-    }
-    if (!applied.ok()) {
-      UnregisterTxnLocked(txn->txn_id_);
-      return applied;
-    }
-    commit_seq_ = seq;
     // Only a transaction open now can have begun before this commit, so
     // only then can these keys conflict with anything.
     if (open_txns_.size() > 1) {
@@ -824,75 +810,15 @@ Status ArchIS::CommitTxn(Transaction* txn) {
 
 Status ArchIS::AbortTxn(Transaction* txn) {
   MutexLock lock(commit_mu_);
-  if (wal_ != nullptr && txn->wal_begun_) {
-    // Best-effort: the frame rides out with the next durable batch. A
-    // lost ABORT is harmless — recovery discards uncommitted frames.
-    IgnoreStatus(wal_->EnqueueAbort(txn->txn_id_));
-  }
   UnregisterTxnLocked(txn->txn_id_);
   // Like an empty commit, an empty abort discarded nothing: not recorded.
   if (!txn->changes_.empty()) {
     RecordAbort(txn->txn_id_, fr::AbortReason::kExplicit);
   }
   txn->changes_.clear();
+  txn->change_entries_.clear();
   txn->overlay_.clear();
   return Status::OK();
-}
-
-// -- Recovery replay -----------------------------------------------------------
-
-Status ArchIS::ApplyRecovered(const WalCommittedTxn& txn) {
-  MutexLock lock(commit_mu_);
-  for (const ChangeRecord& change : txn.changes) {
-    ARCHIS_RETURN_NOT_OK(ReplayChange(change));
-  }
-  InvalidatePlanCache();
-  return Status::OK();
-}
-
-Status ArchIS::ReplayChange(const ChangeRecord& change) {
-  auto info = relations_.find(change.relation);
-  if (info == relations_.end()) {
-    return Status::Corruption("recovered change for unknown relation '" +
-                              change.relation + "'");
-  }
-  ARCHIS_ASSIGN_OR_RETURN(Table * table,
-                          current_db_.catalog().GetTable(change.relation));
-  switch (change.kind) {
-    case ChangeKind::kInsert: {
-      Tuple existing;
-      auto rid = FindByKey(table, info->second,
-                           KeyOf(info->second, change.new_row), &existing);
-      if (rid.ok()) return Status::OK();  // already applied
-      if (rid.status().code() != StatusCode::kNotFound) return rid.status();
-      ARCHIS_RETURN_NOT_OK(table->Insert(change.new_row).status());
-      break;
-    }
-    case ChangeKind::kUpdate: {
-      Tuple existing;
-      ARCHIS_ASSIGN_OR_RETURN(
-          storage::RecordId rid,
-          FindByKey(table, info->second, KeyOf(info->second, change.new_row),
-                    &existing));
-      if (existing == change.new_row) return Status::OK();  // already applied
-      ARCHIS_RETURN_NOT_OK(table->Update(&rid, existing, change.new_row));
-      break;
-    }
-    case ChangeKind::kDelete: {
-      Tuple existing;
-      auto rid = FindByKey(table, info->second,
-                           KeyOf(info->second, change.old_row), &existing);
-      if (!rid.ok()) {
-        if (rid.status().code() == StatusCode::kNotFound) {
-          return Status::OK();  // already applied
-        }
-        return rid.status();
-      }
-      ARCHIS_RETURN_NOT_OK(table->Delete(*rid));
-      break;
-    }
-  }
-  return archiver_.Apply(change);
 }
 
 // -- Checkpointing -------------------------------------------------------------
@@ -916,14 +842,13 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
     // Capture barrier: everything enqueued so far becomes durable before
     // the capture, so the manifest never absorbs a commit the log could
     // still lose. No quiesce — open transactions keep their handles; their
-    // uncommitted changes are simply not in any table yet.
+    // uncommitted changes are in no table and in no log record yet.
     ARCHIS_RETURN_NOT_OK(wal_->FlushDurable());
     header.seq = checkpoint_seq_ + 1;
     fr::Record(fr::EventType::kCheckpointPhase, header.seq, 0, 0, "capture");
     header.clock_days = clock_.days();
-    header.next_txn_id = wal_->PeekNextTxnId();
+    header.next_txn_id = next_txn_id_;
     header.absorbed_commit_seq = commit_seq_;
-    header.active_txn_ids.assign(open_txns_.begin(), open_txns_.end());
     CheckpointWriter writer(header);
     for (const Archiver::RelationEntry& entry : archiver_.relations()) {
       ARCHIS_RETURN_NOT_OK(
@@ -940,14 +865,14 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
   if (crash_point == CheckpointCrashPoint::kBeforeWalReset) {
     return Status::IOError("injected crash before WAL reset");
   }
-  // The WAL can only be truncated when nothing is in flight: no open
-  // transaction (their BEGIN/CHANGE frames must survive) and no commit
-  // past the capture. Otherwise the log keeps growing and recovery bounds
+  // The WAL can be truncated unless a commit landed past the capture (its
+  // record must survive). Open transactions hold nothing in the log. When
+  // truncation is skipped, the log keeps growing and recovery bounds
   // replay by commit sequence instead.
   bool wal_reset = false;
   {
     MutexLock lock(commit_mu_);
-    if (open_txns_.empty() && commit_seq_ == header.absorbed_commit_seq) {
+    if (commit_seq_ == header.absorbed_commit_seq) {
       ARCHIS_RETURN_NOT_OK(wal_->FlushDurable());
       ARCHIS_RETURN_NOT_OK(wal_->ResetAfterCheckpoint(header.seq));
       wal_reset = true;
@@ -963,7 +888,6 @@ Status ArchIS::Checkpoint(CheckpointCrashPoint crash_point) {
       .Kv("relations", relations)
       .Kv("manifest_bytes", encoded.size())
       .Kv("rows", manifest_rows)
-      .Kv("active_txns", header.active_txn_ids.size())
       .Kv("wal_reset", wal_reset)
       .Kv("clock", Date(header.clock_days).ToString());
   return Status::OK();

@@ -168,7 +168,7 @@ class Transaction {
   /// Buffered, not-yet-committed changes.
   size_t pending() const { return changes_.size(); }
 
-  /// Transaction id (WAL frame correlation; diagnostics).
+  /// Transaction id (its COMMIT record's id; diagnostics).
   uint64_t id() const { return txn_id_; }
 
  private:
@@ -186,17 +186,10 @@ class Transaction {
     storage::RecordId rid;
   };
 
-  /// A buffered statement and the overlay entry of its key (std::map
-  /// nodes never move, so the pointer survives inserts and moves).
-  struct PendingChange {
-    ChangeRecord change;
-    OverlayEntry* entry;
-  };
-
   /// The pending current-table tuple of `entry`'s key; nullptr once the
   /// transaction deleted it.
   const minirel::Tuple* PendingRow(const OverlayEntry& entry) const {
-    const ChangeRecord& c = changes_[entry.latest].change;
+    const ChangeRecord& c = changes_[entry.latest];
     return c.kind == ChangeKind::kDelete ? nullptr : &c.new_row;
   }
 
@@ -215,7 +208,12 @@ class Transaction {
   /// ArchIS's relation-drop count at Begin: a drop in between frees pages,
   /// so commit apply then drops the carried record ids.
   uint64_t begin_drops_ = 0;
-  std::vector<PendingChange> changes_;
+  /// Buffered statements, in order; Commit logs them as they are.
+  std::vector<ChangeRecord> changes_;
+  /// The overlay entry of each statement's key, parallel to changes_
+  /// (std::map nodes never move, so the pointers survive inserts and
+  /// moves).
+  std::vector<OverlayEntry*> change_entries_;
   /// Write set keyed by relation + encoded key values.
   std::map<std::string, OverlayEntry> overlay_;
   /// Owning thread. A move resets it to the null id ("unclaimed"); the
@@ -225,9 +223,6 @@ class Transaction {
   /// the ambient update-log batch keeps per-statement dates.
   bool stamp_at_commit_;
   bool finished_ = false;
-  /// Whether a BEGIN frame has been written for this txn (lazily, on the
-  /// first DML statement).
-  bool wal_begun_ = false;
 };
 
 /// A transaction-time temporal database on a relational engine.
@@ -333,18 +328,12 @@ class ArchIS {
 
   // -- Recovery ----------------------------------------------------------------
 
-  /// Applies one committed transaction recovered from a WAL (or streamed
-  /// from a replica). Idempotent: a change whose effect is already present
-  /// in the current table is skipped entirely, so replaying a log twice
-  /// yields the same state as replaying it once.
-  Status ApplyRecovered(const WalCommittedTxn& txn);
-
   /// Fuzzy checkpoint (DESIGN.md §13): encodes the whole durable state
   /// into one manifest under the commit lock — no quiesce; open
   /// transactions keep running — and installs it next to the WAL by
-  /// atomic rename. The WAL is truncated to a marker only when the
-  /// instance happens to be fully quiesced; otherwise recovery bounds
-  /// replay by commit sequence.
+  /// atomic rename. The WAL is truncated to a marker unless a commit
+  /// landed after the capture; open transactions hold nothing in the log.
+  /// Otherwise recovery bounds replay by commit sequence.
   /// `crash_point` injects a deterministic stop for crash-recovery tests;
   /// every injected stop leaves a state recovery handles exactly.
   Status Checkpoint(
@@ -419,8 +408,8 @@ class ArchIS {
                               bool log_to_wal) ARCHIS_EXCLUDES(commit_mu_);
 
   // Transaction plumbing: validate against the transaction's view (its
-  // overlay, then the committed table), buffer the change and its WAL
-  // frame. Nothing is applied until Commit.
+  // overlay, then the committed table) and buffer the change. Nothing is
+  // applied or logged until Commit.
   Status TxnInsert(Transaction* txn, const std::string& relation,
                    const minirel::Tuple& row);
   Status TxnUpdate(Transaction* txn, const std::string& relation,
@@ -429,33 +418,31 @@ class ArchIS {
   Status TxnDelete(Transaction* txn, const std::string& relation,
                    const std::vector<minirel::Value>& key);
 
-  /// Logs `change` to the WAL, buffers it, and points its key's overlay
-  /// entry at the new row; `found` is where this statement found the key's
-  /// committed row (invalid when it did not look).
+  /// Buffers `change` and points its key's overlay entry at the new row;
+  /// `found` is where this statement found the key's committed row
+  /// (invalid when it did not look).
   Status BufferChange(Transaction* txn, std::string wkey, ChangeRecord change,
                       storage::RecordId found) ARCHIS_REQUIRES(commit_mu_);
 
   /// Commit protocol: conflict-validate the write set, stamp, apply to
-  /// the current tables, archive, log; wait for durability outside the
-  /// commit lock (group commit).
+  /// the current tables, archive, then enqueue the COMMIT record; wait for
+  /// durability outside the commit lock (group commit).
   Status CommitTxn(Transaction* txn);
 
-  /// Abort protocol: deregister and best-effort log an ABORT frame.
+  /// Abort protocol: deregister and discard the batch (nothing was
+  /// logged).
   Status AbortTxn(Transaction* txn);
 
-  /// Applies one committed change to the current table + H-tables. `rid`
-  /// is where the statement found the key's current row (invalid: look it
-  /// up); it is moved to where the row is afterwards.
+  /// Applies one committed change to the current table + H-tables: the
+  /// one apply path of both commit and recovery replay. `rid` is where the
+  /// statement found the key's current row (invalid: look it up); it is
+  /// moved to where the row is afterwards.
   Status ApplyCommitted(const ChangeRecord& change, storage::RecordId* rid)
       ARCHIS_REQUIRES(commit_mu_);
 
   /// Deregisters `txn_id`; the last one out clears the committed-writer
   /// index (nothing left to conflict with).
   void UnregisterTxnLocked(uint64_t txn_id) ARCHIS_REQUIRES(commit_mu_);
-
-  /// Replays one recovered change; skips changes already applied.
-  Status ReplayChange(const ChangeRecord& change)
-      ARCHIS_REQUIRES(commit_mu_);
 
   /// Rebuilds catalog, H-tables, surrogates, current tables and clock from
   /// a manifest (recovery, before the WAL suffix).
@@ -533,7 +520,8 @@ class ArchIS {
   Mutex commit_mu_{LockRank::kFacadeCommit};
   /// Monotone commit sequence (order of committed transactions).
   uint64_t commit_seq_ ARCHIS_GUARDED_BY(commit_mu_) = 0;
-  /// Txn-id source for in-memory instances (WAL instances use the log's).
+  /// Txn-id source. Open resumes it above every id in the log and the
+  /// manifest's counter.
   uint64_t next_txn_id_ ARCHIS_GUARDED_BY(commit_mu_) = 1;
   /// Ids of open transactions (admission + checkpoint active table).
   std::set<uint64_t> open_txns_ ARCHIS_GUARDED_BY(commit_mu_);

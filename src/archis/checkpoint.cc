@@ -30,7 +30,7 @@ using minirel::Tuple;
 constexpr uint32_t kMagic = 0x31504B43;
 // Only the current format version decodes; an older manifest is
 // Corruption (DESIGN.md §10.1 records the format break).
-constexpr uint32_t kVersion = 5;
+constexpr uint32_t kVersion = 6;
 
 enum class RecordType : uint8_t { kHeader = 1, kRelation = 2, kFooter = 3 };
 
@@ -105,11 +105,6 @@ Result<CheckpointManifest> DecodeHeader(std::string_view payload,
   ARCHIS_ASSIGN_OR_RETURN(manifest.clock_days, ReadI64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(manifest.next_txn_id, ReadU64(payload, pos));
   ARCHIS_ASSIGN_OR_RETURN(manifest.absorbed_commit_seq, ReadU64(payload, pos));
-  ARCHIS_ASSIGN_OR_RETURN(uint32_t nactive, ReadU32(payload, pos));
-  for (uint32_t i = 0; i < nactive; ++i) {
-    ARCHIS_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, pos));
-    manifest.active_txn_ids.push_back(id);
-  }
   return manifest;
 }
 
@@ -195,8 +190,6 @@ CheckpointWriter::CheckpointWriter(const CheckpointManifest& header)
   AppendI64(header.clock_days, &out_);
   AppendU64(header.next_txn_id, &out_);
   AppendU64(header.absorbed_commit_seq, &out_);
-  AppendU32(static_cast<uint32_t>(header.active_txn_ids.size()), &out_);
-  for (uint64_t id : header.active_txn_ids) AppendU64(id, &out_);
   storage::EndFrame(frame, &out_);
 }
 

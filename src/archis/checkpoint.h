@@ -4,17 +4,17 @@
 // A checkpoint persists durable state — relation catalog, H-table store
 // rows, surrogate-id assignments, current-table rows, clock and txn-id
 // counter — into one CRC-framed manifest next to the WAL, together with
-// the commit-sequence low-water mark and the table of transactions still
-// open at capture time. Every checkpoint writes the whole state; what
-// changed since is the WAL suffix, which recovery replays past the
-// manifest's absorbed commit sequence. Checkpoint cost therefore follows
-// the database size and is paced by WalOptions::checkpoint_after_bytes.
+// the commit-sequence low-water mark. Every checkpoint writes the whole
+// state; what changed since is the WAL suffix, which recovery replays
+// past the manifest's absorbed commit sequence. Checkpoint cost therefore
+// follows the database size and is paced by
+// WalOptions::checkpoint_after_bytes.
 //
 // Layout (frames as in storage/log_file.*):
 //
 //   manifest := HEADER relation* FOOTER
 //   HEADER   := magic, version, seq, clock, next_txn_id,
-//               absorbed_commit_seq, active_txn_ids
+//               absorbed_commit_seq
 //   relation := spec, interval, dropped?, surrogates, next_surrogate,
 //               store rows (one list per store), current rows
 //   FOOTER   := seq          (absence of the footer = torn manifest)
@@ -82,11 +82,6 @@ struct CheckpointManifest {
   /// fully reflected in the manifest; recovery replays only WAL items
   /// above it.
   uint64_t absorbed_commit_seq = 0;
-  /// Transactions open at capture time (fuzzy checkpoint): their
-  /// BEGIN/CHANGE frames may precede the capture in the WAL, but their
-  /// effects are not in the manifest — replay picks them up from their
-  /// COMMIT records (seq > absorbed_commit_seq) or drops them.
-  std::vector<uint64_t> active_txn_ids;
   std::vector<CheckpointRelation> relations;
 };
 

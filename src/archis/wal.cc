@@ -1,6 +1,6 @@
 #include "archis/wal.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/coding.h"
 #include "common/flight_recorder.h"
@@ -19,37 +19,16 @@ using coding::ReadLengthPrefixed;
 using coding::ReadU64;
 using storage::AppendFrame;
 
-void EncodeBegin(uint64_t txn_id, std::string* out) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WalRecordType::kBegin));
-  AppendU64(txn_id, &payload);
-  AppendFrame(payload, out);
-}
-
-void EncodeChange(uint64_t txn_id, const ChangeRecord& change,
-                  std::string* out) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WalRecordType::kChange));
-  AppendU64(txn_id, &payload);
-  EncodeChangeRecord(change, &payload);
-  AppendFrame(payload, out);
-}
-
-void EncodeCommit(uint64_t txn_id, Date commit_date, bool stamped,
-                  uint64_t commit_seq, std::string* out) {
+void EncodeCommit(uint64_t txn_id, Date commit_date, uint64_t commit_seq,
+                  const std::vector<ChangeRecord>& changes, std::string* out) {
   std::string payload;
   payload.push_back(static_cast<char>(WalRecordType::kCommit));
   AppendU64(txn_id, &payload);
   AppendI64(commit_date.days(), &payload);
-  payload.push_back(stamped ? 1 : 0);
   AppendU64(commit_seq, &payload);
-  AppendFrame(payload, out);
-}
-
-void EncodeAbort(uint64_t txn_id, std::string* out) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WalRecordType::kAbort));
-  AppendU64(txn_id, &payload);
+  for (const ChangeRecord& change : changes) {
+    EncodeChangeRecord(change, &payload);
+  }
   AppendFrame(payload, out);
 }
 
@@ -98,15 +77,6 @@ Result<WalRecovery> Wal::Recover(const std::string& path) {
   WalRecovery rec;
   rec.valid_bytes = scan.valid_bytes;
   rec.torn_tail = scan.torn_tail;
-  // Transactions in flight: BEGIN seen, COMMIT/ABORT not yet. The offset
-  // is the BEGIN frame's: a committed transaction is replay-ordered by its
-  // COMMIT record but *located* at its BEGIN, so offset-based filtering
-  // (legacy manifests) treats the whole run as one unit.
-  struct OpenTxn {
-    WalCommittedTxn txn;
-    uint64_t begin_offset = 0;
-  };
-  std::map<uint64_t, OpenTxn> open;
   for (const storage::LogRecord& record : scan.records) {
     std::string_view payload = record.payload;
     if (payload.empty()) {
@@ -115,65 +85,21 @@ Result<WalRecovery> Wal::Recover(const std::string& path) {
     auto type = static_cast<WalRecordType>(payload[0]);
     size_t pos = 1;
     switch (type) {
-      case WalRecordType::kBegin: {
-        ARCHIS_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, &pos));
-        if (!open.try_emplace(id,
-                              OpenTxn{WalCommittedTxn{id, Date(), 0, {}},
-                                      record.offset})
-                 .second) {
-          return Status::Corruption("WAL BEGIN for already-open txn " +
-                                    std::to_string(id));
-        }
-        rec.max_txn_id = std::max(rec.max_txn_id, id);
-        break;
-      }
-      case WalRecordType::kChange: {
-        ARCHIS_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, &pos));
-        auto it = open.find(id);
-        if (it == open.end()) {
-          return Status::Corruption("WAL CHANGE for unknown txn " +
-                                    std::to_string(id));
-        }
-        ARCHIS_ASSIGN_OR_RETURN(ChangeRecord change,
-                                DecodeChangeRecord(payload, &pos));
-        it->second.txn.changes.push_back(std::move(change));
-        break;
-      }
       case WalRecordType::kCommit: {
-        ARCHIS_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, &pos));
-        auto it = open.find(id);
-        if (it == open.end()) {
-          return Status::Corruption("WAL COMMIT for unknown txn " +
-                                    std::to_string(id));
-        }
+        WalCommittedTxn txn;
+        ARCHIS_ASSIGN_OR_RETURN(txn.txn_id, ReadU64(payload, &pos));
         ARCHIS_ASSIGN_OR_RETURN(int64_t days, ReadI64(payload, &pos));
-        if (pos >= payload.size()) {
-          return Status::Corruption("WAL COMMIT truncated payload");
+        txn.commit_date = Date(days);
+        ARCHIS_ASSIGN_OR_RETURN(txn.commit_seq, ReadU64(payload, &pos));
+        while (pos < payload.size()) {
+          ARCHIS_ASSIGN_OR_RETURN(ChangeRecord change,
+                                  DecodeChangeRecord(payload, &pos));
+          txn.changes.push_back(std::move(change));
         }
-        const bool stamped = payload[pos++] != 0;
-        ARCHIS_ASSIGN_OR_RETURN(uint64_t seq, ReadU64(payload, &pos));
-        it->second.txn.commit_date = Date(days);
-        it->second.txn.commit_seq = seq;
-        if (stamped) {
-          // Explicit transactions commit at one instant: their CHANGE
-          // frames were logged at DML time (possibly before a clock
-          // advance), so the commit date overrides the per-change dates.
-          for (ChangeRecord& change : it->second.txn.changes) {
-            change.when = Date(days);
-          }
-        }
-        rec.max_commit_seq = std::max(rec.max_commit_seq, seq);
-        rec.items.emplace_back(std::move(it->second.txn));
-        rec.item_offsets.push_back(it->second.begin_offset);
-        open.erase(it);
-        break;
-      }
-      case WalRecordType::kAbort: {
-        ARCHIS_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, &pos));
-        if (open.erase(id) == 0) {
-          return Status::Corruption("WAL ABORT for unknown txn " +
-                                    std::to_string(id));
-        }
+        rec.max_txn_id = std::max(rec.max_txn_id, txn.txn_id);
+        rec.max_commit_seq = std::max(rec.max_commit_seq, txn.commit_seq);
+        rec.items.emplace_back(std::move(txn));
+        rec.item_offsets.push_back(record.offset);
         break;
       }
       case WalRecordType::kCreateRelation: {
@@ -210,14 +136,10 @@ Result<WalRecovery> Wal::Recover(const std::string& path) {
                                   std::to_string(payload[0]));
     }
   }
-  // Whatever is still open was begun but never committed: crash fallout,
-  // dropped (its changes were never applied to any durable state).
-  rec.uncommitted_txns = open.size();
   return rec;
 }
 
-Result<std::unique_ptr<Wal>> Wal::Open(const WalOptions& options,
-                                       uint64_t next_txn_id) {
+Result<std::unique_ptr<Wal>> Wal::Open(const WalOptions& options) {
   if (options.path.empty()) {
     return Status::InvalidArgument("WAL path must not be empty");
   }
@@ -227,19 +149,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const WalOptions& options,
   lf.fail_after_bytes = options.fail_after_bytes;
   ARCHIS_ASSIGN_OR_RETURN(std::unique_ptr<storage::AppendLogFile> file,
                           storage::AppendLogFile::Open(lf));
-  auto wal = std::unique_ptr<Wal>(new Wal(std::move(file)));
-  wal->next_txn_id_ = next_txn_id == 0 ? 1 : next_txn_id;
-  return wal;
-}
-
-uint64_t Wal::NextTxnId() {
-  MutexLock lock(mu_);
-  return next_txn_id_++;
-}
-
-uint64_t Wal::PeekNextTxnId() const {
-  MutexLock lock(mu_);
-  return next_txn_id_;
+  return std::unique_ptr<Wal>(new Wal(std::move(file)));
 }
 
 Status Wal::ResetAfterCheckpoint(uint64_t checkpoint_seq) {
@@ -269,31 +179,11 @@ Status Wal::ResetAfterCheckpoint(uint64_t checkpoint_seq) {
   return Status::OK();
 }
 
-Status Wal::EnqueueBegin(uint64_t txn_id) {
-  std::string framed;
-  EncodeBegin(txn_id, &framed);
-  fr::Record(fr::EventType::kWalAppend, txn_id, framed.size());
-  return Enqueue(framed).status();
-}
-
-Status Wal::EnqueueChange(uint64_t txn_id, const ChangeRecord& change) {
-  std::string framed;
-  EncodeChange(txn_id, change, &framed);
-  fr::Record(fr::EventType::kWalAppend, txn_id, framed.size());
-  return Enqueue(framed).status();
-}
-
-Status Wal::EnqueueAbort(uint64_t txn_id) {
-  std::string framed;
-  EncodeAbort(txn_id, &framed);
-  fr::Record(fr::EventType::kWalAppend, txn_id, framed.size());
-  return Enqueue(framed).status();
-}
-
 Result<uint64_t> Wal::EnqueueCommit(uint64_t txn_id, Date commit_date,
-                                    bool stamped, uint64_t commit_seq) {
+                                    uint64_t commit_seq,
+                                    const std::vector<ChangeRecord>& changes) {
   std::string framed;
-  EncodeCommit(txn_id, commit_date, stamped, commit_seq, &framed);
+  EncodeCommit(txn_id, commit_date, commit_seq, changes, &framed);
   fr::Record(fr::EventType::kWalAppend, txn_id, framed.size());
   return Enqueue(framed);
 }
@@ -315,14 +205,9 @@ Status Wal::FlushDurable() {
 
 Status Wal::LogTransaction(uint64_t txn_id,
                            const std::vector<ChangeRecord>& changes,
-                           Date commit_date, bool stamped,
-                           uint64_t commit_seq) {
+                           Date commit_date, uint64_t commit_seq) {
   std::string framed;
-  EncodeBegin(txn_id, &framed);
-  for (const ChangeRecord& change : changes) {
-    EncodeChange(txn_id, change, &framed);
-  }
-  EncodeCommit(txn_id, commit_date, stamped, commit_seq, &framed);
+  EncodeCommit(txn_id, commit_date, commit_seq, changes, &framed);
   return SubmitDurable(framed);
 }
 

@@ -6,22 +6,21 @@
 // returns, so the change history that feeds the H-tables can always be
 // rebuilt after a crash. Record stream grammar:
 //
-//   log    := item*
-//   item   := CREATE_RELATION | DROP_RELATION | BEGIN | CHANGE | COMMIT
-//             | ABORT
+//   log    := CHECKPOINT? item*
+//   item   := CREATE_RELATION | DROP_RELATION | COMMIT
+//   COMMIT := txn_id, commit_date, commit_seq, change*
 //
-// With concurrent writers the frames of different transactions interleave
-// freely; a transaction's own frames stay in program order (BEGIN before
-// its CHANGEs before its COMMIT/ABORT). A transaction is committed iff its
-// COMMIT record is in the valid prefix of the log; recovery drops torn
-// tails, ABORTed runs, and BEGIN/CHANGE runs without a COMMIT.
+// A transaction is logged once, when it commits: its COMMIT record holds
+// every change with its final transaction-time date. Open and aborted
+// transactions write nothing. A transaction is committed iff its COMMIT
+// record is in the valid prefix of the log; recovery drops a torn tail.
 //
-// The facade enqueues BEGIN/CHANGE frames as DML happens (buffered, not
-// yet written) and enqueues the COMMIT frame under its commit lock, which
-// pins the log order of COMMIT records to the commit order; it then waits
-// for durability outside the lock. Group commit: concurrent waiters
-// coalesce — one leader writes and fsyncs the accumulated batch while
-// followers wait, so N commits can cost far fewer than N syncs under load.
+// The facade applies a commit and enqueues its COMMIT record under its
+// commit lock, which pins the log order of COMMIT records to the commit
+// order; it then waits for durability outside the lock. Group commit:
+// concurrent waiters coalesce — one leader writes and fsyncs the
+// accumulated batch while followers wait, so N commits can cost far fewer
+// than N syncs under load.
 #ifndef ARCHIS_ARCHIS_WAL_H_
 #define ARCHIS_ARCHIS_WAL_H_
 
@@ -57,8 +56,6 @@ struct WalOptions {
 
 /// Record tags on the wire.
 enum class WalRecordType : uint8_t {
-  kBegin = 1,
-  kChange = 2,
   kCommit = 3,
   kCreateRelation = 4,
   kDropRelation = 5,
@@ -66,10 +63,6 @@ enum class WalRecordType : uint8_t {
   /// truncates the log; carries the checkpoint sequence number so recovery
   /// can tell a truncated log from one the manifest has not yet absorbed.
   kCheckpoint = 6,
-  /// Explicit rollback of an open transaction whose BEGIN/CHANGE frames
-  /// were already enqueued; recovery drops the run (same as a missing
-  /// COMMIT, but the marker keeps the log self-describing).
-  kAbort = 7,
 };
 
 /// A committed transaction recovered from the log.
@@ -81,6 +74,7 @@ struct WalCommittedTxn {
   /// absorbed sequence; recovery skips items at or below it. 0 in logs
   /// written without sequence tracking (tests).
   uint64_t commit_seq = 0;
+  /// The changes in statement order, each with its final date.
   std::vector<ChangeRecord> changes;
 };
 
@@ -98,26 +92,21 @@ struct WalDropRelation {
   uint64_t commit_seq = 0;
 };
 
-/// One replayable unit, in commit order (a transaction is ordered by its
-/// COMMIT record, not its BEGIN — frames interleave across transactions).
+/// One replayable unit, in log order (which is commit order).
 using WalReplayItem =
     std::variant<WalCreateRelation, WalDropRelation, WalCommittedTxn>;
 
 /// Everything recovery learns from reading a log.
 struct WalRecovery {
   std::vector<WalReplayItem> items;
-  /// Byte offset where each item begins (a transaction starts at its BEGIN
-  /// frame), parallel to `items`. Pre-v3 manifests replay by offset; v3
-  /// chains replay by commit_seq.
+  /// Byte offset of each item's record, parallel to `items` (recovery
+  /// reports the replayed suffix's size from the first replayed offset).
   std::vector<uint64_t> item_offsets;
   /// Byte length of the valid prefix (the opener truncates to this).
   uint64_t valid_bytes = 0;
   /// Whether a torn tail (truncated / CRC-failing bytes) was dropped.
   bool torn_tail = false;
-  /// Transactions begun but never committed in the valid prefix
-  /// (crash fallout; aborted runs are not counted).
-  size_t uncommitted_txns = 0;
-  /// Highest transaction id seen (the writer resumes above it).
+  /// Highest committed transaction id (the facade resumes above it).
   uint64_t max_txn_id = 0;
   /// Highest commit sequence seen on any COMMIT or DDL record.
   uint64_t max_commit_seq = 0;
@@ -134,52 +123,27 @@ class Wal {
   /// Parses the log at `path`, returning replayable items in order. A
   /// missing file recovers as empty. Only structural corruption *inside*
   /// the valid prefix is an error; a torn tail is normal crash fallout.
-  /// COMMIT records carry a stamp flag: when set, every change of the
-  /// transaction is re-stamped to the commit date (explicit transactions
-  /// commit at one instant even though their CHANGE frames were logged at
-  /// DML time, possibly before a clock advance).
   static Result<WalRecovery> Recover(const std::string& path);
 
   /// Opens the log for appending (creating it if missing), after the
   /// caller has replayed Recover()'s items and truncated the torn tail.
-  /// `next_txn_id` seeds the id counter (recovery's max_txn_id + 1).
-  static Result<std::unique_ptr<Wal>> Open(const WalOptions& options,
-                                           uint64_t next_txn_id);
-
-  /// Allocates a fresh transaction id.
-  uint64_t NextTxnId();
-
-  /// The id the next NextTxnId() call would return (checkpoint manifests
-  /// persist it so truncating the log does not reset the counter).
-  uint64_t PeekNextTxnId() const;
+  static Result<std::unique_ptr<Wal>> Open(const WalOptions& options);
 
   /// Truncates the log in place and restarts it with a durable checkpoint
   /// marker carrying `checkpoint_seq`. Called by ArchIS::Checkpoint under
-  /// its commit lock when no transaction is open and nothing is buffered
-  /// (otherwise open transactions' BEGIN/CHANGE frames would be lost).
-  /// On I/O failure the WAL is dead, exactly as for a failed commit.
+  /// its commit lock when nothing is buffered and no commit followed the
+  /// capture. On I/O failure the WAL is dead, exactly as for a failed
+  /// commit.
   Status ResetAfterCheckpoint(uint64_t checkpoint_seq);
 
-  // -- Incremental per-transaction logging (the facade's write path) -------
-
-  /// Buffers a BEGIN frame (not yet written; a later durable wait or group
-  /// leader flushes it). Fails only when the WAL is already dead.
-  Status EnqueueBegin(uint64_t txn_id);
-
-  /// Buffers one CHANGE frame for an open transaction.
-  Status EnqueueChange(uint64_t txn_id, const ChangeRecord& change);
-
-  /// Buffers an ABORT frame (rollback of an already-begun transaction).
-  /// Best-effort: the bytes become durable with the next synced batch.
-  Status EnqueueAbort(uint64_t txn_id);
-
-  /// Buffers the COMMIT frame and returns a wait ticket. Called under the
-  /// facade commit lock so COMMIT order equals commit order; the caller
-  /// then releases the lock and calls WaitDurable(ticket). `stamped` marks
-  /// explicit transactions whose changes recovery must re-stamp to
-  /// `commit_date`.
+  /// Buffers one committed transaction's COMMIT record (not yet written;
+  /// a later durable wait or group leader flushes it) and returns a wait
+  /// ticket. Called under the facade commit lock so COMMIT order equals
+  /// commit order; the caller then releases the lock and calls
+  /// WaitDurable(ticket). Fails only when the WAL is already dead.
   Result<uint64_t> EnqueueCommit(uint64_t txn_id, Date commit_date,
-                                 bool stamped, uint64_t commit_seq);
+                                 uint64_t commit_seq,
+                                 const std::vector<ChangeRecord>& changes);
 
   /// Blocks until everything enqueued at or before `ticket` is durable
   /// (leader/follower group commit). Counts one durable commit unit.
@@ -191,14 +155,13 @@ class Wal {
 
   // -- One-shot convenience (tests, replication streams) -------------------
 
-  /// Durably logs one committed transaction: BEGIN, the changes, COMMIT,
-  /// framed contiguously and fsynced (group commit) before returning OK.
-  /// After any I/O failure the WAL is dead and every call returns that
-  /// first error — the instance must be reopened (crash semantics).
+  /// Durably logs one committed transaction: its COMMIT record, fsynced
+  /// (group commit) before returning OK. After any I/O failure the WAL is
+  /// dead and every call returns that first error — the instance must be
+  /// reopened (crash semantics).
   Status LogTransaction(uint64_t txn_id,
                         const std::vector<ChangeRecord>& changes,
-                        Date commit_date, bool stamped = false,
-                        uint64_t commit_seq = 0);
+                        Date commit_date, uint64_t commit_seq = 0);
 
   /// Durably logs a CreateRelation (auto-committed schema change).
   Status LogCreateRelation(const RelationSpec& spec, Date open_date,
@@ -247,7 +210,6 @@ class Wal {
   uint64_t commits_ ARCHIS_GUARDED_BY(mu_) = 0;
   uint64_t syncs_ ARCHIS_GUARDED_BY(mu_) = 0;
   uint64_t bytes_ ARCHIS_GUARDED_BY(mu_) = 0;
-  uint64_t next_txn_id_ ARCHIS_GUARDED_BY(mu_) = 1;
   /// Written only by the leader (guarded by sync_in_progress_, which is
   /// itself mutex-protected, so accesses are ordered).
   std::unique_ptr<storage::AppendLogFile> file_;

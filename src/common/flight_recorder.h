@@ -88,11 +88,11 @@ bool EventHasDuration(EventType type);
 ///   txn_commit           a=txn_id     b=dur_ns       flags=changes
 ///   txn_abort            a=txn_id                    flags=AbortReason
 ///   txn_conflict         a=txn_id     b=dur_ns       detail=key
-///   wal_append           a=txn_id     b=bytes
+///   wal_append           a=txn_id     b=bytes        (one per commit)
 ///   wal_fsync            a=batch_bytes b=dur_ns      flags=batch_txns
 ///   wal_leader_handoff   a=batch_txns
 ///   checkpoint_phase     a=manifest_seq              detail=phase
-///   checkpoint           a=manifest_seq b=dur_ns     detail=base|delta
+///   checkpoint           a=manifest_seq b=dur_ns
 ///   query_plan           a=plan_epoch                flags=1 cache hit
 ///   query_execute        a=rows       b=dur_ns       flags=1 ok
 ///   block_cache_evict    a=block      b=bytes_freed

@@ -19,6 +19,7 @@
 #include "archis/checkpoint.h"
 #include "common/metrics.h"
 #include "storage/log_file.h"
+#include "storage/page.h"
 #include "workload/scripted_dml.h"
 #include "xml/serializer.h"
 
@@ -371,6 +372,34 @@ TEST(TransactionTest, CommitToADroppedRelationKeepsTheLogRecoverable) {
   EXPECT_EQ(AllHistories(db->get()), before);
 }
 
+TEST(TransactionTest, FailedApplyLeavesNoLogRecord) {
+  // A row too large for a page passes DML validation but fails at commit
+  // apply. The COMMIT record is enqueued only after every change applied,
+  // so the log holds nothing of it and every later recovery succeeds.
+  const std::string path = TempPath("failed_apply.wal");
+  ArchISOptions opts;
+  opts.wal.path = path;
+  std::string before;
+  {
+    auto db = ArchIS::Open(opts, D(1995, 1, 1));
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
+    ASSERT_TRUE((*db)->Insert("employees", Emp(1, "Ann", 100)).ok());
+    const Status st = (*db)->Insert(
+        "employees", Emp(2, std::string(2 * storage::kPageSize, 'x'), 200));
+    EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+    // Later durable work syncs whatever the failed commit left queued.
+    ASSERT_TRUE((*db)->Insert("employees", Emp(3, "Cay", 300)).ok());
+    before = AllHistories(db->get());
+  }
+  auto rec = Wal::Recover(path);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->items.size(), 3u);  // CREATE, Ann's and Cay's commits
+  auto db = ArchIS::Open(opts, D(1995, 1, 1));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(AllHistories(db->get()), before);
+}
+
 TEST(TransactionTest, FirstCommitterWinsOnOverlappingWriteSets) {
   ArchIS db(ArchISOptions{}, D(1995, 1, 1));
   ASSERT_TRUE(db.CreateRelation(EmpSpec()).ok());
@@ -574,43 +603,15 @@ TEST(RecoveryTest, CleanShutdownReopensWithIdenticalHistoryAndClock) {
   ASSERT_TRUE((*db)->Insert("employees", Emp(3, "Cay", 300)).ok());
 }
 
-TEST(RecoveryTest, ReplayIsIdempotent) {
-  const std::string path = TempPath("idempotent.wal");
-  ArchISOptions opts;
-  opts.wal.path = path;
-  {
-    auto db = ArchIS::Open(opts, D(1995, 1, 1));
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
-    BEGIN_TXN(txn, db->get());
-    ASSERT_TRUE(txn.Insert("employees", Emp(1, "Ann", 100)).ok());
-    ASSERT_TRUE(txn.Insert("employees", Emp(2, "Bob", 200)).ok());
-    ASSERT_TRUE(txn.Commit().ok());
-    ASSERT_TRUE((*db)->AdvanceClock(D(1995, 5, 1)).ok());
-    ASSERT_TRUE((*db)->Delete("employees", {Value(int64_t{2})}).ok());
-  }
-  auto db = ArchIS::Open(opts, D(1995, 1, 1));
-  ASSERT_TRUE(db.ok());
-  const std::string once = AllHistories(db->get());
-  // Feed every committed txn through the recovery entry point a second
-  // time: every change must be recognized as already applied.
-  auto rec = Wal::Recover(path);
-  ASSERT_TRUE(rec.ok());
-  for (const auto& item : rec->items) {
-    if (const auto* txn = std::get_if<WalCommittedTxn>(&item)) {
-      ASSERT_TRUE((*db)->ApplyRecovered(*txn).ok());
-    }
-  }
-  EXPECT_EQ(AllHistories(db->get()), once);
-}
-
 // The crash matrix. A clean scripted run determines the WAL layout; then
 // the same script is re-run with a crash injected at every record
 // boundary and mid-record, and recovery must agree with the shadow.
 TEST(RecoveryTest, CrashAtEveryRecordBoundaryRecoversCommittedPrefix) {
   ScriptedDmlConfig cfg;
   cfg.seed = 7;
-  cfg.transactions = 12;
+  // One COMMIT record per transaction: enough of them that the matrix
+  // crosses more than 20 record boundaries.
+  cfg.transactions = 24;
   cfg.max_batch = 3;
 
   // Clean run: learn the record layout.
@@ -1092,9 +1093,8 @@ TEST(CheckpointTest, ManifestRotationAndTornInstallRecoverExactly) {
   EXPECT_EQ((*again)->last_recovery_replayed_bytes(), 0u);
 }
 
-// Crash while two transactions interleave in the log: the committed one
-// recovers, the uncommitted one's BEGIN/CHANGE frames (made durable by the
-// winner's group-commit batch) are dropped.
+// Crash while two transactions are open: the committed one recovers, and
+// the uncommitted one left nothing in the log to drop.
 TEST(RecoveryTest, CrashDuringConcurrentCommitDropsTheUncommittedRun) {
   const std::string path = TempPath("concurrent_crash.wal");
   ArchISOptions opts;
@@ -1107,8 +1107,8 @@ TEST(RecoveryTest, CrashDuringConcurrentCommitDropsTheUncommittedRun) {
     ASSERT_TRUE(shadow.CreateRelation(EmpSpec()).ok());
     BEGIN_TXN(loser, db->get());
     BEGIN_TXN(winner, db->get());
-    // The loser's frames are enqueued first, so they land in the log
-    // ahead of the winner's COMMIT — interleaved, durable, uncommitted.
+    // The loser writes first, but an open transaction's changes stay in
+    // its buffer: the winner's COMMIT record is all that reaches the log.
     ASSERT_TRUE(loser.Insert("employees", Emp(1, "uncommitted", 1)).ok());
     ASSERT_TRUE(winner.Insert("employees", Emp(2, "committed", 2)).ok());
     ASSERT_TRUE(winner.Commit().ok());
@@ -1126,6 +1126,46 @@ TEST(RecoveryTest, CrashDuringConcurrentCommitDropsTheUncommittedRun) {
   auto table = (*db)->current_db().catalog().GetTable("employees");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->RowCount(), 1u);
+}
+
+// An open transaction holds nothing in the log, so a checkpoint truncates
+// the WAL to its marker while the transaction keeps its buffered DML; the
+// later commit lands in the fresh log and recovers from it.
+TEST(CheckpointTest, OpenTransactionDoesNotBlockWalTruncation) {
+  const std::string path = TempPath("ckpt_open_txn.wal");
+  ArchISOptions opts;
+  opts.wal.path = path;
+  std::string before;
+  {
+    auto db = ArchIS::Open(opts, D(1995, 1, 1));
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRelation(EmpSpec()).ok());
+    for (int i = 1; i <= 5; ++i) {
+      ASSERT_TRUE((*db)->Insert("employees", Emp(i, "a", 10 * i)).ok());
+    }
+    BEGIN_TXN(txn, db->get());
+    ASSERT_TRUE(txn.Insert("employees", Emp(6, "open", 60)).ok());
+    ASSERT_TRUE(txn.Update("employees", {Value(int64_t{1})},
+                           Emp(1, "open", 11)).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    // Truncated to its marker: the log is the marker record alone.
+    auto scan = storage::ScanLogFile(path);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->records.size(), 1u);
+    auto rec = Wal::Recover(path);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_TRUE(rec->has_checkpoint_marker);
+    EXPECT_EQ(rec->checkpoint_seq, 1u);
+    EXPECT_TRUE(rec->items.empty());
+    ASSERT_TRUE((*db)->AdvanceClock(D(1995, 2, 1)).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+    before = AllHistories(db->get());
+  }
+  auto db = ArchIS::Open(opts, D(1995, 1, 1));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(AllHistories(db->get()), before);
+  EXPECT_GT((*db)->last_recovery_replayed_bytes(), 0u);
+  EXPECT_EQ((*db)->Now(), D(1995, 2, 1));
 }
 
 // Composite (surrogate) keys: the manifest must persist the surrogate-id

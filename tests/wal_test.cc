@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "archis/archis.h"
 #include "archis/wal.h"
 #include "storage/log_file.h"
 
@@ -149,7 +150,7 @@ TEST(WalTest, RecoverReturnsCommittedTxnsAndDdlInLogOrder) {
   const std::string path = TempPath("wal_order.wal");
   WalOptions opts;
   opts.path = path;
-  auto wal = Wal::Open(opts, 1);
+  auto wal = Wal::Open(opts);
   ASSERT_TRUE(wal.ok());
 
   RelationSpec spec;
@@ -163,7 +164,7 @@ TEST(WalTest, RecoverReturnsCommittedTxnsAndDdlInLogOrder) {
   spec.entity_tag = "employee";
   ASSERT_TRUE((*wal)->LogCreateRelation(spec, D(1995, 1, 1)).ok());
 
-  const uint64_t t1 = (*wal)->NextTxnId();
+  const uint64_t t1 = 1;
   ASSERT_TRUE((*wal)
                   ->LogTransaction(t1,
                                    {MakeChange(1, 100, D(1995, 2, 1)),
@@ -175,7 +176,6 @@ TEST(WalTest, RecoverReturnsCommittedTxnsAndDdlInLogOrder) {
   auto rec = Wal::Recover(path);
   ASSERT_TRUE(rec.ok());
   EXPECT_FALSE(rec->torn_tail);
-  EXPECT_EQ(rec->uncommitted_txns, 0u);
   EXPECT_EQ(rec->max_txn_id, t1);
   ASSERT_EQ(rec->items.size(), 3u);
 
@@ -205,24 +205,23 @@ TEST(WalTest, TxnTornMidWriteIsNotCommitted) {
   const std::string path = TempPath("wal_torn_txn.wal");
   WalOptions opts;
   opts.path = path;
-  auto wal = Wal::Open(opts, 1);
+  auto wal = Wal::Open(opts);
   ASSERT_TRUE(wal.ok());
-  const uint64_t t1 = (*wal)->NextTxnId();
   ASSERT_TRUE(
-      (*wal)->LogTransaction(t1, {MakeChange(1, 100, D(1995, 1, 5))},
+      (*wal)->LogTransaction(1, {MakeChange(1, 100, D(1995, 1, 5))},
                              D(1995, 1, 5)).ok());
   auto full = Wal::Recover(path);
   ASSERT_TRUE(full.ok());
   const uint64_t committed_bytes = full->valid_bytes;
 
-  // Reopen with a crash injected inside the second transaction's frames.
+  // Reopen with a crash injected inside the second transaction's COMMIT
+  // record.
   WalOptions crash = opts;
   crash.fail_after_bytes = 30;
-  auto wal2 = Wal::Open(crash, t1 + 1);
+  auto wal2 = Wal::Open(crash);
   ASSERT_TRUE(wal2.ok());
-  const uint64_t t2 = (*wal2)->NextTxnId();
   EXPECT_EQ((*wal2)
-                ->LogTransaction(t2, {MakeChange(2, 200, D(1995, 2, 5))},
+                ->LogTransaction(2, {MakeChange(2, 200, D(1995, 2, 5))},
                                  D(1995, 2, 5))
                 .code(),
             StatusCode::kIOError);
@@ -230,66 +229,83 @@ TEST(WalTest, TxnTornMidWriteIsNotCommitted) {
   auto rec = Wal::Recover(path);
   ASSERT_TRUE(rec.ok());
   EXPECT_TRUE(rec->torn_tail);
-  // The valid prefix covers at least the committed txn; it may also keep
-  // whole frames (e.g. the BEGIN) of the torn one, which then surfaces as
-  // an uncommitted txn rather than a committed item.
-  EXPECT_GE(rec->valid_bytes, committed_bytes);
+  // The torn COMMIT record is the whole transaction: the valid prefix
+  // ends exactly where the first transaction's record does.
+  EXPECT_EQ(rec->valid_bytes, committed_bytes);
   ASSERT_EQ(rec->items.size(), 1u);  // only the first txn survives
-  EXPECT_EQ(std::get<WalCommittedTxn>(rec->items[0]).txn_id, t1);
-  EXPECT_EQ(rec->uncommitted_txns, 1u);
+  EXPECT_EQ(std::get<WalCommittedTxn>(rec->items[0]).txn_id, 1u);
 }
 
-TEST(WalTest, UncommittedTxnWithinValidPrefixIsDropped) {
-  // A BEGIN+CHANGE run whose COMMIT never made it, followed by intact
-  // frames, is structural crash fallout recovery must tolerate: build it
-  // by hand at the framing layer.
-  const std::string path = TempPath("wal_uncommitted.wal");
-  WalOptions opts;
-  opts.path = path;
-  {
-    auto wal = Wal::Open(opts, 7);
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(
-        (*wal)->LogTransaction(7, {MakeChange(1, 100, D(1995, 1, 2))},
-                               D(1995, 1, 2)).ok());
-  }
-  // Append a BEGIN frame for txn 8 with no COMMIT.
-  {
-    std::string payload;
-    payload.push_back(static_cast<char>(WalRecordType::kBegin));
-    for (int i = 0; i < 8; ++i) {
-      payload.push_back(i == 0 ? 8 : 0);  // u64le txn id = 8
-    }
-    std::string framed;
-    AppendFrame(payload, &framed);
-    storage::LogFileOptions lf;
-    lf.path = path;
-    auto file = AppendLogFile::Open(lf);
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE((*file)->Append(framed).ok());
+// Open and aborted transactions write nothing: after an explicit abort, a
+// commit, a conflict abort and another commit, the log holds the schema
+// record and exactly the two COMMIT records.
+TEST(WalTest, AbortedTransactionsAddNoRecord) {
+  const std::string path = TempPath("wal_aborts.wal");
+  std::remove(CheckpointPath(path).c_str());
+  ArchISOptions opts;
+  opts.wal.path = path;
+  auto db = ArchIS::Open(opts, D(1995, 1, 1));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  RelationSpec spec;
+  spec.name = "employees";
+  spec.schema = minirel::Schema({{"id", minirel::DataType::kInt64},
+                                 {"name", minirel::DataType::kString},
+                                 {"salary", minirel::DataType::kInt64}});
+  spec.key_columns = {"id"};
+  spec.doc_name = "employees.xml";
+  ASSERT_TRUE((*db)->CreateRelation(spec).ok());
+  const Tuple row1 = MakeChange(1, 100, D(1995, 1, 1)).new_row;
+  const Tuple row2 = MakeChange(2, 200, D(1995, 1, 1)).new_row;
+  const Tuple row3 = MakeChange(3, 300, D(1995, 1, 1)).new_row;
+
+  auto aborted = (*db)->Begin();
+  ASSERT_TRUE(aborted.ok());
+  ASSERT_TRUE(aborted->Insert("employees", row1).ok());
+  ASSERT_TRUE(aborted->Abort().ok());
+
+  auto winner = (*db)->Begin();
+  auto loser = (*db)->Begin();
+  ASSERT_TRUE(winner.ok() && loser.ok());
+  ASSERT_TRUE(winner->Insert("employees", row2).ok());
+  ASSERT_TRUE(loser->Insert("employees", row2).ok());
+  ASSERT_TRUE(winner->Commit().ok());
+  EXPECT_EQ(loser->Commit().code(), StatusCode::kConflict);
+  ASSERT_TRUE((*db)->Insert("employees", row3).ok());
+
+  auto scan = ScanLogFile(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn_tail);
+  ASSERT_EQ(scan->records.size(), 3u);
+  for (size_t i = 1; i < scan->records.size(); ++i) {
+    const std::string& payload = scan->records[i].payload;
+    ASSERT_FALSE(payload.empty());
+    EXPECT_EQ(static_cast<WalRecordType>(payload[0]), WalRecordType::kCommit);
   }
   auto rec = Wal::Recover(path);
   ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->items.size(), 1u);
-  EXPECT_EQ(rec->uncommitted_txns, 1u);
-  EXPECT_EQ(rec->max_txn_id, 8u);
+  ASSERT_EQ(rec->items.size(), 3u);
+  EXPECT_EQ(std::get<WalCommittedTxn>(rec->items[1]).txn_id, winner->id());
+  EXPECT_EQ(std::get<WalCommittedTxn>(rec->items[1]).changes.size(), 1u);
+  EXPECT_EQ(std::get<WalCommittedTxn>(rec->items[2]).changes[0].new_row,
+            row3);
 }
 
 TEST(WalConcurrencyTest, GroupCommitCoalescesConcurrentCommitters) {
   const std::string path = TempPath("wal_group.wal");
   WalOptions opts;
   opts.path = path;
-  auto wal = Wal::Open(opts, 1);
+  auto wal = Wal::Open(opts);
   ASSERT_TRUE(wal.ok());
 
   constexpr int kThreads = 8;
+  std::atomic<uint64_t> next_id{1};
   constexpr int kPerThread = 24;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&wal, t] {
+    threads.emplace_back([&wal, &next_id, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const uint64_t id = (*wal)->NextTxnId();
+        const uint64_t id = next_id++;
         Status st = (*wal)->LogTransaction(
             id,
             {MakeChange(static_cast<int64_t>(id), 100 + t, D(1995, 1, 1))},
@@ -309,7 +325,6 @@ TEST(WalConcurrencyTest, GroupCommitCoalescesConcurrentCommitters) {
   EXPECT_FALSE(rec->torn_tail);
   EXPECT_EQ(rec->items.size(),
             static_cast<size_t>(kThreads * kPerThread));
-  EXPECT_EQ(rec->uncommitted_txns, 0u);
   // Every txn id must be present exactly once.
   std::vector<bool> seen(kThreads * kPerThread + 1, false);
   for (const auto& item : rec->items) {
@@ -325,16 +340,17 @@ TEST(WalConcurrencyTest, InjectedCrashFailsEveryConcurrentCommitter) {
   WalOptions opts;
   opts.path = path;
   opts.fail_after_bytes = 600;
-  auto wal = Wal::Open(opts, 1);
+  auto wal = Wal::Open(opts);
   ASSERT_TRUE(wal.ok());
 
   constexpr int kThreads = 6;
   std::atomic<int> failures{0};
+  std::atomic<uint64_t> next_id{1};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&wal, &failures] {
+    threads.emplace_back([&wal, &failures, &next_id] {
       for (int i = 0; i < 20; ++i) {
-        const uint64_t id = (*wal)->NextTxnId();
+        const uint64_t id = next_id++;
         Status st = (*wal)->LogTransaction(
             id, {MakeChange(static_cast<int64_t>(id), 1, D(1995, 1, 1))},
             D(1995, 1, 1));
@@ -352,7 +368,7 @@ TEST(WalConcurrencyTest, InjectedCrashFailsEveryConcurrentCommitter) {
   auto rec = Wal::Recover(path);
   ASSERT_TRUE(rec.ok());
   // Every recovered item is a fully committed txn; the torn group batch
-  // may leave whole BEGIN/CHANGE frames behind as uncommitted fallout.
+  // only shortens the valid prefix.
   for (const auto& item : rec->items) {
     EXPECT_TRUE(std::holds_alternative<WalCommittedTxn>(item));
   }

@@ -2,7 +2,7 @@
 // and the checkpoint protocol.
 //
 // Each run drives the scripted DML workload (src/workload/scripted_dml.h)
-// through four passes against a WAL-backed ArchIS instance:
+// through six passes against a WAL-backed ArchIS instance:
 //
 //   1. A clean pass measures the log size and verifies that a clean
 //      close-and-reopen reproduces the H-documents byte for byte.
@@ -15,17 +15,23 @@
 //      fsync, before the atomic install, before the WAL reset) plus the
 //      no-crash case; every variant must reopen to the shadow's state,
 //      and the clean variant must replay zero WAL suffix bytes.
-//   4. An auto-checkpoint crash pass enables
+//   4. An open-transaction pass runs the workload, holds one transaction
+//      with buffered DML open across a checkpoint that must truncate the
+//      log to its marker, commits it, and keeps committing; a second run
+//      of the same script crashes at a seed-derived offset past the
+//      checkpoint and must recover to the shadow's state.
+//   5. An auto-checkpoint crash pass enables
 //      WalOptions::checkpoint_after_bytes with a seed-derived threshold
 //      and re-injects the crash offset, so torn logs around checkpoint
 //      truncations are exercised too.
-//   5. A concurrent-writer pass runs four writer threads with disjoint
+//   6. A concurrent-writer pass runs four writer threads with disjoint
 //      key ranges (plus one deliberately shared key) against one
 //      WAL-backed instance while the main thread advances the clock and
 //      takes fuzzy checkpoints mid-flight; after the writers join, the
 //      instance is dropped without a clean close and the reopen must
 //      reproduce the pre-crash H-documents byte for byte, with every
-//      acknowledged commit present.
+//      acknowledged commit present and no COMMIT record carrying the id
+//      of an aborted or conflict-aborted transaction.
 //
 // The crash pass additionally snapshots a flight-recorder `.crashdump`
 // at the injected crash, parses it, and verifies its txn_commit events
@@ -237,6 +243,9 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
   // Per-slot count of acknowledged (durably committed) increments. Each
   // slot is written by exactly one thread; the join is the read barrier.
   std::vector<int> acked(kWriters * kKeysPerWriter, 0);
+  // Per-writer ids of explicitly aborted and conflict-aborted
+  // transactions; none of them may reach the log.
+  std::vector<std::vector<uint64_t>> dropped(kWriters);
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
@@ -265,7 +274,9 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
           return;
         }
         if (NextRand(&rng) % 5 == 0) {
-          // Exercise interleaved ABORT frames: the batch must vanish.
+          // An aborted batch writes nothing to the log: the log check,
+          // the acked counts and the reopen below must not see it.
+          dropped[w].push_back(txn.id());
           if (!txn.Abort().ok()) ++failures;
           continue;
         }
@@ -296,6 +307,7 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
           acked[slot] = static_cast<int>(next);
         } else if (cst.code() == StatusCode::kConflict) {
           ++conflicts;  // first committer won the shared key; batch dropped
+          dropped[w].push_back(txn.id());
         } else {
           ++failures;
           return;
@@ -324,6 +336,24 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
   if (failures.load() != 0) {
     return Fail("writer failures (concurrent)",
                 tag + " failures=" + std::to_string(failures.load()));
+  }
+
+  // A transaction is logged only when it commits: whatever suffix the
+  // checkpoints left in the log, no COMMIT record names a dropped batch.
+  auto logged = archis::core::Wal::Recover(wal_path);
+  if (!logged.ok()) {
+    return Fail("log scan (concurrent)", logged.status().ToString());
+  }
+  std::set<uint64_t> dropped_ids;
+  for (const std::vector<uint64_t>& ids : dropped) {
+    dropped_ids.insert(ids.begin(), ids.end());
+  }
+  for (const auto& item : logged->items) {
+    const auto* txn = std::get_if<archis::core::WalCommittedTxn>(&item);
+    if (txn != nullptr && dropped_ids.count(txn->txn_id) != 0) {
+      return Fail("aborted transaction logged (concurrent)",
+                  tag + " txn=" + std::to_string(txn->txn_id));
+    }
   }
 
   // Every acknowledged increment must be visible, at its final value.
@@ -371,6 +401,91 @@ int RunConcurrentPass(uint32_t seed, const std::string& wal_path) {
               seed, kWriters, conflicts.load(),
               shared_present ? "yes" : "no");
   return 0;
+}
+
+/// Where an open-transaction run stands, in bytes written through the WAL
+/// handle.
+struct OpenTxnRun {
+  bool crashed = false;
+  uint64_t bytes_at_checkpoint = 0;
+  uint64_t bytes_at_end = 0;
+};
+
+/// Runs the script, then holds one transaction with buffered DML open
+/// across a checkpoint, commits it and runs a few more commits, mirroring
+/// every durable unit onto `shadow`. Without an injected crash the
+/// checkpoint must truncate the log to its marker, and the open
+/// transaction must write nothing before its commit.
+archis::Result<OpenTxnRun> RunOpenTxnAcrossCheckpoint(
+    ArchIS* db, ArchIS* shadow, const ScriptedDmlConfig& cfg,
+    const std::string& wal_path) {
+  OpenTxnRun out;
+  const auto crashed = [&](const Status& st) {
+    out.crashed = st.code() == StatusCode::kIOError;
+    return out.crashed;
+  };
+  ARCHIS_ASSIGN_OR_RETURN(auto run, RunScriptedDml(db, shadow, cfg));
+  if (run.crashed) {
+    out.crashed = true;
+    return out;
+  }
+  const auto emp = [](int64_t id, int64_t salary) {
+    return minirel::Tuple{minirel::Value(id), minirel::Value("open"),
+                          minirel::Value(salary)};
+  };
+  const auto update = [&](Transaction* txn, int64_t id, int64_t salary) {
+    return txn->Update("employees", {minirel::Value(id)}, emp(id, salary));
+  };
+  // Commits the primary's transaction, then its mirror; false once the
+  // injected crash hit the primary.
+  const auto commit = [&](Transaction* txn,
+                          Transaction* mirror) -> archis::Result<bool> {
+    Status st = txn->Commit();
+    if (crashed(st)) return false;
+    ARCHIS_RETURN_NOT_OK(st);
+    ARCHIS_RETURN_NOT_OK(mirror->Commit());
+    return true;
+  };
+  const auto advance = [&](Date clock) {
+    ARCHIS_RETURN_NOT_OK(db->AdvanceClock(clock));
+    return shadow->AdvanceClock(clock);
+  };
+  // The open transaction and its mirror take the same statements.
+  ARCHIS_ASSIGN_OR_RETURN(Transaction open, db->Begin());
+  ARCHIS_ASSIGN_OR_RETURN(Transaction open_mirror, shadow->Begin());
+  for (Transaction* txn : {&open, &open_mirror}) {
+    ARCHIS_RETURN_NOT_OK(txn->Insert("employees", emp(900001, 1)));
+    ARCHIS_RETURN_NOT_OK(txn->Insert("employees", emp(900002, 2)));
+    ARCHIS_RETURN_NOT_OK(update(txn, 900001, 3));
+  }
+  out.bytes_at_checkpoint = db->wal()->bytes_written();
+  Status st = db->Checkpoint();
+  if (crashed(st)) return out;
+  ARCHIS_RETURN_NOT_OK(st);
+  if (db->options().wal.fail_after_bytes == 0) {
+    ARCHIS_ASSIGN_OR_RETURN(auto rec, archis::core::Wal::Recover(wal_path));
+    if (!rec.has_checkpoint_marker || !rec.items.empty()) {
+      return Status::Internal(
+          "checkpoint with an open transaction did not truncate the WAL");
+    }
+  }
+  Date clock = db->Now().AddDays(1);
+  ARCHIS_RETURN_NOT_OK(advance(clock));
+  ARCHIS_ASSIGN_OR_RETURN(bool alive, commit(&open, &open_mirror));
+  for (int64_t i = 1; alive && i <= 6; ++i) {
+    clock = clock.AddDays(1);
+    ARCHIS_RETURN_NOT_OK(advance(clock));
+    ARCHIS_ASSIGN_OR_RETURN(Transaction txn, db->Begin());
+    ARCHIS_ASSIGN_OR_RETURN(Transaction mirror, shadow->Begin());
+    for (Transaction* t : {&txn, &mirror}) {
+      ARCHIS_RETURN_NOT_OK(update(t, 900001, 10 * i));
+      ARCHIS_RETURN_NOT_OK(update(t, 900002, 20 * i));
+    }
+    ARCHIS_ASSIGN_OR_RETURN(alive, commit(&txn, &mirror));
+  }
+  if (!alive) return out;
+  out.bytes_at_end = db->wal()->bytes_written();
+  return out;
 }
 
 /// One fuzz iteration; returns 0 on success.
@@ -486,6 +601,53 @@ int RunOne(uint32_t seed, int transactions, const std::string& wal_path,
     }
   }
 
+  // ---- open-transaction pass: a checkpoint truncates under an open txn ----
+  {
+    const std::string tag = "seed=" + std::to_string(seed) + " open-txn";
+    RemoveInstanceFiles(wal_path);
+    auto measure = ArchIS::Open(wal_opts, cfg.start_date);
+    if (!measure.ok()) return Fail("open (open-txn)", tag);
+    ArchIS measure_shadow(ArchISOptions{}, cfg.start_date);
+    auto measured = RunOpenTxnAcrossCheckpoint(
+        measure->get(), &measure_shadow, cfg, wal_path);
+    if (!measured.ok() || measured->crashed) {
+      return Fail("open-txn run", tag + " " + measured.status().ToString());
+    }
+    measure->reset();
+    // The same script again, torn at a random offset past the checkpoint
+    // and short of the last byte (a budget that covers every write never
+    // crashes).
+    const uint64_t tail =
+        measured->bytes_at_end - measured->bytes_at_checkpoint;
+    const uint64_t open_budget =
+        measured->bytes_at_checkpoint + 1 + NextRand(rng) % (tail - 1);
+    RemoveInstanceFiles(wal_path);
+    ArchISOptions open_opts = wal_opts;
+    open_opts.wal.fail_after_bytes = open_budget;
+    auto open_primary = ArchIS::Open(open_opts, cfg.start_date);
+    if (!open_primary.ok()) return Fail("open (open-txn crash)", tag);
+    ArchIS open_shadow(ArchISOptions{}, cfg.start_date);
+    auto open_run = RunOpenTxnAcrossCheckpoint(open_primary->get(),
+                                               &open_shadow, cfg, wal_path);
+    if (!open_run.ok() || !open_run->crashed) {
+      return Fail("open-txn crash run",
+                  tag + " " + open_run.status().ToString());
+    }
+    open_primary->reset();
+    auto open_recovered = ArchIS::Open(wal_opts, cfg.start_date);
+    if (!open_recovered.ok()) {
+      return Fail("reopen (open-txn)",
+                  tag + " -> " + open_recovered.status().ToString());
+    }
+    if (SerializeAllHistories(open_recovered->get()) !=
+        SerializeAllHistories(&open_shadow)) {
+      WriteMismatch(wal_path, SerializeAllHistories(open_recovered->get()),
+                    SerializeAllHistories(&open_shadow));
+      return Fail("open-txn recovery mismatch",
+                  tag + " fail_after_bytes=" + std::to_string(open_budget));
+    }
+  }
+
   // ---- auto-checkpoint crash pass: torn logs around truncations ----
   const uint64_t auto_threshold = 1 + NextRand(rng) % (1 + log_bytes / 2);
   RemoveInstanceFiles(wal_path);
@@ -522,7 +684,7 @@ int RunOne(uint32_t seed, int transactions, const std::string& wal_path,
 
   std::printf(
       "  seed=%u log=%llu bytes crash@%llu committed=%d crashed=%s "
-      "ckpt-phases=4 auto-ckpt@%llu ok\n",
+      "ckpt-phases=4 open-txn auto-ckpt@%llu ok\n",
       seed, static_cast<unsigned long long>(log_bytes),
       static_cast<unsigned long long>(budget), crash_run->committed_units,
       crash_run->crashed ? "yes" : "no",
